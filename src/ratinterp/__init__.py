@@ -33,6 +33,7 @@ from .eea import (
     syzygy_basis_pair,
 )
 from .errors import (
+    CertificateError,
     DegreeNotAdmissible,
     DegreeTie,
     DenominatorVanishesAtNode,
@@ -40,6 +41,7 @@ from .errors import (
     KappaNotAdmissible,
     NotAnInterpolant,
     NotASyzygy,
+    ScanExhausted,
     ZeroDenominator,
     ZeroSecondInput,
 )
@@ -89,5 +91,5 @@ __all__ = [
     "verify_moving_line", "cross_product_certificate", "projective_form",
     "DomainError", "ZeroSecondInput", "DegreeTie", "NotASyzygy",
     "NotAnInterpolant", "ZeroDenominator", "DenominatorVanishesAtNode",
-    "DegreeNotAdmissible", "KappaNotAdmissible",
+    "DegreeNotAdmissible", "KappaNotAdmissible", "CertificateError", "ScanExhausted",
 ]

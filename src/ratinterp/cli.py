@@ -12,7 +12,8 @@ or a plane parametrization
 with rationals as strings "p/q" or integers and polynomial arrays in
 ascending degree.  ``--json`` switches every subcommand to a
 machine-readable mirror of the report types.  Exit status: 0 on
-success, 1 when a request has no valid answer, 2 on malformed input.
+success, 1 when a request has no valid answer or a sampling scan runs
+out of its bound, 2 on malformed input.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import deltasolver, kappasolver, oracle
 from .eea import extended_euclid
-from .errors import DomainError
+from .errors import DomainError, ScanExhausted
 from .exactpoly import Poly
 from .hermite import InterpolationData, RationalFunction, hermite_polynomial, nodal_poly
 from .mubasis import MuBasis, PlaneParametrization, mu_basis, projective_form
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, ScanExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:

@@ -14,6 +14,14 @@ of interpolants:
   nonvanishing at the nodes;
 * the admissible degrees are exactly {mu1} u {delta >= mu2} in the first
   case and {delta >= mu2} in the second.
+
+No generic gcd runs on the basis.  The small pair is a trace row, so it
+is coprime exactly when b1 vanishes at no node.  Every other fraction
+built here is u*pair1 + v*pair2 for small multipliers u, v; as
+a1*b2 - a2*b1 = +-f, its common factor is gcd(u, v) times node factors
+(x - x_i), so it is reduced when gcd(u, v) = 1 and its denominator
+vanishes at no node.  Only monic scaling remains
+(``RationalFunction.coprime``).
 """
 
 from __future__ import annotations
@@ -23,9 +31,21 @@ from fractions import Fraction
 
 from .config import scan_limit
 from .eea import EEATrace, extended_euclid
-from .errors import DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
+from .errors import (
+    CertificateError,
+    DegreeNotAdmissible,
+    DenominatorVanishesAtNode,
+    ScanExhausted,
+    ZeroDenominator,
+)
 from .exactpoly import ONE, ZERO, Poly, gcd, monomial
-from .hermite import InterpolationData, RationalFunction, hermite_polynomial, nodal_poly
+from .hermite import (
+    InterpolationData,
+    RationalFunction,
+    hermite_polynomial,
+    nodal_poly,
+    nonzero_at_nodes,
+)
 
 Pair = tuple[Poly, Poly]
 
@@ -41,7 +61,8 @@ class MinimalBasis:
     critical_index: int  # trace index of the basis rows; -1 for the all-zero case
 
     def __post_init__(self) -> None:
-        assert self.mu1 <= self.mu2
+        if self.mu1 > self.mu2:
+            raise CertificateError(f"mu1 = {self.mu1} exceeds mu2 = {self.mu2}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +120,8 @@ def critical_indices(trace: EEATrace) -> tuple[int, ...]:
             and trace.s(i + 1).degree >= trace.r(i + 1).degree
         ):
             out.append(i)
-    assert 1 <= len(out) <= 2, f"critical index count {len(out)}"
+    if not 1 <= len(out) <= 2:
+        raise CertificateError(f"critical index count {len(out)}; broken remainder sequence")
     return tuple(out)
 
 
@@ -126,70 +148,83 @@ def minimal_basis(data: InterpolationData) -> MinimalBasis:
     if d_high < d_low:
         low, high = high, low
         d_low, d_high = d_high, d_low
-    assert d_low + d_high == n
+    if d_low + d_high != n:
+        raise CertificateError(f"basis degrees {d_low} + {d_high} do not split n = {n}")
     return MinimalBasis(pair1=low, pair2=high, mu1=d_low, mu2=d_high, critical_index=i)
 
 
-def _is_unique_case(basis: MinimalBasis) -> bool:
-    a1, b1 = basis.pair1
-    return basis.mu1 < basis.mu2 and gcd(a1, b1) == ONE
+def _is_unique_case(basis: MinimalBasis, data: InterpolationData) -> bool:
+    """mu1 < mu2 and the small pair, a trace row, is coprime: b1 vanishes at no node."""
+    return basis.mu1 < basis.mu2 and nonzero_at_nodes(basis.pair1[1], data)
 
 
-def _family_member(data: InterpolationData, basis: MinimalBasis) -> RationalFunction:
-    """The first member of the minimal family under a deterministic scan.
+def _node_constraints(
+    data: InterpolationData, basis: MinimalBasis
+) -> tuple[tuple[Fraction, Fraction | None], ...]:
+    """Per node, the value of p at which b2 + p*b1 vanishes there (None: never)."""
+    b1, b2 = basis.pair1[1], basis.pair2[1]
+    out = []
+    for x in data.nodes:
+        b1_x = b1(x)
+        out.append((x, -b2(x) / b1_x if b1_x != 0 else None))
+    return tuple(out)
 
-    Candidates p = x**e + k for k = 0, 1, 2, ... keep deg p == e exactly;
-    each node forbids at most one k, so the scan ends within l + 1 steps.
+
+def _family_parameter(basis: MinimalBasis, constraints) -> Poly:
+    """p = x**e + k, e = mu2 - mu1, with the least k >= 0 that no node forbids.
+
+    Node x_i forbids p(x_i) == v_i, that is k == v_i - x_i**e.
+    """
+    e = basis.mu2 - basis.mu1
+    banned = {v - x**e for x, v in constraints if v is not None}
+    k = 0
+    while k in banned:
+        k += 1
+    return monomial(e) + k
+
+
+def _family_member(data: InterpolationData, basis: MinimalBasis, p: Poly) -> RationalFunction:
+    """The member (a2 + p*a1)/(b2 + p*b1), for p from ``_family_parameter``.
+
+    Its multipliers p and 1 are coprime and its denominator vanishes at
+    no node, so the pair is reduced; both facts and the degree are
+    checked.
     """
     a1, b1 = basis.pair1
     a2, b2 = basis.pair2
-    e = basis.mu2 - basis.mu1
-    limit = scan_limit(data.node_count + 2)
-    for k in range(limit):
-        p = monomial(e) + k
-        denom = b2 + p * b1
-        if any(denom(x) == 0 for x in data.nodes):
-            continue
-        member = RationalFunction(a2 + p * a1, denom)
-        assert member.delta_degree == basis.mu2
-        return member
-    raise RuntimeError("family member scan exceeded its bound")
+    member = RationalFunction.coprime(a2 + p * a1, b2 + p * b1)
+    if member.delta_degree != basis.mu2 or not nonzero_at_nodes(member.denom, data):
+        raise CertificateError(f"family member {member} fails its degree or node check")
+    return member
 
 
 def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
     """Classify the minimal max-degree solutions for the instance."""
     basis = minimal_basis(data)
-    a1, b1 = basis.pair1
-    a2, b2 = basis.pair2
-    if _is_unique_case(basis):
+    if _is_unique_case(basis, data):
         return DeltaSolutionReport(
             kind="UNIQUE",
             minimal_delta=basis.mu1,
             basis=basis,
-            representative=RationalFunction(a1, b1),
+            representative=RationalFunction.coprime(*basis.pair1),
             family_degree=None,
             node_constraints=(),
         )
-    constraints = []
-    for x in data.nodes:
-        if b1(x) != 0:
-            constraints.append((x, -b2(x) / b1(x)))
-        else:
-            constraints.append((x, None))
+    constraints = _node_constraints(data, basis)
     return DeltaSolutionReport(
         kind="FAMILY",
         minimal_delta=basis.mu2,
         basis=basis,
-        representative=_family_member(data, basis),
+        representative=_family_member(data, basis, _family_parameter(basis, constraints)),
         family_degree=basis.mu2 - basis.mu1,
-        node_constraints=tuple(constraints),
+        node_constraints=constraints,
     )
 
 
 def admissible_delta_set(data: InterpolationData) -> DegreeSet:
     """The exact set of max-degrees realized by interpolants."""
     basis = minimal_basis(data)
-    isolated = basis.mu1 if _is_unique_case(basis) else None
+    isolated = basis.mu1 if _is_unique_case(basis, data) else None
     return DegreeSet(isolated=isolated, threshold=basis.mu2)
 
 
@@ -201,13 +236,17 @@ def evaluate_parametrization(
         raise ValueError("(p, q) must not both be zero")
     a1, b1 = basis.pair1
     a2, b2 = basis.pair2
+    # the common factor of the member is gcd(p, q) times node factors, and
+    # the node test below excludes the node factors
+    common = gcd(p, q)
+    p, q = p.div_rem(common)[0], q.div_rem(common)[0]
     denom = p * b1 + q * b2
     if denom.is_zero:
         raise ZeroDenominator("the combined denominator is the zero polynomial")
     for x in data.nodes:
-        if denom(x) == 0:
+        if denom(x) == 0 or common(x) == 0:
             raise DenominatorVanishesAtNode(x)
-    return RationalFunction(p * a1 + q * a2, denom)
+    return RationalFunction.coprime(p * a1 + q * a2, denom)
 
 
 def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFunction:
@@ -215,33 +254,40 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     basis = minimal_basis(data)
-    unique = _is_unique_case(basis)
+    unique = _is_unique_case(basis, data)
     if not (unique and delta == basis.mu1) and delta < basis.mu2:
         raise DegreeNotAdmissible(
             f"no interpolant has max-degree {delta}; "
             f"admissible: {admissible_delta_set(data)}"
         )
     a1, b1 = basis.pair1
+    a2, b2 = basis.pair2
     if unique:
-        base = RationalFunction(a1, b1)
+        base = RationalFunction.coprime(a1, b1)
         if delta == basis.mu1:
             return base
+        p = ONE
     else:
-        base = _family_member(data, basis)
+        p = _family_parameter(basis, _node_constraints(data, basis))
+        base = _family_member(data, basis, p)
         if delta == basis.mu2:
             return base
-    # climb from the minimal solution: adding lam * x**(delta - mu2) * pair2
-    # raises the degree to exactly delta for all but finitely many lam
-    a2, b2 = basis.pair2
+    # Climb from the minimal solution: adding lam * x**m * pair2, m = delta - mu2,
+    # raises the degree to exactly delta for all but finitely many lam.  The
+    # base is c*(p*pair1 + pair2), c = 1/lead(b2 + p*b1) (UNIQUE: c*pair1), so
+    # a candidate has the multipliers c*p and c + lam*x**m (UNIQUE: c and
+    # lam*x**m).  Their gcd needs computing only when p is not a constant.
     shift = monomial(delta - basis.mu2)
+    c = 1 / (b2 + p * b1).leading if p.degree > 0 else None
     limit = scan_limit(data.n * data.node_count + 2 * delta + 1)
     for lam in range(1, limit + 1):
+        numer = base.numer + lam * shift * a2
         denom = base.denom + lam * shift * b2
-        if denom.is_zero:
-            continue
-        candidate = RationalFunction(base.numer + lam * shift * a2, denom)
-        if candidate.delta_degree == delta and all(
-            candidate.denom(x) != 0 for x in data.nodes
+        if (
+            not denom.is_zero
+            and _pair_degree((numer, denom)) == delta
+            and nonzero_at_nodes(denom, data)
+            and (c is None or gcd(p, lam * shift + c) == ONE)
         ):
-            return candidate
-    raise RuntimeError("degree sample scan exceeded its bound")
+            return RationalFunction.coprime(numer, denom)
+    raise ScanExhausted("degree sample scan exceeded its bound")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeTie, NotASyzygy, ZeroSecondInput
+from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
 from .exactpoly import ONE, ZERO, Poly
 
 
@@ -132,7 +132,8 @@ def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
     m[0] = residue  # t_0 == 1
     for i in range(1, N + 1):
         # automatic for genuine syzygies; a violation means a broken trace
-        assert m[i].degree < trace.q(i).degree
+        if m[i].degree >= trace.q(i).degree:
+            raise CertificateError(f"coordinate m_{i} too large for q_{i}; broken trace")
     return Decomposition(tuple(m))
 
 

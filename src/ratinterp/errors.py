@@ -47,3 +47,11 @@ class DegreeNotAdmissible(DomainError):
 
 class KappaNotAdmissible(DomainError):
     """No interpolant has the requested degree sum."""
+
+
+class CertificateError(AssertionError):
+    """A certificate the library checks on its own output failed: a broken trace or basis."""
+
+
+class ScanExhausted(RuntimeError):
+    """A parameter scan sampling a concrete solution exceeded its iteration bound."""

@@ -12,6 +12,7 @@ such as ``deg(p*q) == deg(p) + deg(q)`` needs no special cases.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -27,6 +28,28 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+_INTEGER_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def rational_from_json(value) -> Fraction:
+    """A rational read from JSON: an int or an integer string "p" or "p/q".
+
+    Everything else is malformed input and raises ValueError: booleans
+    (a bool is an int in Python), floats, decimal and exponent strings
+    such as "1e3000", and a zero denominator.
+    """
+    if isinstance(value, str):
+        well_formed = _INTEGER_RATIO.fullmatch(value) is not None
+    else:
+        well_formed = isinstance(value, int) and not isinstance(value, bool)
+    if not well_formed:
+        raise ValueError(f"expected an integer or a \"p/q\" string, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError("rational with zero denominator") from exc
 
 
 class Poly:
@@ -233,10 +256,7 @@ class Poly:
     def from_json(cls, data) -> "Poly":
         if not isinstance(data, (list, tuple)):
             raise ValueError("polynomial must be a JSON array of rational strings")
-        try:
-            return cls(data)
-        except ZeroDivisionError as exc:
-            raise ValueError("rational with zero denominator in polynomial") from exc
+        return cls(rational_from_json(c) for c in data)
 
 
 ZERO = Poly()

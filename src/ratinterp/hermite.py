@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ZeroDenominator
-from .exactpoly import ONE, X, ZERO, Poly, Scalar, as_fraction, gcd
+from .exactpoly import ONE, X, ZERO, Poly, Scalar, as_fraction, gcd, rational_from_json
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,10 @@ class InterpolationData:
                 raise ValueError('each point must be {"x": ..., "values": [...]}')
             if not isinstance(item["values"], list):
                 raise ValueError('"values" must be a JSON array')
-            try:
-                pairs.append((item["x"], item["values"]))
-            except ZeroDivisionError as exc:
-                raise ValueError("rational with zero denominator") from exc
-        try:
-            return cls.from_pairs(pairs)
-        except ZeroDivisionError as exc:
-            raise ValueError("rational with zero denominator") from exc
+            pairs.append(
+                (rational_from_json(item["x"]), [rational_from_json(v) for v in item["values"]])
+            )
+        return cls.from_pairs(pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,9 +100,18 @@ class InterpolationData:
 class RationalFunction:
     """A reduced fraction of polynomials with a monic denominator.
 
-    Construction canonicalizes: the gcd of numerator and denominator is
-    divided out and the denominator is rescaled monic, so equal fractions
-    compare equal.  The zero function is 0/1.
+    ``RationalFunction(numer, denom)`` canonicalizes a fraction from any
+    source: the generic gcd of numerator and denominator is divided out
+    and the denominator is rescaled monic, so equal fractions compare
+    equal.  The zero function is 0/1.
+
+    The solvers build every fraction with ``RationalFunction.coprime``
+    instead, which only rescales.  Coprimality there comes from the
+    trace: s_i*t_{i+1} - s_{i+1}*t_i = +-1 and r_i = s_i*g + t_i*f make
+    gcd(r_i, s_i) divide f, and r_i = s_i*g at every node, so a trace
+    row is coprime exactly when s_i vanishes at no node.  A combination
+    u*pair1 + v*pair2 of two rows with gcd(u, v) = 1 can share only node
+    factors as well, because the rows' 2x2 minor is +-f.
     """
 
     __slots__ = ("numer", "denom")
@@ -114,14 +119,31 @@ class RationalFunction:
     def __init__(self, numer: Poly, denom: Poly) -> None:
         if denom.is_zero:
             raise ZeroDenominator("zero denominator")
+        if not numer.is_zero:
+            common = gcd(numer, denom)
+            if common.degree > 0:
+                numer = numer.div_rem(common)[0]
+                denom = denom.div_rem(common)[0]
+        self._scale_monic(numer, denom)
+
+    @classmethod
+    def coprime(cls, numer: Poly, denom: Poly) -> "RationalFunction":
+        """numer/denom for a pair already known to be coprime; takes no gcd.
+
+        Rejects a zero denominator, maps 0 to 0/1 and scales the
+        denominator monic.
+        """
+        if denom.is_zero:
+            raise ZeroDenominator("zero denominator")
+        rf = cls.__new__(cls)
+        rf._scale_monic(numer, denom)
+        return rf
+
+    def _scale_monic(self, numer: Poly, denom: Poly) -> None:
         if numer.is_zero:
             self.numer: Poly = ZERO
             self.denom: Poly = ONE
             return
-        common = gcd(numer, denom)
-        if common.degree > 0:
-            numer = numer.div_rem(common)[0]
-            denom = denom.div_rem(common)[0]
         scale = 1 / denom.leading
         self.numer = numer * scale
         self.denom = denom * scale
@@ -210,11 +232,14 @@ def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
     return residue.div_rem(nodal_poly(data))[1].is_zero
 
 
+def nonzero_at_nodes(b: Poly, data: InterpolationData) -> bool:
+    """True iff b vanishes at no node: the node test that decides coprimality."""
+    return all(b(x) != 0 for x in data.nodes)
+
+
 def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:
     """True iff rf matches every prescribed value and is defined at every node."""
-    if not check_weak(rf.numer, rf.denom, data):
-        return False
-    return all(rf.denom(x) != 0 for x in data.nodes)
+    return check_weak(rf.numer, rf.denom, data) and nonzero_at_nodes(rf.denom, data)
 
 
 def weak_cofactor(a: Poly, b: Poly, data: InterpolationData) -> Poly:

@@ -10,6 +10,13 @@ The prescribed-split problem (numerator degree <= d, denominator degree
 <= n - d - 1) is decided by the single trace row whose remainder degree
 first drops to d or below: it is solvable iff that row's r and s are
 coprime, and then the reduced row fraction is the solution.
+
+Coprimality is read off the trace, never from a generic gcd: a common
+factor of r_k and s_k divides f, and r_k = s_k*g at every node, so the
+row is coprime exactly when s_k vanishes at no node.  The same node test
+on the denominator suffices for the sampled combinations
+r_k + lam*r_{k+1} over s_k + lam*s_{k+1}, whose multipliers 1 and lam
+are coprime.  Fractions are built with ``RationalFunction.coprime``.
 """
 
 from __future__ import annotations
@@ -18,14 +25,15 @@ from dataclasses import dataclass
 
 from .config import scan_limit
 from .eea import Decomposition, decompose, extended_euclid
-from .errors import KappaNotAdmissible, NotAnInterpolant
-from .exactpoly import ONE, ZERO, Poly, gcd, monomial
+from .errors import KappaNotAdmissible, NotAnInterpolant, ScanExhausted
+from .exactpoly import ONE, ZERO, Poly, monomial
 from .hermite import (
     InterpolationData,
     RationalFunction,
     check_interpolates,
     hermite_polynomial,
     nodal_poly,
+    nonzero_at_nodes,
     weak_cofactor,
 )
 
@@ -83,7 +91,7 @@ def admissible_kappa(data: InterpolationData) -> KappaReport:
     g = hermite_polynomial(data)
     if g.is_zero:
         # only the zero function has degree sum below n here
-        zero = RationalFunction(ZERO, ONE)
+        zero = RationalFunction.coprime(ZERO, ONE)
         entry = KappaIsolated(kappa=0, index=1, solution=zero, raw_pair=(ZERO, ONE))
         return KappaReport(
             isolated=(entry,), tail_threshold=n,
@@ -93,13 +101,13 @@ def admissible_kappa(data: InterpolationData) -> KappaReport:
     entries = []
     for k in range(1, trace.N + 1):
         s_k = trace.s(k)
-        if any(s_k(x) == 0 for x in data.nodes):
+        if not nonzero_at_nodes(s_k, data):
             continue
         entries.append(
             KappaIsolated(
                 kappa=n - trace.q(k).degree,
                 index=k,
-                solution=RationalFunction(trace.r(k), s_k),
+                solution=RationalFunction.coprime(trace.r(k), s_k),
                 raw_pair=(trace.r(k), s_k),
             )
         )
@@ -131,25 +139,23 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
     g = hermite_polynomial(data)
     if g.is_zero:
         # (x**e + 1) * f over 1 interpolates zero data with degree sum n + e
-        return RationalFunction((monomial(kappa - n) + ONE) * f, ONE)
+        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f, ONE)
     if kappa == n:
         trace = extended_euclid(f, g)
         k = 1 if trace.N >= 2 else 0
         limit = scan_limit(n * data.node_count + 2 * n + 1)
         for lam in range(1, limit + 1):
-            candidate = RationalFunction(
-                trace.r(k) + lam * trace.r(k + 1),
-                trace.s(k) + lam * trace.s(k + 1),
-            )
-            if kappa_of(candidate) == n and all(
-                candidate.denom(x) != 0 for x in data.nodes
-            ):
+            denom = trace.s(k) + lam * trace.s(k + 1)
+            if not nonzero_at_nodes(denom, data):
+                continue
+            candidate = RationalFunction.coprime(trace.r(k) + lam * trace.r(k + 1), denom)
+            if kappa_of(candidate) == n:
                 return candidate
-        raise RuntimeError("degree-sum sample scan exceeded its bound")
+        raise ScanExhausted("degree-sum sample scan exceeded its bound")
     # kappa > n: pad the base rows with a multiple of f; the denominator
     # stays constant, so every target is reachable with no scan
     pad = monomial(kappa - n) + ONE
-    return RationalFunction(pad * f + f + g, ONE)
+    return RationalFunction.coprime(pad * f + f + g, ONE)
 
 
 def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None:
@@ -159,12 +165,12 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
     g = hermite_polynomial(data)
     if g.is_zero:
-        return RationalFunction(ZERO, ONE)
+        return RationalFunction.coprime(ZERO, ONE)
     trace = extended_euclid(nodal_poly(data), g)
     for k in range(1, trace.N + 1):
         if trace.r(k).degree <= d:
-            if gcd(trace.r(k), trace.s(k)) == ONE:
-                return RationalFunction(trace.r(k), trace.s(k))
+            if nonzero_at_nodes(trace.s(k), data):
+                return RationalFunction.coprime(trace.r(k), trace.s(k))
             return None
     # every nonzero remainder has degree above d: only the (unreachable)
     # zero row is small enough, so there is no solution

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .eea import EEATrace, extended_euclid
+from .errors import CertificateError
 from .exactpoly import ONE, ZERO, Poly
 
 _SLOTS = ("T0", "T1", "T2")
@@ -87,7 +88,7 @@ def mu_basis(param: PlaneParametrization) -> MuBasis:
             first, second = second, first
             d0, d1 = d1, d0
         return MuBasis(mu=d0, low=first, high=second)
-    raise AssertionError("no degree split in the trace; broken remainder sequence")
+    raise CertificateError("no degree split in the trace; broken remainder sequence")
 
 
 def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:

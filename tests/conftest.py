@@ -127,14 +127,18 @@ def full_trace_check(trace, data=None, rng=None):
 
 
 def coprimality_for_free_check(data):
-    """Rows whose s passes the node test are automatically coprime."""
+    """A trace row is coprime exactly when its s passes the node test.
+
+    Rows whose s vanishes at no node are coprime, and a row whose s
+    vanishes at a node shares that node's factor with r.
+    """
     g = hermite_polynomial(data)
     if g.is_zero:
         return
     trace = interp_trace(data)
-    for k in range(1, trace.N + 1):
-        if all(trace.s(k)(x) != 0 for x in data.nodes):
-            assert gcd(trace.r(k), trace.s(k)).degree == 0
+    for k in range(trace.N + 2):
+        passes = all(trace.s(k)(x) != 0 for x in data.nodes)
+        assert (gcd(trace.r(k), trace.s(k)).degree == 0) == passes, k
 
 
 def basis_split_check(data):

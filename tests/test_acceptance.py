@@ -29,7 +29,6 @@ from ratinterp import (
     decompose,
     evaluate_parametrization,
     extended_euclid,
-    gcd,
     hermite_rational,
     minimal_basis,
     monomial,
@@ -49,6 +48,7 @@ from conftest import (
     DATA_GENERIC4,
     DATA_SIX_EVEN,
     P,
+    coprimality_for_free_check,
     full_trace_check,
     interp_trace,
     random_data,
@@ -238,10 +238,8 @@ def test_criterion_8_invariant_batteries():
         full_trace_check(trace, data, rng=rng)
         basis = minimal_basis(data)
         assert basis.mu1 + basis.mu2 == data.n
-        # rows passing the node test are coprime without further work
-        for k in range(1, trace.N + 1):
-            if all(trace.s(k)(x) != 0 for x in data.nodes):
-                assert gcd(trace.r(k), trace.s(k)) == ONE
+        # a row is coprime exactly when its s passes the node test
+        coprimality_for_free_check(data)
         # uniqueness round trip on one more targeted decomposition
         c = weak_cofactor(trace.r(1), trace.s(1), data)
         dec = decompose(trace.r(1), trace.s(1), c, trace)

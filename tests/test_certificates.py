@@ -1,0 +1,112 @@
+"""Certificates the solvers rely on in place of a generic gcd."""
+
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from ratinterp import (
+    InterpolationData,
+    RationalFunction,
+    admissible_kappa,
+    hermite_rational,
+    minimal_basis,
+    minimal_delta_solutions,
+    sample_solution_of_delta,
+    sample_solution_of_kappa,
+)
+
+from conftest import coprimality_for_free_check
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+GUARDS = """
+import sys
+import ratinterp.deltasolver as ds
+import ratinterp.mubasis as mb
+from ratinterp import (
+    CertificateError, EEATrace, InterpolationData, MinimalBasis, ONE, ZERO, X,
+    PlaneParametrization, Poly, critical_indices, decompose, extended_euclid,
+    hermite_polynomial, minimal_delta_solutions, mu_basis, nodal_poly,
+)
+
+data = InterpolationData.from_pairs([(0, [-2]), (2, [6]), (-1, [-3, 3])])
+f, g = nodal_poly(data), hermite_polynomial(data)
+trace = extended_euclid(f, g)
+basis = ds.minimal_basis(data)
+
+
+def padded(r0, r1):
+    # every row times x**5: the critical indices survive, the degree split does not
+    real = extended_euclid(r0, r1)
+    rows = tuple(tuple(X ** 5 * p for p in row) for row in real.rows)
+    return EEATrace(rows=rows, quotients=real.quotients)
+
+
+def raises(label, fn):
+    try:
+        fn()
+    except CertificateError:
+        return
+    sys.exit(f"{label}: no CertificateError")
+
+
+raises("MinimalBasis", lambda: MinimalBasis((ZERO, ONE), (f, ZERO), 5, 1, critical_index=0))
+raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2], quotients=())))
+raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
+ds.extended_euclid = padded
+raises("split", lambda: ds.minimal_basis(data))
+ds.minimal_basis = lambda d: MinimalBasis(basis.pair1, basis.pair2, 1, 2, 2)
+raises("family member", lambda: minimal_delta_solutions(data))
+mb.extended_euclid = padded
+curve = PlaneParametrization(Poly([0, 0, 6, 0, -4]), Poly([0, 4, 0, -4]))
+raises("mu_basis", lambda: mu_basis(curve))
+"""
+
+
+def test_guards_raise_under_optimize():
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n" + GUARDS],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _instances(rng):
+    """Integer, repeated and rational nodes, all-zero data, and a climb whose
+    first candidate shares the factor x + 1 with its multipliers."""
+    rational = sorted({Fraction(k, d) for k in range(-9, 10) for d in (1, 2, 3)})
+    for _ in range(8):
+        n = rng.randint(2, 8)
+        nodes = rng.sample(range(-6, 7), n)
+        yield InterpolationData.from_pairs([(x, [rng.randint(-4, 4)]) for x in nodes])
+        yield InterpolationData.from_pairs(
+            [(x, [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) for x in nodes[:3]]
+        )
+        yield InterpolationData.from_pairs(
+            [(x, [Fraction(rng.randint(-9, 9), rng.randint(1, 3))])
+             for x in rng.sample(rational, n)]
+        )
+        yield InterpolationData.from_pairs([(x, [0] * rng.randint(1, 2)) for x in nodes[:3]])
+    yield InterpolationData.from_pairs([(1, [2]), (-3, [2]), (0, [-1])])
+
+
+def test_solver_fractions_match_the_generic_gcd():
+    kinds = set()
+    for data in _instances(random.Random(41)):
+        coprimality_for_free_check(data)
+        n = data.n
+        report = minimal_delta_solutions(data)
+        kinds.add(report.kind if any(v for _, vs in data.points for v in vs) else "ZERO")
+        fractions = [report.representative]
+        kappa = admissible_kappa(data)
+        fractions += [e.solution for e in kappa.isolated] + list(kappa.minimal_solutions)
+        fractions += [rf for d in range(n) if (rf := hermite_rational(data, d)) is not None]
+        mu2 = minimal_basis(data).mu2
+        fractions += [sample_solution_of_delta(data, delta) for delta in range(mu2, mu2 + 3)]
+        fractions += [sample_solution_of_kappa(data, k) for k in (n, n + 1)]
+        fractions += [sample_solution_of_kappa(data, e.kappa) for e in kappa.isolated]
+        for rf in fractions:
+            assert rf == RationalFunction(rf.numer, rf.denom), (data, rf)
+    assert kinds == {"UNIQUE", "FAMILY", "ZERO"}

@@ -215,3 +215,62 @@ class TestInputHandling:
         zero = tmp_path / "zero.json"
         zero.write_text(json.dumps({"points": [{"x": "0", "values": ["0"]}]}))
         assert main(["eea", str(zero)]) == 1
+
+
+class TestScanBounds:
+    FAMILY = {"points": [{"x": "-4", "values": ["15/2"]}, {"x": "3/2", "values": ["-9"]}]}
+
+    def _file(self, tmp_path, problem):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        return str(path)
+
+    def test_family_member_needs_no_scan(self, tmp_path, capsys, monkeypatch):
+        path = self._file(tmp_path, self.FAMILY)
+        assert main(["delta", path]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("RATINTERP_MAX_SCAN", "1")
+        assert main(["delta", path]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "command, points",
+        [
+            # the first climbing candidate of each scan is rejected here
+            (["delta", "--solve", "3"], [("3", "-1"), ("-2", "1"), ("4", "-2")]),
+            (["kappa", "--solve", "2"], [("-4", "-1"), ("-2", "1")]),
+        ],
+    )
+    def test_exhausted_climbing_scan_exits_1(self, tmp_path, capsys, monkeypatch, command, points):
+        path = self._file(tmp_path, {"points": [{"x": x, "values": [y]} for x, y in points]})
+        assert main([*command, path]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("RATINTERP_MAX_SCAN", "1")
+        assert main([*command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scan exceeded its bound" in err
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("bad", [True, False, "1e3", "1/0", "0.5", " 1", 1.5, None])
+    def test_problem_file_scalars(self, tmp_path, capsys, bad):
+        for problem in (
+            {"points": [{"x": bad, "values": ["1"]}, {"x": "2", "values": ["3"]}]},
+            {"points": [{"x": "1", "values": [bad]}, {"x": "2", "values": ["3"]}]},
+            {"r0": ["0", bad, "1"], "r1": ["1"]},
+        ):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(problem))
+            assert main(["eea", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("bad", ["true", "false", '"1e3"', '"1/0"', "2.0"])
+    def test_inline_coefficients(self, capsys, bad):
+        assert main(["mu-basis", "--r0", f'["0", {bad}, "1"]', "--r1", '["1"]']) == 2
+        assert main(["mu-basis", "--r0", '["0", "0", "1"]', "--r1", f"[{bad}]"]) == 2
+        assert "input error: " in capsys.readouterr().err
+
+    def test_integer_ratios_accepted(self, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"points": [{"x": -1, "values": ["-3/6", 2]}]}))
+        assert main(["kappa", "--min", str(path)]) == 0

@@ -177,6 +177,10 @@ class TestFormatting:
             Poly.from_json("nope")
         with pytest.raises(ValueError):
             Poly.from_json(["1/0"])
+        with pytest.raises(ValueError):
+            Poly.from_json([1, True])
+        with pytest.raises(ValueError):
+            Poly.from_json(["1e3"])
 
     def test_hash_and_eq(self):
         assert hash(P(1, 2)) == hash(P(1, 2, 0))

@@ -51,6 +51,8 @@ class TestInterpolationData:
             {"points": [{"x": "1", "values": "2"}]},
             {"points": [{"x": "1/0", "values": ["1"]}]},
             {"points": [{"x": "1", "values": ["1"]}, {"x": "1", "values": ["2"]}]},
+            {"points": [{"x": True, "values": ["1"]}]},
+            {"points": [{"x": "1", "values": ["1e3"]}]},
         ],
     )
     def test_json_schema_violations(self, obj):
@@ -206,6 +208,16 @@ class TestRationalFunction:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             RationalFunction(ONE, ZERO)
+
+    def test_coprime_constructor_only_rescales(self):
+        rf = RationalFunction.coprime(P(0, 2), P(0, 0, 4))  # x is not divided out
+        assert (rf.numer, rf.denom) == (P(0, "1/2"), P(0, 0, 1))
+        reduced = (P(-2), P(1, 0, "-1/3"))
+        assert RationalFunction.coprime(*reduced) == RationalFunction(*reduced)
+        zero = RationalFunction.coprime(ZERO, P(0, 3))
+        assert (zero.numer, zero.denom) == (ZERO, ONE)
+        with pytest.raises(ZeroDenominator):
+            RationalFunction.coprime(ONE, ZERO)
 
     def test_equality_of_representations(self):
         assert RationalFunction(P(0, 2), P(2)) == RationalFunction(X, ONE)
