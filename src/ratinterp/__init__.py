@@ -18,7 +18,6 @@ from .deltasolver import (
     DeltaSolutionReport,
     MinimalBasis,
     admissible_delta_set,
-    critical_indices,
     evaluate_parametrization,
     minimal_basis,
     minimal_delta_solutions,
@@ -27,7 +26,9 @@ from .deltasolver import (
 from .eea import (
     Decomposition,
     EEATrace,
+    critical_indices,
     decompose,
+    degree_split,
     extended_euclid,
     recombine,
     syzygy_basis_pair,
@@ -41,7 +42,6 @@ from .errors import (
     KappaNotAdmissible,
     NotAnInterpolant,
     NotASyzygy,
-    ScanExhausted,
     ZeroDenominator,
     ZeroSecondInput,
 )
@@ -81,8 +81,8 @@ __all__ = [
     "InterpolationData", "RationalFunction", "check_interpolates", "check_weak",
     "hermite_polynomial", "nodal_poly", "weak_cofactor",
     "EEATrace", "Decomposition", "extended_euclid", "decompose", "recombine",
-    "syzygy_basis_pair",
-    "MinimalBasis", "DegreeSet", "DeltaSolutionReport", "critical_indices",
+    "syzygy_basis_pair", "critical_indices", "degree_split",
+    "MinimalBasis", "DegreeSet", "DeltaSolutionReport",
     "minimal_basis", "minimal_delta_solutions", "admissible_delta_set",
     "evaluate_parametrization", "sample_solution_of_delta",
     "KappaIsolated", "KappaReport", "kappa_of", "yy_form", "admissible_kappa",
@@ -91,5 +91,5 @@ __all__ = [
     "verify_moving_line", "cross_product_certificate", "projective_form",
     "DomainError", "ZeroSecondInput", "DegreeTie", "NotASyzygy",
     "NotAnInterpolant", "ZeroDenominator", "DenominatorVanishesAtNode",
-    "DegreeNotAdmissible", "KappaNotAdmissible", "CertificateError", "ScanExhausted",
+    "DegreeNotAdmissible", "KappaNotAdmissible", "CertificateError",
 ]

@@ -29,15 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import scan_limit
-from .eea import EEATrace, extended_euclid
-from .errors import (
-    CertificateError,
-    DegreeNotAdmissible,
-    DenominatorVanishesAtNode,
-    ScanExhausted,
-    ZeroDenominator,
-)
+from .eea import degree_split, extended_euclid
+from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, gcd, monomial
 from .hermite import (
     InterpolationData,
@@ -64,6 +57,27 @@ class MinimalBasis:
         if self.mu1 > self.mu2:
             raise CertificateError(f"mu1 = {self.mu1} exceeds mu2 = {self.mu2}")
 
+    def to_json(self) -> dict:
+        return {
+            "mu1": self.mu1,
+            "mu2": self.mu2,
+            "critical_index": self.critical_index,
+            "pair1": _pair_json(self.pair1),
+            "pair2": _pair_json(self.pair2),
+        }
+
+    def __str__(self) -> str:
+        (a1, b1), (a2, b2) = self.pair1, self.pair2
+        return (
+            f"mu1 = {self.mu1}, mu2 = {self.mu2} (critical index {self.critical_index})\n"
+            f"pair1: a = {a1}, b = {b1}\n"
+            f"pair2: a = {a2}, b = {b2}"
+        )
+
+
+def _pair_json(pair: Pair) -> dict:
+    return {"a": pair[0].to_json(), "b": pair[1].to_json()}
+
 
 @dataclass(frozen=True)
 class DegreeSet:
@@ -74,6 +88,9 @@ class DegreeSet:
 
     def __contains__(self, delta: int) -> bool:
         return delta == self.isolated or delta >= self.threshold
+
+    def to_json(self) -> dict:
+        return {"isolated": self.isolated, "threshold": self.threshold}
 
     def __str__(self) -> str:
         tail = f"delta >= {self.threshold}"
@@ -105,28 +122,32 @@ class DeltaSolutionReport:
         banned = {v for _, v in self.node_constraints if v is not None}
         return tuple(sorted(banned))
 
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "minimal_delta": self.minimal_delta,
+            "representative": self.representative.to_json(),
+            "family_degree": self.family_degree,
+            "node_constraints": [
+                {"node": str(x), "forbidden": None if v is None else str(v)}
+                for x, v in self.node_constraints
+            ],
+        }
 
-def critical_indices(trace: EEATrace) -> tuple[int, ...]:
-    """All trace indices whose row pair splits n; there are one or two.
-
-    Index i qualifies when deg r_i >= deg s_i and deg s_{i+1} >= deg r_{i+1},
-    which by the cumulative degree identities is the straddle condition on
-    the quotient degree sums.
-    """
-    out = []
-    for i in range(1, trace.N + 1):
-        if (
-            trace.r(i).degree >= trace.s(i).degree
-            and trace.s(i + 1).degree >= trace.r(i + 1).degree
-        ):
-            out.append(i)
-    if not 1 <= len(out) <= 2:
-        raise CertificateError(f"critical index count {len(out)}; broken remainder sequence")
-    return tuple(out)
-
-
-def _pair_degree(pair: Pair) -> int:
-    return int(max(pair[0].degree, pair[1].degree))
+    def __str__(self) -> str:
+        """Kind, minimum and the solution; the basis prints on its own."""
+        lines = [f"kind = {self.kind}", f"minimal delta = {self.minimal_delta}"]
+        if self.kind == "UNIQUE":
+            lines.append(f"unique minimal solution: {self.representative}")
+            return "\n".join(lines)
+        lines += [
+            f"family: (a2 + p*a1)/(b2 + p*b1) with deg p = {self.family_degree}",
+            f"sample member: {self.representative}",
+        ]
+        constraints = [f"p({x}) != {v}" for x, v in self.node_constraints if v is not None]
+        if constraints:
+            lines.append("denominator constraints: " + "; ".join(constraints))
+        return "\n".join(lines)
 
 
 def minimal_basis(data: InterpolationData) -> MinimalBasis:
@@ -140,17 +161,8 @@ def minimal_basis(data: InterpolationData) -> MinimalBasis:
             pair1=(ZERO, ONE), pair2=(nodal_poly(data), ZERO),
             mu1=0, mu2=n, critical_index=-1,
         )
-    trace = extended_euclid(nodal_poly(data), g)
-    i = critical_indices(trace)[0]
-    low: Pair = (trace.r(i), trace.s(i))
-    high: Pair = (trace.r(i + 1), trace.s(i + 1))
-    d_low, d_high = _pair_degree(low), _pair_degree(high)
-    if d_high < d_low:
-        low, high = high, low
-        d_low, d_high = d_high, d_low
-    if d_low + d_high != n:
-        raise CertificateError(f"basis degrees {d_low} + {d_high} do not split n = {n}")
-    return MinimalBasis(pair1=low, pair2=high, mu1=d_low, mu2=d_high, critical_index=i)
+    i, low, high, mu = degree_split(extended_euclid(nodal_poly(data), g))
+    return MinimalBasis(pair1=low[:2], pair2=high[:2], mu1=mu, mu2=n - mu, critical_index=i)
 
 
 def _is_unique_case(basis: MinimalBasis, data: InterpolationData) -> bool:
@@ -273,21 +285,22 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
         if delta == basis.mu2:
             return base
     # Climb from the minimal solution: adding lam * x**m * pair2, m = delta - mu2,
-    # raises the degree to exactly delta for all but finitely many lam.  The
-    # base is c*(p*pair1 + pair2), c = 1/lead(b2 + p*b1) (UNIQUE: c*pair1), so
-    # a candidate has the multipliers c*p and c + lam*x**m (UNIQUE: c and
+    # raises the degree to exactly delta for every lam != 0.  The base is
+    # c*(p*pair1 + pair2), c = 1/lead(b2 + p*b1) (UNIQUE: c*pair1), so a
+    # candidate has the multipliers c*p and c + lam*x**m (UNIQUE: c and
     # lam*x**m).  Their gcd needs computing only when p is not a constant.
+    # Each node forbids at most one lam and the gcd test at most deg p of
+    # them, so one of the first node_count + deg p + 1 values is accepted.
     shift = monomial(delta - basis.mu2)
     c = 1 / (b2 + p * b1).leading if p.degree > 0 else None
-    limit = scan_limit(data.n * data.node_count + 2 * delta + 1)
-    for lam in range(1, limit + 1):
+    for lam in range(1, data.node_count + p.degree + 2):
         numer = base.numer + lam * shift * a2
         denom = base.denom + lam * shift * b2
         if (
             not denom.is_zero
-            and _pair_degree((numer, denom)) == delta
+            and max(numer.degree, denom.degree) == delta
             and nonzero_at_nodes(denom, data)
             and (c is None or gcd(p, lam * shift + c) == ONE)
         ):
             return RationalFunction.coprime(numer, denom)
-    raise ScanExhausted("degree sample scan exceeded its bound")
+    raise CertificateError(f"no multiplier up to {lam} gives degree {delta}; broken basis")

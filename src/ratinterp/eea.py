@@ -18,6 +18,11 @@ a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
 with deg m_i < deg q_i for 1 <= i <= N.  Because the s-degrees increase
 in steps of exactly deg q_i, the m_i fall out of repeated Euclidean
 division of b by the s_i from the top down, and m_0 is then fixed by c.
+
+``degree_split`` picks the rows at the smallest critical index, where
+consecutive row degrees split n = deg r0.  Those two rows are both the
+minimal basis of the interpolation problem and the mu-basis of a plane
+parametrization.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ from dataclasses import dataclass
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
 from .exactpoly import ONE, ZERO, Poly
 
+Row = tuple[Poly, Poly, Poly]  # (r_i, s_i, t_i)
+
 
 @dataclass(frozen=True)
 class EEATrace:
     """Rows (r_i, s_i, t_i) for i = 0..N+1 and quotients q_1..q_N."""
 
-    rows: tuple[tuple[Poly, Poly, Poly], ...]
+    rows: tuple[Row, ...]
     quotients: tuple[Poly, ...]
 
     @property
@@ -57,36 +64,100 @@ class EEATrace:
         return self.quotients[i - 1]
 
     def check_invariants(self) -> None:
-        """Assert every structural identity of the trace; for test use."""
+        """Check every structural identity of the trace; raise CertificateError if one fails."""
         N = self.N
-        assert len(self.rows) == N + 2
-        assert self.r(N + 1).is_zero and not self.r(N).is_zero
+        _certify(len(self.rows) == N + 2, "row count does not match the quotients")
+        _certify(self.r(N + 1).is_zero and not self.r(N).is_zero, "trace does not end at r_{N+1} = 0")
         r0, r1 = self.r(0), self.r(1)
         for i in range(1, N + 1):
-            assert self.r(i).degree > self.r(i + 1).degree, f"degree not dropping at {i}"
+            _certify(self.r(i).degree > self.r(i + 1).degree, f"degree not dropping at {i}")
         # defining recurrence and quotient degrees
         for i in range(1, N + 1):
-            assert self.r(i - 1) == self.q(i) * self.r(i) + self.r(i + 1)
+            _certify(self.r(i - 1) == self.q(i) * self.r(i) + self.r(i + 1), f"recurrence fails at {i}")
             if i >= 2 or r0.degree > r1.degree:
-                assert self.q(i).degree >= 1, f"constant quotient q_{i}"
+                _certify(self.q(i).degree >= 1, f"constant quotient q_{i}")
         # row identity r_i = s_i*r1 + t_i*r0
         for i in range(N + 2):
-            assert self.r(i) == self.s(i) * r1 + self.t(i) * r0, f"row identity fails at {i}"
+            _certify(self.r(i) == self.s(i) * r1 + self.t(i) * r0, f"row identity fails at {i}")
         # cumulative degree identities
         qsum = 0
         for i in range(1, N + 1):
             qsum += self.q(i).degree
-            assert self.r(i).degree == r0.degree - qsum, f"r-degree identity fails at {i}"
+            _certify(self.r(i).degree == r0.degree - qsum, f"r-degree identity fails at {i}")
         qsum = 0
         for i in range(2, N + 2):
             qsum += self.q(i - 1).degree
-            assert self.s(i).degree == qsum, f"s-degree identity fails at {i}"
+            _certify(self.s(i).degree == qsum, f"s-degree identity fails at {i}")
         # consecutive rows are unimodular, and the 2x2 minors reproduce the inputs
         for i in range(N + 1):
             sign = 1 if i % 2 == 0 else -1
-            assert self.s(i) * self.t(i + 1) - self.s(i + 1) * self.t(i) == -sign
-            assert self.r(i) * self.s(i + 1) - self.r(i + 1) * self.s(i) == sign * r0
-            assert self.r(i + 1) * self.t(i) - self.r(i) * self.t(i + 1) == sign * r1
+            _certify(self.s(i) * self.t(i + 1) - self.s(i + 1) * self.t(i) == -sign,
+                     f"rows {i}, {i + 1} not unimodular")
+            _certify(self.r(i) * self.s(i + 1) - self.r(i + 1) * self.s(i) == sign * r0,
+                     f"(r, s) minor of rows {i}, {i + 1} is not +-r0")
+            _certify(self.r(i + 1) * self.t(i) - self.r(i) * self.t(i + 1) == sign * r1,
+                     f"(r, t) minor of rows {i}, {i + 1} is not +-r1")
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "N": self.N,
+            "rows": [
+                {"i": i, "r": r.to_json(), "s": s.to_json(), "t": t.to_json()}
+                for i, (r, s, t) in enumerate(self.rows)
+            ],
+            "quotients": [q.to_json() for q in self.quotients],
+        }
+
+    def __str__(self) -> str:
+        """The remainder/cofactor table, one row per i, columns padded."""
+        table = [["i", "deg r_i", "r_i", "s_i", "t_i", "q_i"]]
+        for i, (r, s, t) in enumerate(self.rows):
+            q = str(self.q(i)) if 1 <= i <= self.N else ""
+            table.append([str(i), "-inf" if r.is_zero else str(r.degree), str(r), str(s), str(t), q])
+        widths = [max(len(line[c]) for line in table) for c in range(len(table[0]))]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table]
+        lines.insert(1, "  ".join("-" * w for w in widths))
+        return "\n".join(lines)
+
+
+def _certify(ok: bool, message: str) -> None:
+    if not ok:
+        raise CertificateError(message)
+
+
+def critical_indices(trace: EEATrace) -> tuple[int, ...]:
+    """All trace indices whose row pair splits n; there are one or two.
+
+    Index i qualifies when deg r_i >= deg s_i and deg s_{i+1} >= deg r_{i+1},
+    which by the cumulative degree identities is the straddle condition on
+    the quotient degree sums.
+    """
+    out = tuple(
+        i for i in range(1, trace.N + 1)
+        if trace.r(i).degree >= trace.s(i).degree
+        and trace.s(i + 1).degree >= trace.r(i + 1).degree
+    )
+    _certify(1 <= len(out) <= 2, f"critical index count {len(out)}; broken remainder sequence")
+    return out
+
+
+def degree_split(trace: EEATrace) -> tuple[int, Row, Row, int]:
+    """(i, low, high, mu): rows i and i+1 at the smallest critical index i.
+
+    A row's degree is max(deg r, deg s) (deg t never exceeds it).  The
+    rows come ordered by degree, row i staying low on a tie, and mu is
+    the low degree.  Both the minimal basis of the weak pairs and the
+    mu-basis of moving lines are this split.  Certificate: the two
+    degrees sum to n, else ``CertificateError``.
+    """
+    i = critical_indices(trace)[0]
+    low, high = trace.rows[i], trace.rows[i + 1]
+    d_low, d_high = (int(max(r.degree, s.degree)) for r, s, _ in (low, high))
+    if d_high < d_low:
+        low, high, d_low, d_high = high, low, d_high, d_low
+    _certify(d_low + d_high == trace.n, f"row degrees {d_low} + {d_high} do not split n = {trace.n}")
+    return i, low, high, d_low
 
 
 @dataclass(frozen=True)
@@ -149,9 +220,7 @@ def recombine(dec: Decomposition, trace: EEATrace) -> tuple[Poly, Poly, Poly]:
     return a, b, c
 
 
-def syzygy_basis_pair(
-    trace: EEATrace, i: int
-) -> tuple[tuple[Poly, Poly, Poly], tuple[Poly, Poly, Poly]]:
+def syzygy_basis_pair(trace: EEATrace, i: int) -> tuple[Row, Row]:
     """Rows i and i+1, a module basis of the relations among (1, -r1, -r0)."""
     if not 0 <= i <= trace.N - 1:
         raise IndexError(f"row pair index {i} outside 0..{trace.N - 1}")

@@ -51,7 +51,3 @@ class KappaNotAdmissible(DomainError):
 
 class CertificateError(AssertionError):
     """A certificate the library checks on its own output failed: a broken trace or basis."""
-
-
-class ScanExhausted(RuntimeError):
-    """A parameter scan sampling a concrete solution exceeded its iteration bound."""

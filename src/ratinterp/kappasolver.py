@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import scan_limit
 from .eea import Decomposition, decompose, extended_euclid
-from .errors import KappaNotAdmissible, NotAnInterpolant, ScanExhausted
+from .errors import CertificateError, KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, ZERO, Poly, monomial
 from .hermite import (
     InterpolationData,
@@ -49,6 +48,14 @@ class KappaIsolated:
     solution: RationalFunction
     raw_pair: Pair  # the trace row (r_k, s_k) before canonical rescaling
 
+    def to_json(self) -> dict:
+        return {
+            "kappa": self.kappa,
+            "index": self.index,
+            "solution": self.solution.to_json(),
+            "raw_pair": {"r": self.raw_pair[0].to_json(), "s": self.raw_pair[1].to_json()},
+        }
+
 
 @dataclass(frozen=True)
 class KappaReport:
@@ -63,6 +70,35 @@ class KappaReport:
         if kappa >= self.tail_threshold:
             return True
         return any(entry.kappa == kappa for entry in self.isolated)
+
+    def to_json(self, minimum_only: bool = False) -> dict:
+        """The report as JSON; only the minimum and its witnesses if asked."""
+        out = {
+            "tail_threshold": self.tail_threshold,
+            "minimal_kappa": self.minimal_kappa,
+            "isolated": [entry.to_json() for entry in self.isolated],
+            "minimal_solutions": [rf.to_json() for rf in self.minimal_solutions],
+        }
+        if minimum_only:
+            del out["tail_threshold"], out["isolated"]
+        return out
+
+    def text(self, minimum_only: bool = False) -> str:
+        """The report as text; only the minimum and its witnesses if asked."""
+        lines = [
+            f"minimal kappa = {self.minimal_kappa}",
+            "minimal solutions: " + "; ".join(str(rf) for rf in self.minimal_solutions),
+        ]
+        if not minimum_only:
+            lines[:0] = [
+                f"every kappa >= {self.tail_threshold} is admissible",
+                "isolated admissible kappa values:",
+                *(f"  kappa = {e.kappa} via row {e.index}: {e.solution}" for e in self.isolated),
+            ]
+        return "\n".join(lines)
+
+    def __str__(self) -> str:
+        return self.text()
 
 
 def kappa_of(rf: RationalFunction) -> int:
@@ -141,17 +177,19 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
         # (x**e + 1) * f over 1 interpolates zero data with degree sum n + e
         return RationalFunction.coprime((monomial(kappa - n) + ONE) * f, ONE)
     if kappa == n:
+        # every lam that passes the node test gives degree sum n, and each
+        # node forbids at most one lam, so one of the first node_count + 1
+        # values is accepted
         trace = extended_euclid(f, g)
         k = 1 if trace.N >= 2 else 0
-        limit = scan_limit(n * data.node_count + 2 * n + 1)
-        for lam in range(1, limit + 1):
+        for lam in range(1, data.node_count + 2):
             denom = trace.s(k) + lam * trace.s(k + 1)
             if not nonzero_at_nodes(denom, data):
                 continue
             candidate = RationalFunction.coprime(trace.r(k) + lam * trace.r(k + 1), denom)
             if kappa_of(candidate) == n:
                 return candidate
-        raise ScanExhausted("degree-sum sample scan exceeded its bound")
+        raise CertificateError(f"no multiplier up to {lam} gives degree sum {n}; broken trace")
     # kappa > n: pad the base rows with a multiple of f; the denominator
     # stays constant, so every target is reachable with no scan
     pad = monomial(kappa - n) + ONE

@@ -3,17 +3,18 @@
 A moving line u(x)*T0 + v(x)*T1 + w(x) follows the parametrization
 t -> (r0(t), r1(t)) when u*r0 + v*r1 + w = 0, i.e. (u, v, w) is a
 relation among (r0, r1, 1).  The rows of the remainder trace of
-(r0, r1) supply such relations, (t_i, s_i, -r_i), and at the index
-where consecutive row degrees split n = deg r0 the two rows form a
-basis of all moving lines with degrees mu and n - mu, mu minimal.
+(r0, r1) supply such relations, (t_i, s_i, -r_i), and at the critical
+index, where consecutive row degrees split n = deg r0, the two rows
+form a basis of all moving lines with degrees mu and n - mu, mu
+minimal.  It is the split that also gives the minimal basis of the
+interpolation problem (``eea.degree_split``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import EEATrace, extended_euclid
-from .errors import CertificateError
+from .eea import Row, degree_split, extended_euclid
 from .exactpoly import ONE, ZERO, Poly
 
 _SLOTS = ("T0", "T1", "T2")
@@ -52,6 +53,15 @@ class MovingLine:
     def __str__(self) -> str:
         return _line_str([(self.ct0, "T0"), (self.ct1, "T1"), (self.c1, "")])
 
+    def to_json(self) -> dict:
+        return {"ct0": self.ct0.to_json(), "ct1": self.ct1.to_json(), "c1": self.c1.to_json()}
+
+    @classmethod
+    def from_row(cls, row: Row) -> "MovingLine":
+        """The line t*T0 + s*T1 - r of a trace row (r, s, t)."""
+        r, s, t = row
+        return cls(t, s, -r)
+
 
 @dataclass(frozen=True)
 class MuBasis:
@@ -61,34 +71,40 @@ class MuBasis:
     low: MovingLine
     high: MovingLine
 
+    def to_json(self, projective: bool = False) -> dict:
+        """The basis as JSON; with the homogenized lines if asked."""
+        out = {"mu": self.mu, "low": self.low.to_json(), "high": self.high.to_json()}
+        if projective:
+            out["projective"] = [projective_form(self.low), projective_form(self.high)]
+        return out
 
-def _row_degree(trace: EEATrace, i: int) -> int:
-    return int(max(trace.r(i).degree, trace.s(i).degree))
+    def text(self, projective: bool = False) -> str:
+        """The basis as text; with the homogenized lines if asked."""
+        lines = [
+            f"mu = {self.mu}",
+            f"low  (degree {self.low.degree}): {self.low}",
+            f"high (degree {self.high.degree}): {self.high}",
+        ]
+        if projective:
+            lines.append(f"projective low:  {projective_form(self.low)}")
+            lines.append(f"projective high: {projective_form(self.high)}")
+        return "\n".join(lines)
+
+    def __str__(self) -> str:
+        return self.text()
 
 
 def mu_basis(param: PlaneParametrization) -> MuBasis:
     """Minimal-degree basis of the moving lines of the parametrization."""
-    n = param.n
-    if param.r1.is_zero:
-        # T1 alone is a relation of degree 0 when the second coordinate vanishes
+    if param.r1.degree <= 0:
+        # T1 - r1 is a relation of degree 0 when the second coordinate is constant
         return MuBasis(
             mu=0,
-            low=MovingLine(ZERO, ONE, ZERO),
+            low=MovingLine(ZERO, ONE, -param.r1),
             high=MovingLine(ONE, ZERO, -param.r0),
         )
-    trace = extended_euclid(param.r0, param.r1)
-    for i in range(trace.N + 1):
-        d0 = _row_degree(trace, i)
-        d1 = _row_degree(trace, i + 1)
-        if d0 + d1 != n:
-            continue
-        first = MovingLine(trace.t(i), trace.s(i), -trace.r(i))
-        second = MovingLine(trace.t(i + 1), trace.s(i + 1), -trace.r(i + 1))
-        if d1 < d0:
-            first, second = second, first
-            d0, d1 = d1, d0
-        return MuBasis(mu=d0, low=first, high=second)
-    raise CertificateError("no degree split in the trace; broken remainder sequence")
+    _, low, high, mu = degree_split(extended_euclid(param.r0, param.r1))
+    return MuBasis(mu=mu, low=MovingLine.from_row(low), high=MovingLine.from_row(high))
 
 
 def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:

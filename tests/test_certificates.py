@@ -55,6 +55,8 @@ def raises(label, fn):
 raises("MinimalBasis", lambda: MinimalBasis((ZERO, ONE), (f, ZERO), 5, 1, critical_index=0))
 raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2], quotients=())))
 raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
+raises("check_invariants", EEATrace(trace.rows, (ONE,) * trace.N).check_invariants)
+raises("check_invariants", EEATrace(trace.rows[:-1], trace.quotients).check_invariants)
 ds.extended_euclid = padded
 raises("split", lambda: ds.minimal_basis(data))
 ds.minimal_basis = lambda d: MinimalBasis(basis.pair1, basis.pair2, 1, 2, 2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ratinterp import Poly
+from ratinterp import InterpolationData, Poly, RationalFunction, check_interpolates, kappa_of
 from ratinterp.cli import main
 
 from conftest import P
@@ -124,10 +124,6 @@ class TestKappaCommand:
     def test_solve_inadmissible(self, six_file, capsys):
         assert main(["kappa", "--solve", "5", six_file]) == 1
 
-    def test_hermite_flag(self, four_file, capsys):
-        assert main(["kappa", "--hermite-d", "2", four_file]) == 0
-        assert "no solution" in capsys.readouterr().out
-
 
 class TestHermiteDCommand:
     def test_solution(self, four_file, capsys):
@@ -217,22 +213,7 @@ class TestInputHandling:
         assert main(["eea", str(zero)]) == 1
 
 
-class TestScanBounds:
-    FAMILY = {"points": [{"x": "-4", "values": ["15/2"]}, {"x": "3/2", "values": ["-9"]}]}
-
-    def _file(self, tmp_path, problem):
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(problem))
-        return str(path)
-
-    def test_family_member_needs_no_scan(self, tmp_path, capsys, monkeypatch):
-        path = self._file(tmp_path, self.FAMILY)
-        assert main(["delta", path]) == 0
-        expected = capsys.readouterr().out
-        monkeypatch.setenv("RATINTERP_MAX_SCAN", "1")
-        assert main(["delta", path]) == 0
-        assert capsys.readouterr().out == expected
-
+class TestClimbingScans:
     @pytest.mark.parametrize(
         "command, points",
         [
@@ -241,14 +222,27 @@ class TestScanBounds:
             (["kappa", "--solve", "2"], [("-4", "-1"), ("-2", "1")]),
         ],
     )
-    def test_exhausted_climbing_scan_exits_1(self, tmp_path, capsys, monkeypatch, command, points):
-        path = self._file(tmp_path, {"points": [{"x": x, "values": [y]} for x, y in points]})
-        assert main([*command, path]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("RATINTERP_MAX_SCAN", "1")
-        assert main([*command, path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "scan exceeded its bound" in err
+    def test_rejected_first_candidate(self, tmp_path, capsys, command, points):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"points": [{"x": x, "values": [y]} for x, y in points]}))
+        assert main([*command, str(path), "--json"]) == 0
+        solution = json.loads(capsys.readouterr().out)["solution"]
+        rf = RationalFunction(Poly.from_json(solution["numer"]), Poly.from_json(solution["denom"]))
+        data = InterpolationData.from_pairs([(x, [y]) for x, y in points])
+        assert check_interpolates(rf, data)
+        degree = rf.delta_degree if command[0] == "delta" else kappa_of(rf)
+        assert degree == int(command[2])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kappa", "--set"], ["kappa", "--hermite-d", "2"], ["oracle", "--min-delta"]],
+)
+def test_removed_options_exit_2(four_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, four_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestInputGuards:

@@ -97,6 +97,7 @@ class TestEdgeCases:
         basis = mu_basis(param)
         assert basis.mu == 0
         assert basis.low == MovingLine(ONE, P(-1), P(-1))  # T0 - T1 - 1
+        assert basis.high == MovingLine(ZERO, ONE, P(0, 0, -1))  # T1 - x^2
         assert verify_moving_line(basis.low, param)
         assert cross_product_certificate(basis, param)
         assert min_mu_oracle(param) == 0
@@ -105,6 +106,8 @@ class TestEdgeCases:
         param = PlaneParametrization(P(0, 0, 0, 1), P(5))
         basis = mu_basis(param)
         assert basis.mu == 0
+        assert basis.low == MovingLine(ZERO, ONE, P(-5))  # T1 - 5
+        assert basis.high == MovingLine(ONE, ZERO, P(0, 0, 0, -1))  # T0 - x^3
         assert verify_moving_line(basis.low, param)
         assert verify_moving_line(basis.high, param)
         assert min_mu_oracle(param) == 0
