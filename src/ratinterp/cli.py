@@ -14,7 +14,8 @@ ascending degree.  ``--json`` switches every subcommand to a
 machine-readable mirror of the report types, each of which renders
 itself; this module only parses arguments, reads input, dispatches and
 maps errors to exit codes.  Exit status: 0 on success, 1 when a request
-has no valid answer, 2 on malformed input.
+has no valid answer, 2 on malformed input, conflicting mode flags, or a
+problem of degree above ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ from .exactpoly import Poly
 from .hermite import InterpolationData, hermite_polynomial, nodal_poly
 from .mubasis import PlaneParametrization, mu_basis
 
+# Largest accepted n, the sum of the multiplicities or deg r0.  The cost of
+# the exact arithmetic grows steeply with n, so larger problems are refused
+# before any of it runs.
+MAX_DEGREE = 128
+
+
+def _capped(problem):
+    if problem.n > MAX_DEGREE:
+        raise ValueError(f"degree {problem.n} exceeds the limit {MAX_DEGREE}")
+    return problem
+
 
 def _read_problem(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
@@ -38,9 +50,9 @@ def _read_problem(path: str):
     if not isinstance(obj, dict):
         raise ValueError("problem file must be a JSON object")
     if "points" in obj:
-        return InterpolationData.from_json_dict(obj)
+        return _capped(InterpolationData.from_json_dict(obj))
     if "r0" in obj and "r1" in obj:
-        return PlaneParametrization(Poly.from_json(obj["r0"]), Poly.from_json(obj["r1"]))
+        return _capped(PlaneParametrization(Poly.from_json(obj["r0"]), Poly.from_json(obj["r1"])))
     raise ValueError('problem file must contain "points" or "r0"/"r1"')
 
 
@@ -70,15 +82,16 @@ def _cmd_eea(args) -> int:
 
 def _cmd_delta(args) -> int:
     data = _interpolation(_read_problem(args.problem))
-    basis = deltasolver.minimal_basis(data)
     if args.solve is not None:
         return _emit_sample(args, "delta", args.solve,
                             deltasolver.sample_solution_of_delta(data, args.solve))
     if args.basis:
+        basis = deltasolver.minimal_basis(data)
         return _emit(args, basis.to_json(), str(basis))
     degree_set = deltasolver.admissible_delta_set(data)
     if args.set:
         return _emit(args, degree_set.to_json(), f"admissible delta: {degree_set}")
+    basis = deltasolver.minimal_basis(data)
     report = deltasolver.minimal_delta_solutions(data)
     payload = {"basis": basis.to_json(), "report": report.to_json(), "admissible": degree_set.to_json()}
     return _emit(args, payload, f"{basis}\n{report}\nadmissible delta: {degree_set}")
@@ -105,9 +118,11 @@ def _cmd_mu_basis(args) -> int:
     if args.r0 is not None or args.r1 is not None:
         if args.r0 is None or args.r1 is None:
             raise ValueError("--r0 and --r1 must be given together")
-        param = PlaneParametrization(
+        if args.problem is not None:
+            raise ValueError("give a problem file or --r0/--r1, not both")
+        param = _capped(PlaneParametrization(
             Poly.from_json(json.loads(args.r0)), Poly.from_json(json.loads(args.r1))
-        )
+        ))
     elif args.problem is not None:
         param = _read_problem(args.problem)
         if not isinstance(param, PlaneParametrization):
@@ -151,16 +166,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="minimal max-degree solutions")
     p.add_argument("problem", help="interpolation problem file, or -")
-    p.add_argument("--basis", action="store_true", help="print only the minimal basis")
-    p.add_argument("--set", action="store_true", help="print only the admissible set")
-    p.add_argument("--solve", type=int, metavar="DELTA", help="sample a solution of this degree")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--basis", action="store_true", help="print only the minimal basis")
+    mode.add_argument("--set", action="store_true", help="print only the admissible set")
+    mode.add_argument("--solve", type=int, metavar="DELTA", help="sample a solution of this degree")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_delta)
 
     p = sub.add_parser("kappa", help="minimal degree-sum solutions")
     p.add_argument("problem", help="interpolation problem file, or -")
-    p.add_argument("--min", action="store_true", help="print only the minimum and witnesses")
-    p.add_argument("--solve", type=int, metavar="KAPPA", help="sample a solution of this degree sum")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--min", action="store_true", help="print only the minimum and witnesses")
+    mode.add_argument("--solve", type=int, metavar="KAPPA", help="sample a solution of this degree sum")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_kappa)
 
@@ -180,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="slow brute-force cross-checks (debugging)")
     p.add_argument("problem", help="problem file, or -")
-    p.add_argument("--kappa-set", action="store_true",
-                   help="exhaustive degree sums below n (default: minimal weak-pair degree)")
-    p.add_argument("--min-mu", action="store_true", help="minimal moving-line degree")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--kappa-set", action="store_true",
+                      help="exhaustive degree sums below n (default: minimal weak-pair degree)")
+    mode.add_argument("--min-mu", action="store_true", help="minimal moving-line degree")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

@@ -15,13 +15,9 @@ of interpolants:
 * the admissible degrees are exactly {mu1} u {delta >= mu2} in the first
   case and {delta >= mu2} in the second.
 
-No generic gcd runs on the basis.  The small pair is a trace row, so it
-is coprime exactly when b1 vanishes at no node.  Every other fraction
-built here is u*pair1 + v*pair2 for small multipliers u, v; as
-a1*b2 - a2*b1 = +-f, its common factor is gcd(u, v) times node factors
-(x - x_i), so it is reduced when gcd(u, v) = 1 and its denominator
-vanishes at no node.  Only monic scaling remains
-(``RationalFunction.coprime``).
+Every fraction is built by ``hermite.interpolant`` (the small pair, a
+trace row) or ``hermite.combine`` (a combination u*pair1 + v*pair2),
+where the trace decides coprimality; no generic gcd runs on the basis.
 """
 
 from __future__ import annotations
@@ -31,13 +27,14 @@ from fractions import Fraction
 
 from .eea import degree_split, extended_euclid
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
-from .exactpoly import ONE, ZERO, Poly, gcd, monomial
+from .exactpoly import ONE, ZERO, Poly, monomial
 from .hermite import (
     InterpolationData,
     RationalFunction,
+    combine,
     hermite_polynomial,
+    interpolant,
     nodal_poly,
-    nonzero_at_nodes,
 )
 
 Pair = tuple[Poly, Poly]
@@ -165,9 +162,13 @@ def minimal_basis(data: InterpolationData) -> MinimalBasis:
     return MinimalBasis(pair1=low[:2], pair2=high[:2], mu1=mu, mu2=n - mu, critical_index=i)
 
 
-def _is_unique_case(basis: MinimalBasis, data: InterpolationData) -> bool:
-    """mu1 < mu2 and the small pair, a trace row, is coprime: b1 vanishes at no node."""
-    return basis.mu1 < basis.mu2 and nonzero_at_nodes(basis.pair1[1], data)
+def _unique_solution(basis: MinimalBasis, data: InterpolationData) -> RationalFunction | None:
+    """a1/b1 when mu1 < mu2 and the small pair, a trace row, is reduced; else None."""
+    return interpolant(*basis.pair1, data) if basis.mu1 < basis.mu2 else None
+
+
+def _degree_set(basis: MinimalBasis, unique: RationalFunction | None) -> DegreeSet:
+    return DegreeSet(isolated=None if unique is None else basis.mu1, threshold=basis.mu2)
 
 
 def _node_constraints(
@@ -198,27 +199,24 @@ def _family_parameter(basis: MinimalBasis, constraints) -> Poly:
 def _family_member(data: InterpolationData, basis: MinimalBasis, p: Poly) -> RationalFunction:
     """The member (a2 + p*a1)/(b2 + p*b1), for p from ``_family_parameter``.
 
-    Its multipliers p and 1 are coprime and its denominator vanishes at
-    no node, so the pair is reduced; both facts and the degree are
-    checked.
+    Its node test and its degree are checked.
     """
-    a1, b1 = basis.pair1
-    a2, b2 = basis.pair2
-    member = RationalFunction.coprime(a2 + p * a1, b2 + p * b1)
-    if member.delta_degree != basis.mu2 or not nonzero_at_nodes(member.denom, data):
-        raise CertificateError(f"family member {member} fails its degree or node check")
+    member = combine(basis.pair1, basis.pair2, p, ONE, data)
+    if member is None or member.delta_degree != basis.mu2:
+        raise CertificateError(f"family member for p = {p} fails its degree or node check")
     return member
 
 
 def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
     """Classify the minimal max-degree solutions for the instance."""
     basis = minimal_basis(data)
-    if _is_unique_case(basis, data):
+    unique = _unique_solution(basis, data)
+    if unique is not None:
         return DeltaSolutionReport(
             kind="UNIQUE",
             minimal_delta=basis.mu1,
             basis=basis,
-            representative=RationalFunction.coprime(*basis.pair1),
+            representative=unique,
             family_degree=None,
             node_constraints=(),
         )
@@ -236,8 +234,7 @@ def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
 def admissible_delta_set(data: InterpolationData) -> DegreeSet:
     """The exact set of max-degrees realized by interpolants."""
     basis = minimal_basis(data)
-    isolated = basis.mu1 if _is_unique_case(basis, data) else None
-    return DegreeSet(isolated=isolated, threshold=basis.mu2)
+    return _degree_set(basis, _unique_solution(basis, data))
 
 
 def evaluate_parametrization(
@@ -246,19 +243,13 @@ def evaluate_parametrization(
     """The member (p*a1 + q*a2)/(p*b1 + q*b2), validated at the nodes."""
     if p.is_zero and q.is_zero:
         raise ValueError("(p, q) must not both be zero")
-    a1, b1 = basis.pair1
-    a2, b2 = basis.pair2
-    # the common factor of the member is gcd(p, q) times node factors, and
-    # the node test below excludes the node factors
-    common = gcd(p, q)
-    p, q = p.div_rem(common)[0], q.div_rem(common)[0]
-    denom = p * b1 + q * b2
+    member = combine(basis.pair1, basis.pair2, p, q, data)
+    if member is not None:
+        return member
+    denom = p * basis.pair1[1] + q * basis.pair2[1]
     if denom.is_zero:
         raise ZeroDenominator("the combined denominator is the zero polynomial")
-    for x in data.nodes:
-        if denom(x) == 0 or common(x) == 0:
-            raise DenominatorVanishesAtNode(x)
-    return RationalFunction.coprime(p * a1 + q * a2, denom)
+    raise DenominatorVanishesAtNode(next(x for x in data.nodes if denom(x) == 0))
 
 
 def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFunction:
@@ -266,41 +257,30 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     basis = minimal_basis(data)
-    unique = _is_unique_case(basis, data)
-    if not (unique and delta == basis.mu1) and delta < basis.mu2:
+    unique = _unique_solution(basis, data)
+    if not (unique is not None and delta == basis.mu1) and delta < basis.mu2:
         raise DegreeNotAdmissible(
             f"no interpolant has max-degree {delta}; "
-            f"admissible: {admissible_delta_set(data)}"
+            f"admissible: {_degree_set(basis, unique)}"
         )
-    a1, b1 = basis.pair1
-    a2, b2 = basis.pair2
-    if unique:
-        base = RationalFunction.coprime(a1, b1)
+    if unique is not None:
         if delta == basis.mu1:
-            return base
-        p = ONE
+            return unique
+        u0, v0 = ONE, ZERO
     else:
-        p = _family_parameter(basis, _node_constraints(data, basis))
-        base = _family_member(data, basis, p)
+        u0, v0 = _family_parameter(basis, _node_constraints(data, basis)), ONE
         if delta == basis.mu2:
-            return base
-    # Climb from the minimal solution: adding lam * x**m * pair2, m = delta - mu2,
-    # raises the degree to exactly delta for every lam != 0.  The base is
-    # c*(p*pair1 + pair2), c = 1/lead(b2 + p*b1) (UNIQUE: c*pair1), so a
-    # candidate has the multipliers c*p and c + lam*x**m (UNIQUE: c and
-    # lam*x**m).  Their gcd needs computing only when p is not a constant.
-    # Each node forbids at most one lam and the gcd test at most deg p of
-    # them, so one of the first node_count + deg p + 1 values is accepted.
+            return _family_member(data, basis, u0)
+    # Climb from the minimal solution c*(u0*pair1 + v0*pair2), with
+    # c = 1/lead(u0*b1 + v0*b2): adding lam * x**m * pair2, m = delta - mu2,
+    # raises the degree to exactly delta for every lam != 0.  Each node
+    # forbids at most one lam and gcd(c*u0, c*v0 + lam*x**m) != 1 at most
+    # deg u0 of them, so one of the first node_count + deg u0 + 1 values
+    # is accepted.
+    c = 1 / (u0 * basis.pair1[1] + v0 * basis.pair2[1]).leading
     shift = monomial(delta - basis.mu2)
-    c = 1 / (b2 + p * b1).leading if p.degree > 0 else None
-    for lam in range(1, data.node_count + p.degree + 2):
-        numer = base.numer + lam * shift * a2
-        denom = base.denom + lam * shift * b2
-        if (
-            not denom.is_zero
-            and max(numer.degree, denom.degree) == delta
-            and nonzero_at_nodes(denom, data)
-            and (c is None or gcd(p, lam * shift + c) == ONE)
-        ):
-            return RationalFunction.coprime(numer, denom)
+    for lam in range(1, data.node_count + u0.degree + 2):
+        candidate = combine(basis.pair1, basis.pair2, c * u0, c * v0 + lam * shift, data)
+        if candidate is not None and candidate.delta_degree == delta:
+            return candidate
     raise CertificateError(f"no multiplier up to {lam} gives degree {delta}; broken basis")

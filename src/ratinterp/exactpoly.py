@@ -226,24 +226,27 @@ class Poly:
     # -- formatting / serialization -----------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
+        return self.format()
+
+    def format(self, homogenize: int | None = None) -> str:
+        """Terms from the highest degree down, as in "-3/2*x^2 + x - 1".
+
+        With ``homogenize=d`` each term x^k also carries z^(d - k).
+        """
         parts: list[str] = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
             if c == 0:
                 continue
+            z = 0 if homogenize is None else homogenize - k
+            powers = [v if e == 1 else f"{v}^{e}" for v, e in (("x", k), ("z", z)) if e]
             mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+            body = "*".join(powers if mag == 1 and powers else [str(mag), *powers])
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]!r})"

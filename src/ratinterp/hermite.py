@@ -105,13 +105,9 @@ class RationalFunction:
     and the denominator is rescaled monic, so equal fractions compare
     equal.  The zero function is 0/1.
 
-    The solvers build every fraction with ``RationalFunction.coprime``
-    instead, which only rescales.  Coprimality there comes from the
-    trace: s_i*t_{i+1} - s_{i+1}*t_i = +-1 and r_i = s_i*g + t_i*f make
-    gcd(r_i, s_i) divide f, and r_i = s_i*g at every node, so a trace
-    row is coprime exactly when s_i vanishes at no node.  A combination
-    u*pair1 + v*pair2 of two rows with gcd(u, v) = 1 can share only node
-    factors as well, because the rows' 2x2 minor is +-f.
+    The solvers build their fractions with ``interpolant`` and
+    ``combine`` instead, which decide coprimality from the trace and
+    then only rescale (``RationalFunction.coprime``).
     """
 
     __slots__ = ("numer", "denom")
@@ -235,6 +231,38 @@ def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
 def nonzero_at_nodes(b: Poly, data: InterpolationData) -> bool:
     """True iff b vanishes at no node: the node test that decides coprimality."""
     return all(b(x) != 0 for x in data.nodes)
+
+
+def interpolant(a: Poly, b: Poly, data: InterpolationData) -> RationalFunction | None:
+    """a/b for a weak pair that can share only node factors, such as a trace row.
+
+    s_i*t_{i+1} - s_{i+1}*t_i = +-1 and r_i = s_i*g + t_i*f make
+    gcd(r_i, s_i) divide f, and r_i = s_i*g at every node, so such a
+    pair is reduced exactly when b vanishes at no node.  None when b is
+    zero or vanishes at a node; otherwise the pair is only scaled monic.
+    """
+    if b.is_zero or not nonzero_at_nodes(b, data):
+        return None
+    return RationalFunction.coprime(a, b)
+
+
+def combine(
+    pair1: tuple[Poly, Poly], pair2: tuple[Poly, Poly], u: Poly, v: Poly, data: InterpolationData
+) -> RationalFunction | None:
+    """The reduced interpolant u*pair1 + v*pair2 of two weak pairs with 2x2 minor c*f.
+
+    Consecutive trace rows, and so the minimal basis, are such pairs.
+    The combination's common factor divides gcd(u, v) times node
+    factors, so the gcd of the small multipliers is divided out.  None
+    when that gcd vanishes at a node; otherwise ``interpolant`` of the
+    reduced combination.
+    """
+    common = gcd(u, v)
+    if not nonzero_at_nodes(common, data):
+        return None
+    if common.degree > 0:
+        u, v = u.div_rem(common)[0], v.div_rem(common)[0]
+    return interpolant(u * pair1[0] + v * pair2[0], u * pair1[1] + v * pair2[1], data)
 
 
 def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:

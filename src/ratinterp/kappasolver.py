@@ -11,28 +11,27 @@ The prescribed-split problem (numerator degree <= d, denominator degree
 first drops to d or below: it is solvable iff that row's r and s are
 coprime, and then the reduced row fraction is the solution.
 
-Coprimality is read off the trace, never from a generic gcd: a common
-factor of r_k and s_k divides f, and r_k = s_k*g at every node, so the
-row is coprime exactly when s_k vanishes at no node.  The same node test
-on the denominator suffices for the sampled combinations
-r_k + lam*r_{k+1} over s_k + lam*s_{k+1}, whose multipliers 1 and lam
-are coprime.  Fractions are built with ``RationalFunction.coprime``.
+Row fractions are built by ``hermite.interpolant`` and the sampled
+combinations r_k + lam*r_{k+1} over s_k + lam*s_{k+1} by
+``hermite.combine``; both read coprimality off the trace, never from a
+generic gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import Decomposition, decompose, extended_euclid
+from .eea import Decomposition, EEATrace, decompose, extended_euclid
 from .errors import CertificateError, KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, ZERO, Poly, monomial
 from .hermite import (
     InterpolationData,
     RationalFunction,
     check_interpolates,
+    combine,
     hermite_polynomial,
+    interpolant,
     nodal_poly,
-    nonzero_at_nodes,
     weak_cofactor,
 )
 
@@ -107,25 +106,33 @@ def kappa_of(rf: RationalFunction) -> int:
     return top + rf.denom.degree
 
 
+def _trace(data: InterpolationData) -> EEATrace | None:
+    """The remainder trace of (f, g); None for all-zero data, which has none."""
+    g = hermite_polynomial(data)
+    return None if g.is_zero else extended_euclid(nodal_poly(data), g)
+
+
 def yy_form(rf: RationalFunction, data: InterpolationData) -> Decomposition:
     """Trace-row coordinates of the canonical weak pair of an interpolant."""
     if not check_interpolates(rf, data):
         raise NotAnInterpolant(f"{rf} does not interpolate the data")
-    g = hermite_polynomial(data)
-    if g.is_zero:
+    trace = _trace(data)
+    if trace is None:
         raise ValueError(
             "identically zero data has no remainder sequence to decompose against"
         )
-    trace = extended_euclid(nodal_poly(data), g)
     c = weak_cofactor(rf.numer, rf.denom, data)
     return decompose(rf.numer, rf.denom, c, trace)
 
 
 def admissible_kappa(data: InterpolationData) -> KappaReport:
     """All admissible degree sums below n, with witnesses, plus the tail n."""
+    return _kappa_report(data, _trace(data))
+
+
+def _kappa_report(data: InterpolationData, trace: EEATrace | None) -> KappaReport:
     n = data.n
-    g = hermite_polynomial(data)
-    if g.is_zero:
+    if trace is None:
         # only the zero function has degree sum below n here
         zero = RationalFunction.coprime(ZERO, ONE)
         entry = KappaIsolated(kappa=0, index=1, solution=zero, raw_pair=(ZERO, ONE))
@@ -133,20 +140,14 @@ def admissible_kappa(data: InterpolationData) -> KappaReport:
             isolated=(entry,), tail_threshold=n,
             minimal_kappa=0, minimal_solutions=(zero,),
         )
-    trace = extended_euclid(nodal_poly(data), g)
     entries = []
     for k in range(1, trace.N + 1):
-        s_k = trace.s(k)
-        if not nonzero_at_nodes(s_k, data):
-            continue
-        entries.append(
-            KappaIsolated(
-                kappa=n - trace.q(k).degree,
-                index=k,
-                solution=RationalFunction.coprime(trace.r(k), s_k),
-                raw_pair=(trace.r(k), s_k),
-            )
-        )
+        solution = interpolant(trace.r(k), trace.s(k), data)
+        if solution is not None:
+            entries.append(KappaIsolated(
+                kappa=n - trace.q(k).degree, index=k,
+                solution=solution, raw_pair=(trace.r(k), trace.s(k)),
+            ))
     # k = 1 always qualifies (s_1 == 1), so the set is never empty
     minimal = min(entry.kappa for entry in entries)
     return KappaReport(
@@ -161,9 +162,19 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
     """A concrete interpolant of degree sum exactly kappa."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    report = admissible_kappa(data)
     n = data.n
+    f = nodal_poly(data)
+    g = hermite_polynomial(data)
+    if kappa >= n and g.is_zero:
+        # (x**e + 1) * f over 1 interpolates zero data with degree sum n + e
+        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f, ONE)
+    if kappa > n:
+        # pad the base rows with a multiple of f; the denominator stays
+        # constant, so every target is reachable with no scan
+        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f + f + g, ONE)
+    trace = _trace(data)
     if kappa < n:
+        report = _kappa_report(data, trace)
         for entry in report.isolated:
             if entry.kappa == kappa:
                 return entry.solution
@@ -171,29 +182,15 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
             f"no interpolant has degree sum {kappa}; isolated values "
             f"{sorted({e.kappa for e in report.isolated})}, tail >= {n}"
         )
-    f = nodal_poly(data)
-    g = hermite_polynomial(data)
-    if g.is_zero:
-        # (x**e + 1) * f over 1 interpolates zero data with degree sum n + e
-        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f, ONE)
-    if kappa == n:
-        # every lam that passes the node test gives degree sum n, and each
-        # node forbids at most one lam, so one of the first node_count + 1
-        # values is accepted
-        trace = extended_euclid(f, g)
-        k = 1 if trace.N >= 2 else 0
-        for lam in range(1, data.node_count + 2):
-            denom = trace.s(k) + lam * trace.s(k + 1)
-            if not nonzero_at_nodes(denom, data):
-                continue
-            candidate = RationalFunction.coprime(trace.r(k) + lam * trace.r(k + 1), denom)
-            if kappa_of(candidate) == n:
-                return candidate
-        raise CertificateError(f"no multiplier up to {lam} gives degree sum {n}; broken trace")
-    # kappa > n: pad the base rows with a multiple of f; the denominator
-    # stays constant, so every target is reachable with no scan
-    pad = monomial(kappa - n) + ONE
-    return RationalFunction.coprime(pad * f + f + g, ONE)
+    # kappa == n: every lam that passes the node test gives degree sum n,
+    # and each node forbids at most one lam, so one of the first
+    # node_count + 1 values is accepted
+    k = 1 if trace.N >= 2 else 0
+    for lam in range(1, data.node_count + 2):
+        candidate = combine(trace.rows[k][:2], trace.rows[k + 1][:2], ONE, Poly((lam,)), data)
+        if candidate is not None and kappa_of(candidate) == n:
+            return candidate
+    raise CertificateError(f"no multiplier up to {lam} gives degree sum {n}; broken trace")
 
 
 def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None:
@@ -201,15 +198,12 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     n = data.n
     if not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
-    g = hermite_polynomial(data)
-    if g.is_zero:
+    trace = _trace(data)
+    if trace is None:
         return RationalFunction.coprime(ZERO, ONE)
-    trace = extended_euclid(nodal_poly(data), g)
     for k in range(1, trace.N + 1):
         if trace.r(k).degree <= d:
-            if nonzero_at_nodes(trace.s(k), data):
-                return RationalFunction.coprime(trace.r(k), trace.s(k))
-            return None
+            return interpolant(trace.r(k), trace.s(k), data)
     # every nonzero remainder has degree above d: only the (unreachable)
     # zero row is small enough, so there is no solution
     return None

@@ -132,56 +132,21 @@ def cross_product_certificate(basis: MuBasis, param: PlaneParametrization) -> bo
 # -- display helpers ---------------------------------------------------------
 
 
-def _monomial_str(coeff, x_power: int, z_power: int = 0) -> str:
-    mag = abs(coeff)
-    factors = []
-    if mag != 1 or (x_power == 0 and z_power == 0):
-        factors.append(str(mag))
-    if x_power:
-        factors.append("x" if x_power == 1 else f"x^{x_power}")
-    if z_power:
-        factors.append("z" if z_power == 1 else f"z^{z_power}")
-    body = "*".join(factors)
-    return body if coeff > 0 else f"-{body}"
-
-
-def _join_signed(terms: list[str]) -> str:
-    out = terms[0]
-    for term in terms[1:]:
-        if term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out
-
-
 def _line_str(slots: list[tuple[Poly, str]], homogeneous_degree: int | None = None) -> str:
     terms: list[str] = []
     for poly, label in slots:
         if poly.is_zero:
             continue
-        monos = []
-        for k in range(len(poly.coeffs) - 1, -1, -1):
-            c = poly.coeff(k)
-            if c == 0:
-                continue
-            z_power = 0 if homogeneous_degree is None else homogeneous_degree - k
-            monos.append(_monomial_str(c, k, z_power))
+        body = poly.format(homogeneous_degree)
         if not label:
-            terms.extend(monos)
-        elif len(monos) == 1:
-            body = monos[0]
-            if body == "1":
-                terms.append(label)
-            elif body == "-1":
-                terms.append(f"-{label}")
-            else:
-                terms.append(f"{body}*{label}")
+            terms.append(body)
+        elif " " in body:
+            terms.append(f"({body})*{label}")
+        elif body in ("1", "-1"):
+            terms.append(label if body == "1" else f"-{label}")
         else:
-            terms.append(f"({_join_signed(monos)})*{label}")
-    if not terms:
-        return "0"
-    return _join_signed(terms)
+            terms.append(f"{body}*{label}")
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def projective_form(line: MovingLine, degree: int | None = None) -> str:

@@ -1,23 +1,33 @@
 """Certificates the solvers rely on in place of a generic gcd."""
 
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from ratinterp import (
+    DegreeNotAdmissible,
+    DenominatorVanishesAtNode,
     InterpolationData,
     RationalFunction,
     admissible_kappa,
+    deltasolver,
+    evaluate_parametrization,
+    extended_euclid,
     hermite_rational,
+    kappasolver,
     minimal_basis,
     minimal_delta_solutions,
     sample_solution_of_delta,
     sample_solution_of_kappa,
 )
+from ratinterp.cli import main
 
-from conftest import coprimality_for_free_check
+from conftest import DATA_SIX_EVEN, P, coprimality_for_free_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,8 +104,14 @@ def _instances(rng):
     yield InterpolationData.from_pairs([(1, [2]), (-3, [2]), (0, [-1])])
 
 
+# multiplier pairs sharing x^2 + 1, which has no rational root and so no node root
+_H = P(1, 0, 1)
+SHARED = [(_H * u, _H * v) for u, v in [(P(1), P(2)), (P(0, 1), P(1)), (P(1, 1), P(-3)), (P(2), _H)]]
+
+
 def test_solver_fractions_match_the_generic_gcd():
     kinds = set()
+    shared = 0
     for data in _instances(random.Random(41)):
         coprimality_for_free_check(data)
         n = data.n
@@ -107,8 +123,44 @@ def test_solver_fractions_match_the_generic_gcd():
         fractions += [rf for d in range(n) if (rf := hermite_rational(data, d)) is not None]
         mu2 = minimal_basis(data).mu2
         fractions += [sample_solution_of_delta(data, delta) for delta in range(mu2, mu2 + 3)]
-        fractions += [sample_solution_of_kappa(data, k) for k in (n, n + 1)]
+        fractions += [sample_solution_of_kappa(data, k) for k in (n, n + 1, n + 2)]
         fractions += [sample_solution_of_kappa(data, e.kappa) for e in kappa.isolated]
+        for p, q in SHARED:
+            try:
+                fractions.append(evaluate_parametrization(minimal_basis(data), p, q, data))
+                shared += 1
+            except DenominatorVanishesAtNode:
+                pass
         for rf in fractions:
             assert rf == RationalFunction(rf.numer, rf.denom), (data, rf)
     assert kinds == {"UNIQUE", "FAMILY", "ZERO"}
+    assert shared > 20
+
+
+def test_each_query_runs_at_most_one_eea(monkeypatch, tmp_path, capsys):
+    runs = []
+
+    def counted(f, g):
+        runs.append((f, g))
+        return extended_euclid(f, g)
+
+    for module in (deltasolver, kappasolver):
+        monkeypatch.setattr(module, "extended_euclid", counted)
+    data = DATA_SIX_EVEN  # FAMILY, mu1 = 2, mu2 = 4, n = 6
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(data.to_json_dict()))
+
+    def count(query, *args) -> int:
+        runs.clear()
+        query(*args)
+        return len(runs)
+
+    assert count(sample_solution_of_kappa, data, data.n) == 1
+    assert count(sample_solution_of_kappa, data, data.n + 1) == 0
+    runs.clear()
+    with pytest.raises(DegreeNotAdmissible, match="admissible: delta >= 4"):
+        sample_solution_of_delta(data, 3)
+    assert len(runs) == 1
+    for argv in (["delta", "--solve", "5"], ["delta", "--set"], ["kappa", "--solve", "6"]):
+        assert count(main, [*argv, str(path)]) == 1, argv
+    capsys.readouterr()

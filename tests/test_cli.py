@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
 from ratinterp import InterpolationData, Poly, RationalFunction, check_interpolates, kappa_of
-from ratinterp.cli import main
+from ratinterp.cli import MAX_DEGREE, main
 
 from conftest import P
 
@@ -245,6 +246,28 @@ def test_removed_options_exit_2(four_file, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--basis", "--set"],
+        ["delta", "--set", "--solve", "2"],
+        ["delta", "--basis", "--solve", "2"],
+        ["kappa", "--min", "--solve", "2"],
+        ["oracle", "--kappa-set", "--min-mu"],
+    ],
+)
+def test_conflicting_modes_exit_2(four_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, four_file])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_mu_basis_file_and_inline_coefficients_exit_2(curve_file, capsys):
+    assert main(["mu-basis", curve_file, "--r0", '["0", "0", "1"]', "--r1", '["1"]']) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 class TestInputGuards:
     @pytest.mark.parametrize("bad", [True, False, "1e3", "1/0", "0.5", " 1", 1.5, None])
     def test_problem_file_scalars(self, tmp_path, capsys, bad):
@@ -268,3 +291,24 @@ class TestInputGuards:
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"points": [{"x": -1, "values": ["-3/6", 2]}]}))
         assert main(["kappa", "--min", str(path)]) == 0
+
+    def test_degree_cap(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"points": [
+            {"x": "0", "values": ["1"] * 300}, {"x": "1", "values": ["2"]},
+        ]}))
+        r0 = ["0"] * (MAX_DEGREE + 1) + ["1"]
+        high = json.dumps(r0)
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"r0": r0, "r1": ["1"]}))
+        start = time.perf_counter()
+        for argv in (
+            ["delta", str(path)], ["kappa", str(path)], ["eea", str(path)],
+            ["oracle", str(path)], ["mu-basis", str(curve)], ["eea", str(curve)],
+            ["mu-basis", "--r0", high, "--r1", '["1"]'],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("input error: "), argv
+        assert time.perf_counter() - start < 0.5
+        curve.write_text(json.dumps({"r0": ["0"] * (MAX_DEGREE - 1) + ["1"], "r1": ["1"]}))
+        assert main(["mu-basis", str(curve)]) == 0
