@@ -38,22 +38,39 @@ from .mubasis import PlaneParametrization, mu_basis
 MAX_DEGREE = 128
 
 
-def _capped(problem):
-    if problem.n > MAX_DEGREE:
-        raise ValueError(f"degree {problem.n} exceeds the limit {MAX_DEGREE}")
-    return problem
+def _capped(degree: int) -> int:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+    return degree
 
 
-def _read_problem(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    obj = json.loads(text)
+def _read_problem(args):
+    """The one decoder of problems: a file, stdin ("-") or mu-basis --r0/--r1.
+
+    Malformed, too deeply nested and too large problems raise ValueError.
+    """
+    r0, r1 = getattr(args, "r0", None), getattr(args, "r1", None)
+    if (r0 is None) != (r1 is None):
+        raise ValueError("--r0 and --r1 must be given together")
+    if (r0 is None) == (args.problem is None):
+        raise ValueError("give exactly one of a problem file and --r0/--r1")
+    try:
+        if r0 is None:
+            obj = json.loads(sys.stdin.read() if args.problem == "-" else Path(args.problem).read_text())
+        else:
+            obj = {"r0": json.loads(r0), "r1": json.loads(r1)}
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("problem file must be a JSON object")
     if "points" in obj:
-        return _capped(InterpolationData.from_json_dict(obj))
-    if "r0" in obj and "r1" in obj:
-        return _capped(PlaneParametrization(Poly.from_json(obj["r0"]), Poly.from_json(obj["r1"])))
-    raise ValueError('problem file must contain "points" or "r0"/"r1"')
+        problem = InterpolationData.from_json_dict(obj)
+    elif "r0" in obj and "r1" in obj:
+        problem = PlaneParametrization(Poly.from_json(obj["r0"]), Poly.from_json(obj["r1"]))
+    else:
+        raise ValueError('problem file must contain "points" or "r0"/"r1"')
+    _capped(problem.n)
+    return problem
 
 
 def _interpolation(problem) -> InterpolationData:
@@ -72,7 +89,7 @@ def _emit_sample(args, name: str, value: int, rf) -> int:
 
 
 def _cmd_eea(args) -> int:
-    problem = _read_problem(args.problem)
+    problem = _read_problem(args)
     if isinstance(problem, InterpolationData):
         trace = extended_euclid(nodal_poly(problem), hermite_polynomial(problem))
     else:
@@ -81,10 +98,10 @@ def _cmd_eea(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    data = _interpolation(_read_problem(args.problem))
+    data = _interpolation(_read_problem(args))
     if args.solve is not None:
         return _emit_sample(args, "delta", args.solve,
-                            deltasolver.sample_solution_of_delta(data, args.solve))
+                            deltasolver.sample_solution_of_delta(data, _capped(args.solve)))
     if args.basis:
         basis = deltasolver.minimal_basis(data)
         return _emit(args, basis.to_json(), str(basis))
@@ -98,16 +115,16 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    data = _interpolation(_read_problem(args.problem))
+    data = _interpolation(_read_problem(args))
     if args.solve is not None:
         return _emit_sample(args, "kappa", args.solve,
-                            kappasolver.sample_solution_of_kappa(data, args.solve))
+                            kappasolver.sample_solution_of_kappa(data, _capped(args.solve)))
     report = kappasolver.admissible_kappa(data)
     return _emit(args, report.to_json(args.min), report.text(args.min))
 
 
 def _cmd_hermite_d(args) -> int:
-    data = _interpolation(_read_problem(args.problem))
+    data = _interpolation(_read_problem(args))
     d = args.degree
     rf = kappasolver.hermite_rational(data, d)
     payload = {"d": d, "solvable": rf is not None, "solution": None if rf is None else rf.to_json()}
@@ -115,26 +132,15 @@ def _cmd_hermite_d(args) -> int:
 
 
 def _cmd_mu_basis(args) -> int:
-    if args.r0 is not None or args.r1 is not None:
-        if args.r0 is None or args.r1 is None:
-            raise ValueError("--r0 and --r1 must be given together")
-        if args.problem is not None:
-            raise ValueError("give a problem file or --r0/--r1, not both")
-        param = _capped(PlaneParametrization(
-            Poly.from_json(json.loads(args.r0)), Poly.from_json(json.loads(args.r1))
-        ))
-    elif args.problem is not None:
-        param = _read_problem(args.problem)
-        if not isinstance(param, PlaneParametrization):
-            raise ValueError("this subcommand needs a parametrization problem file")
-    else:
-        raise ValueError("give a problem file or --r0/--r1")
+    param = _read_problem(args)
+    if not isinstance(param, PlaneParametrization):
+        raise ValueError("this subcommand needs a parametrization problem file")
     basis = mu_basis(param)
     return _emit(args, basis.to_json(args.projective), basis.text(args.projective))
 
 
 def _cmd_oracle(args) -> int:
-    problem = _read_problem(args.problem)
+    problem = _read_problem(args)
     if args.min_mu:
         if not isinstance(problem, PlaneParametrization):
             raise ValueError("--min-mu needs a parametrization problem file")

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .eea import degree_split, extended_euclid
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
-from .exactpoly import ONE, ZERO, Poly, monomial
+from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial
 from .hermite import (
     InterpolationData,
     RationalFunction,
@@ -126,7 +126,7 @@ class DeltaSolutionReport:
             "representative": self.representative.to_json(),
             "family_degree": self.family_degree,
             "node_constraints": [
-                {"node": str(x), "forbidden": None if v is None else str(v)}
+                {"node": _rational_str(x), "forbidden": None if v is None else _rational_str(v)}
                 for x, v in self.node_constraints
             ],
         }
@@ -141,7 +141,9 @@ class DeltaSolutionReport:
             f"family: (a2 + p*a1)/(b2 + p*b1) with deg p = {self.family_degree}",
             f"sample member: {self.representative}",
         ]
-        constraints = [f"p({x}) != {v}" for x, v in self.node_constraints if v is not None]
+        constraints = [
+            f"p({_rational_str(x)}) != {_rational_str(v)}" for x, v in self.node_constraints if v is not None
+        ]
         if constraints:
             lines.append("denominator constraints: " + "; ".join(constraints))
         return "\n".join(lines)

@@ -13,6 +13,7 @@ such as ``deg(p*q) == deg(p) + deg(q)`` needs no special cases.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,26 +21,18 @@ NEG_INF = float("-inf")
 
 Scalar = Union[int, str, Fraction]
 
-
-def as_fraction(value: Scalar) -> Fraction:
-    """Coerce an int, a string like "-3/7", or a Fraction to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
 _INTEGER_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def rational_from_json(value) -> Fraction:
-    """A rational read from JSON: an int or an integer string "p" or "p/q".
+def as_fraction(value: Scalar) -> Fraction:
+    """The one reader of outside scalars: a Fraction, an int, or a string "p" or "p/q".
 
-    Everything else is malformed input and raises ValueError: booleans
-    (a bool is an int in Python), floats, decimal and exponent strings
-    such as "1e3000", and a zero denominator.
+    Everything else raises ValueError: booleans (a bool is an int in
+    Python), floats, decimal and exponent strings such as "1e3000",
+    padded strings, and a zero denominator.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         well_formed = _INTEGER_RATIO.fullmatch(value) is not None
     else:
@@ -50,6 +43,20 @@ def rational_from_json(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError as exc:
         raise ValueError("rational with zero denominator") from exc
+
+
+def _rational_str(c: Fraction) -> str:
+    """str(c) at any length; every rational the library prints goes through here.
+
+    str() of an int refuses more digits than sys.get_int_max_str_digits()
+    (4,300 by default).  That limit stays in force for parsing input;
+    output past it takes its digits from Decimal, which has no such limit.
+    """
+    try:
+        return str(c)
+    except ValueError:
+        top = str(Decimal(c.numerator))
+        return top if c.denominator == 1 else f"{top}/{Decimal(c.denominator)}"
 
 
 class Poly:
@@ -187,18 +194,6 @@ class Poly:
                     rem[k + j] -= c * divisor.coeffs[j]
         return Poly(quot), Poly(rem[:dd])
 
-    def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.div_rem(other)
-
-    def __floordiv__(self, other) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Poly":
-        return divmod(self, other)[1]
-
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at x by Horner's rule."""
         x = as_fraction(x)
@@ -241,7 +236,7 @@ class Poly:
             z = 0 if homogenize is None else homogenize - k
             powers = [v if e == 1 else f"{v}^{e}" for v, e in (("x", k), ("z", z)) if e]
             mag = abs(c)
-            body = "*".join(powers if mag == 1 and powers else [str(mag), *powers])
+            body = "*".join(powers if mag == 1 and powers else [_rational_str(mag), *powers])
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -249,17 +244,17 @@ class Poly:
         return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]!r})"
+        return f"Poly({self.to_json()!r})"
 
     def to_json(self) -> list[str]:
         """Ascending coefficient list; index k holds the coefficient of x**k."""
-        return [str(c) for c in self.coeffs]
+        return [_rational_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data) -> "Poly":
         if not isinstance(data, (list, tuple)):
             raise ValueError("polynomial must be a JSON array of rational strings")
-        return cls(rational_from_json(c) for c in data)
+        return cls(data)
 
 
 ZERO = Poly()

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ZeroDenominator
-from .exactpoly import ONE, X, ZERO, Poly, Scalar, as_fraction, gcd, rational_from_json
+from .exactpoly import ONE, X, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,13 @@ class InterpolationData:
                 raise ValueError('each point must be {"x": ..., "values": [...]}')
             if not isinstance(item["values"], list):
                 raise ValueError('"values" must be a JSON array')
-            pairs.append(
-                (rational_from_json(item["x"]), [rational_from_json(v) for v in item["values"]])
-            )
+            pairs.append((item["x"], item["values"]))
         return cls.from_pairs(pairs)
 
     def to_json_dict(self) -> dict:
         return {
             "points": [
-                {"x": str(x), "values": [str(v) for v in values]}
+                {"x": _rational_str(x), "values": [_rational_str(v) for v in values]}
                 for x, values in self.points
             ]
         }
@@ -178,7 +176,7 @@ class RationalFunction:
         return {"numer": self.numer.to_json(), "denom": self.denom.to_json()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def nodal_poly(data: InterpolationData) -> Poly:
     """The monic polynomial vanishing to the prescribed order at each node."""
     f = ONE
@@ -187,7 +185,7 @@ def nodal_poly(data: InterpolationData) -> Poly:
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def hermite_polynomial(data: InterpolationData) -> Poly:
     """The unique polynomial of degree < n matching all prescribed values.
 
@@ -214,11 +212,10 @@ def hermite_polynomial(data: InterpolationData) -> Poly:
                 nxt.append((col[i + 1] - col[i]) / (z[i + j] - z[i]))
         col = nxt
         newton_coeffs.append(col[0])
-    g = ZERO
-    basis = ONE
-    for j in range(n):
-        g = g + newton_coeffs[j] * basis
-        basis = basis * (X - z[j])
+    # nested form c_0 + (x - z_0)*(c_1 + (x - z_1)*(...)), from the last node down
+    g = Poly((newton_coeffs[-1],))
+    for j in range(n - 2, -1, -1):
+        g = g * (X - z[j]) + newton_coeffs[j]
     return g
 
 

@@ -149,14 +149,13 @@ def _line_str(slots: list[tuple[Poly, str]], homogeneous_degree: int | None = No
     return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
-def projective_form(line: MovingLine, degree: int | None = None) -> str:
+def projective_form(line: MovingLine) -> str:
     """Render with each coefficient homogenized by z to the line's degree.
 
     The constant slot becomes the T2 coefficient.  Display only; no
     homogeneous arithmetic is performed.
     """
-    d = int(line.degree) if degree is None else degree
     return _line_str(
         [(line.ct0, "T0"), (line.ct1, "T1"), (line.c1, "T2")],
-        homogeneous_degree=d,
+        homogeneous_degree=int(line.degree),
     )

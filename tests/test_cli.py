@@ -1,9 +1,13 @@
+import io
 import json
+import sys
 import time
 
 import pytest
 
-from ratinterp import InterpolationData, Poly, RationalFunction, check_interpolates, kappa_of
+from ratinterp import (
+    InterpolationData, Poly, RationalFunction, check_interpolates, extended_euclid, kappa_of,
+)
 from ratinterp.cli import MAX_DEGREE, main
 
 from conftest import P
@@ -312,3 +316,50 @@ class TestInputGuards:
         assert time.perf_counter() - start < 0.5
         curve.write_text(json.dumps({"r0": ["0"] * (MAX_DEGREE - 1) + ["1"], "r1": ["1"]}))
         assert main(["mu-basis", str(curve)]) == 0
+
+    @pytest.mark.parametrize("command", ["delta", "kappa"])
+    def test_requested_degree_cap(self, four_file, capsys, command):
+        """--solve above MAX_DEGREE exits 2 before building anything of that degree."""
+        start = time.perf_counter()
+        for degree in (MAX_DEGREE + 1, 20_000_000):
+            assert main([command, four_file, "--solve", str(degree)]) == 2
+            assert capsys.readouterr().err.startswith("input error: ")
+        assert time.perf_counter() - start < 0.5
+        assert main([command, four_file, "--solve", str(MAX_DEGREE)]) == 0
+        assert capsys.readouterr().out.startswith(f"{command} = {MAX_DEGREE}: ")
+
+    def test_deep_nesting(self, tmp_path, capsys, monkeypatch):
+        """200,000 nested arrays are an input error from a file, stdin and --r0."""
+        deep = "[" * 200_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        assert main(["eea", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+        assert main(["delta", "-"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert main(["mu-basis", "--r0", deep, "--r1", "[1]"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_answers_past_the_int_to_str_limit(capsys, monkeypatch):
+    """A 2,958-digit input coefficient gives remainders past 4,300 digits; all print."""
+    problem = {"r0": ["1", "1", "0", "1"], "r1": ["1", "0", str(7**3500)]}
+    trace = extended_euclid(Poly.from_json(problem["r0"]), Poly.from_json(problem["r1"]))
+    outputs = {}
+    for tail in ([], ["--json"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
+        assert main(["eea", "-", *tail]) == 0
+        outputs[bool(tail)] = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert max(len(str(c.numerator)) for row in trace.rows for p in row for c in p.coeffs) > limit
+        assert json.loads(outputs[True])["rows"] == [
+            {"i": i, "r": [str(c) for c in r.coeffs], "s": [str(c) for c in s.coeffs],
+             "t": [str(c) for c in t.coeffs]}
+            for i, (r, s, t) in enumerate(trace.rows)
+        ]
+        assert all(str(abs(c)) in outputs[False] for row in trace.rows for p in row for c in p.coeffs)
+    finally:
+        sys.set_int_max_str_digits(limit)

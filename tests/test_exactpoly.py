@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ratinterp import NEG_INF, ONE, X, ZERO, Poly, gcd, monomial
+from ratinterp.exactpoly import _rational_str, as_fraction
 
 from conftest import P, random_poly
 
@@ -182,7 +184,51 @@ class TestFormatting:
         with pytest.raises(ValueError):
             Poly.from_json(["1e3"])
 
+    def test_huge_integers_print_in_full(self):
+        """Output passes the interpreter's int-to-str digit limit; parsing keeps it."""
+        big = -(7**12000)  # 10,142 digits
+        values = [Fraction(big), Fraction(1, 10**5000), Fraction(big, 10**4999 + 1), Fraction(3, 7)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(c) for c in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [_rational_str(c) for c in values] == expected
+        p = Poly(values)
+        assert p.to_json() == expected
+        assert repr(p) == f"Poly({expected!r})"
+        assert p.format() == f"3/7*x^3 - {expected[2][1:]}*x^2 + {expected[1]}*x - {expected[0][1:]}"
+        with pytest.raises(ValueError):
+            Poly.from_json([expected[0]])
+
     def test_hash_and_eq(self):
         assert hash(P(1, 2)) == hash(P(1, 2, 0))
         assert P(3) == 3
         assert P(0, 1) != 1
+
+
+class TestRationalGrammar:
+    """as_fraction is the one reader of outside scalars, for the constructors and JSON alike."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(Fraction(-3, 7), Fraction(-3, 7)), (5, Fraction(5)), ("-12", Fraction(-12)),
+         ("6/4", Fraction(3, 2)), ("-0/5", Fraction(0))],
+    )
+    def test_accepted(self, value, expected):
+        assert as_fraction(value) == expected
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 1.5, 2.0, None, [1], "0.5", "1e3", "1e3000", " 2 ", "+3", "2.5", "1/0", "", "1/-2"]
+    )
+    def test_rejected_everywhere(self, bad):
+        for build in (as_fraction, lambda v: Poly([1, v]), lambda v: monomial(2, v), lambda v: P(0, 1)(v)):
+            with pytest.raises(ValueError):
+                build(bad)
+
+    def test_zero_denominator_message(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Poly(["1/0"])
+        with pytest.raises(ValueError, match='expected an integer or a "p/q" string'):
+            Poly([1.5])

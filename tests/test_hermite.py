@@ -33,6 +33,22 @@ class TestInterpolationData:
         with pytest.raises(ValueError):
             InterpolationData.from_pairs([])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(True, [1])],
+            [(1, [True])],
+            [("0.5", [1])],
+            [(1, ["1e3"])],
+            [(1, [" 2 "])],
+            [(1.5, [1])],
+            [(True, ["1e50"]), ("0.5", [" 2 "])],
+        ],
+    )
+    def test_constructor_scalars_follow_the_json_grammar(self, pairs):
+        with pytest.raises(ValueError):
+            InterpolationData.from_pairs(pairs)
+
     def test_counts(self, data_four):
         assert data_four.n == 4
         assert data_four.node_count == 3
@@ -58,6 +74,10 @@ class TestInterpolationData:
     def test_json_schema_violations(self, obj):
         with pytest.raises(ValueError):
             InterpolationData.from_json_dict(obj)
+
+
+def test_caches_hold_only_the_instance_in_use():
+    assert nodal_poly.cache_info().maxsize == hermite_polynomial.cache_info().maxsize == 1
 
 
 class TestNodalPoly:
