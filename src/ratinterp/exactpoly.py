@@ -12,6 +12,7 @@ such as ``deg(p*q) == deg(p) + deg(q)`` needs no special cases.
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -260,6 +261,54 @@ class Poly:
 ZERO = Poly()
 ONE = Poly((1,))
 X = Poly((0, 1))
+
+
+# -- scaled integer lists ------------------------------------------------------
+#
+# A polynomial held as (scale, ints): a Fraction times an ascending list of
+# integers that is primitive (content 1) with a positive leading entry, so
+# the pair is unique; the zero polynomial is (0, []).  Arithmetic on the list
+# pays no gcd per coefficient, and a product of primitive lists is primitive
+# (Gauss's lemma), so only sums and quotients need a content pass.
+
+_Scaled = tuple[Fraction, list[int]]
+
+
+def _scaled(scale: Fraction, ints: list[int]) -> _Scaled:
+    """scale * ints as a scaled integer list: zeros stripped, content and sign moved to the scale.
+
+    The list is consumed: it may be shortened in place.
+    """
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), []
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    if content != 1:
+        ints = [c // content for c in ints]
+    return scale * content, ints
+
+
+def _to_scaled(p: Poly) -> _Scaled:
+    """p as a scaled integer list: its coefficients over their common denominator."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _scaled(Fraction(1, den), [c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _from_scaled(scale: Fraction, ints: list[int]) -> Poly:
+    """The Poly scale * ints; each product takes one gcd against the scale's denominator.
+
+    A scaled list has no trailing zero, so the coefficients are stored as they are.
+    """
+    p = Poly.__new__(Poly)
+    if scale.denominator == 1:
+        num = scale.numerator
+        p.coeffs = tuple([Fraction(num * c) for c in ints])
+    else:
+        p.coeffs = tuple([scale * c for c in ints])
+    return p
 
 
 def monomial(degree: int, coeff: Scalar = 1) -> Poly:

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ratinterp import (
+    EEATrace,
     InterpolationData,
+    ONE,
     PlaneParametrization,
     Poly,
+    X,
     ZERO,
     check_weak,
     decompose,
@@ -96,6 +99,91 @@ def random_param(rng, max_n=8):
     if rng.random() < 0.1:
         return PlaneParametrization(r0, ZERO)
     return PlaneParametrization(r0, random_poly(rng, rng.randint(0, n)))
+
+
+def reference_euclid(r0, r1):
+    """The extended Euclidean algorithm directly on Fraction polynomials.
+
+    The reference for ``extended_euclid``: the Euclidean remainder
+    sequence over Q is unique, so both must agree row by row and quotient
+    by quotient.
+    """
+    rows = [(r0, ZERO, ONE), (r1, ONE, ZERO)]
+    quotients = []
+    while not rows[-1][0].is_zero:
+        prev_r, prev_s, prev_t = rows[-2]
+        cur_r, cur_s, cur_t = rows[-1]
+        q, rem = prev_r.div_rem(cur_r)
+        quotients.append(q)
+        rows.append((rem, prev_s - q * cur_s, prev_t - q * cur_t))
+    return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
+
+
+def reference_hermite_polynomial(data):
+    """g from the Newton form, nested in Fraction polynomials; the reference for g."""
+    z, vals = [], []
+    for x, values in data.points:
+        for _ in values:
+            z.append(x)
+            vals.append(values)
+    n = len(z)
+    col = [vals[i][0] for i in range(n)]
+    newton_coeffs = [col[0]]
+    factorial = 1
+    for j in range(1, n):
+        factorial *= j
+        col = [
+            vals[i][j] / factorial if z[i] == z[i + j] else (col[i + 1] - col[i]) / (z[i + j] - z[i])
+            for i in range(n - j)
+        ]
+        newton_coeffs.append(col[0])
+    g = Poly((newton_coeffs[-1],))
+    for j in range(n - 2, -1, -1):
+        g = g * (X - z[j]) + newton_coeffs[j]
+    return g
+
+
+def integer_node_data(rng, n):
+    nodes = rng.sample(range(-n, n + 1), n)
+    return InterpolationData.from_pairs([(x, [rng.randint(-9, 9)]) for x in nodes])
+
+
+def repeated_node_data(rng, n):
+    pairs, nodes = [], rng.sample(range(-n, n + 1), n)
+    while n:
+        m = min(rng.randint(2, 3), n)
+        pairs.append((nodes.pop(), [rng.randint(-9, 9) for _ in range(m)]))
+        n -= m
+    return InterpolationData.from_pairs(pairs)
+
+
+def rational_node_data(rng, n):
+    pool = sorted({Fraction(p, q) for q in (1, 2, 3, 5) for p in range(-3 * q, 3 * q + 1)})
+    return InterpolationData.from_pairs(
+        [(x, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))]) for x in rng.sample(pool, n)]
+    )
+
+
+def planted_data(rng, n, num, den):
+    """Samples of num/den at integer nodes, every third node with the derivative too.
+
+    Nodes where den vanishes are skipped.  The trace of such data is
+    abnormal: one quotient of degree about n - 2 max(deg num, deg den).
+    """
+    dnum, dden = num.derivative(), den.derivative()
+    pairs, x = [], -n // 2
+    while n:
+        b = den(x)
+        if b != 0:
+            value = num(x) / b
+            if n >= 2 and len(pairs) % 3 == 0:
+                pairs.append((x, [value, (dnum(x) * b - num(x) * dden(x)) / b**2]))
+                n -= 2
+            else:
+                pairs.append((x, [value]))
+                n -= 1
+        x += 1
+    return InterpolationData.from_pairs(pairs)
 
 
 def interp_trace(data):

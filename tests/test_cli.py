@@ -363,3 +363,22 @@ def test_answers_past_the_int_to_str_limit(capsys, monkeypatch):
         assert all(str(abs(c)) in outputs[False] for row in trace.rows for p in row for c in p.coeffs)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_parser_is_built_once_per_process(four_file, capsys, monkeypatch):
+    from ratinterp import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["eea", four_file]) == 0
+        assert main(["kappa", "--min", four_file]) == 0
+        with pytest.raises(SystemExit):
+            main(["delta", "--basis", "--set", four_file])
+        assert main(["delta", "--basis", four_file]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert "x^2 - 3" in capsys.readouterr().out

@@ -1,4 +1,6 @@
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +18,20 @@ from ratinterp import (
 )
 from ratinterp.eea import Decomposition
 
-from conftest import P, full_trace_check, interp_trace, random_poly
+from conftest import (
+    P,
+    full_trace_check,
+    integer_node_data,
+    interp_trace,
+    planted_data,
+    random_data,
+    random_param,
+    random_poly,
+    rational_node_data,
+    reference_euclid,
+    repeated_node_data,
+)
+from ratinterp import Poly, hermite_polynomial, nodal_poly
 
 
 class TestFourPointTrace:
@@ -169,3 +184,106 @@ class TestBasisPairs:
             syzygy_basis_pair(tr, tr.N)
         with pytest.raises(IndexError):
             syzygy_basis_pair(tr, -1)
+
+
+def assert_matches_reference(r0, r1):
+    """extended_euclid equals the Fraction reference row by row and quotient by quotient."""
+    trace, ref = extended_euclid(r0, r1), reference_euclid(r0, r1)
+    assert trace.N == ref.N
+    for i, (row, ref_row) in enumerate(zip(trace.rows, ref.rows)):
+        assert row == ref_row, i
+    for i, (q, ref_q) in enumerate(zip(trace.quotients, ref.quotients), start=1):
+        assert q == ref_q, i
+    trace.check_invariants()
+    return trace
+
+
+def remainder_degrees(trace):
+    return [int(trace.r(i).degree) for i in range(trace.N + 1)]
+
+
+class TestAgainstReference:
+    """The integer kernel against the Fraction loop it replaced, and against sympy."""
+
+    @pytest.mark.parametrize("family", [integer_node_data, repeated_node_data, rational_node_data])
+    def test_seeded_instances(self, family):
+        rng = random.Random(f"eea-{family.__name__}")
+        for _ in range(25):
+            data = family(rng, rng.randint(1, 16))
+            g = hermite_polynomial(data)
+            if not g.is_zero:
+                assert_matches_reference(nodal_poly(data), g)
+
+    def test_small_random_data(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            data = random_data(rng)
+            g = hermite_polynomial(data)
+            if not g.is_zero:
+                assert_matches_reference(nodal_poly(data), g)
+
+    def test_planted_abnormal_traces(self):
+        rng = random.Random(72)
+        for n in (24, 28, 32):
+            num = random_poly(rng, 2)
+            den = P(Fraction(2 * rng.randint(-6, 5) + 1, 2), 1) * P(rng.randint(1, 5), 0, 1)
+            data = planted_data(rng, n, num, den)
+            trace = assert_matches_reference(nodal_poly(data), hermite_polynomial(data))
+            assert max(q.degree for q in trace.quotients) >= 10
+
+    def test_parametrizations(self):
+        rng = random.Random(73)
+        for _ in range(60):
+            param = random_param(rng, max_n=14)
+            if not param.r1.is_zero:
+                assert_matches_reference(param.r0, param.r1)
+
+    def test_equal_degrees_constant_first_quotient(self):
+        rng = random.Random(74)
+        for d in range(1, 12):
+            trace = assert_matches_reference(random_poly(rng, d), random_poly(rng, d))
+            assert trace.q(1).degree == 0
+
+    def test_constant_second_input(self):
+        trace = assert_matches_reference(P(3, -1, 0, "2/3"), P("-5/7"))
+        assert trace.N == 1
+
+    def test_second_input_divides_first(self):
+        r1 = P(1, 2, "-3/4")
+        trace = assert_matches_reference(r1 * P(-2, 0, 5, 1), r1)
+        assert trace.N == 1 and trace.r(2).is_zero
+
+    def test_negative_and_rational_leading_coefficients(self):
+        rng = random.Random(75)
+        for _ in range(30):
+            d0 = rng.randint(1, 10)
+            lead0 = Fraction(rng.choice((-7, -3, -1, 2, 5)), rng.choice((1, 3, 4)))
+            lead1 = Fraction(rng.choice((-5, -2, 1, 3)), rng.choice((1, 2, 9)))
+            r0 = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d0)] + [lead0])
+            d1 = rng.randint(0, d0)
+            r1 = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d1)] + [lead1])
+            assert_matches_reference(r0, r1)
+
+    def test_coefficients_past_the_int_to_str_limit(self):
+        huge = 10 ** sys.get_int_max_str_digits() + 7
+        assert_matches_reference(P(huge, 1, 0, -huge, 3), P(Fraction(1, huge), huge, 2))
+        assert_matches_reference(P(1, 1, 0, 1), P(1, 0, huge))
+
+    def test_remainder_degrees_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+
+        def expr(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.coeffs))
+
+        rng = random.Random(76)
+        cases = [(nodal_poly(d), hermite_polynomial(d))
+                 for d in (integer_node_data(rng, 10), repeated_node_data(rng, 12), rational_node_data(rng, 9))]
+        num, den = random_poly(rng, 2), P(1, 0, 1)
+        planted = planted_data(rng, 24, num, den)
+        cases.append((nodal_poly(planted), hermite_polynomial(planted)))
+        cases += [(p.r0, p.r1) for p in (random_param(rng, max_n=10) for _ in range(8)) if not p.r1.is_zero]
+        cases.append((P(1, 0, 1), P(0, 0, 1)))
+        for r0, r1 in cases:
+            prs = sympy.subresultants(expr(r0), expr(r1), x)
+            assert [sympy.degree(p, x) for p in prs] == remainder_degrees(extended_euclid(r0, r1))

@@ -6,6 +6,7 @@ import pytest
 from ratinterp import (
     InterpolationData,
     ONE,
+    Poly,
     RationalFunction,
     X,
     ZERO,
@@ -16,8 +17,20 @@ from ratinterp import (
     nodal_poly,
     weak_cofactor,
 )
+from ratinterp.hermite import nonzero_at_nodes
 
-from conftest import P, random_data
+from conftest import (
+    P,
+    integer_node_data,
+    planted_data,
+    random_data,
+    random_poly,
+    rational_node_data,
+    reference_hermite_polynomial,
+    repeated_node_data,
+)
+
+MOD_P = 2**61 - 1  # the prime of the modular node test
 
 
 class TestInterpolationData:
@@ -123,6 +136,16 @@ class TestHermitePolynomial:
         )
         assert hermite_polynomial(data) == taylor
 
+    def test_matches_the_fraction_construction(self):
+        rng = random.Random(30)
+        cases = [random_data(rng, max_n=7) for _ in range(40)]
+        for family in (integer_node_data, repeated_node_data, rational_node_data):
+            cases += [family(rng, rng.randint(1, 20)) for _ in range(10)]
+        cases += [planted_data(rng, n, random_poly(rng, 2), P(Fraction(1, 2), 0, 1)) for n in (24, 40)]
+        cases.append(InterpolationData.from_pairs([(Fraction(1, 3), [0, 0]), (Fraction(-2, 5), [0])]))
+        for data in cases:
+            assert hermite_polynomial(data) == reference_hermite_polynomial(data)
+
     def test_matches_all_conditions(self):
         rng = random.Random(29)
         for _ in range(40):
@@ -167,6 +190,53 @@ class TestWeakConditions:
         trace = extended_euclid(nodal_poly(data_four), hermite_polynomial(data_four))
         for i in range(trace.N + 2):
             assert check_weak(trace.r(i) * factor, trace.s(i) * factor, data_four)
+
+
+class TestNodeTest:
+    """nonzero_at_nodes decides on residues modulo P and confirms zeros exactly."""
+
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        """The nodes at which a Poly is evaluated exactly, in call order."""
+        calls = []
+        exact = Poly.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return exact(self, x)
+
+        monkeypatch.setattr(Poly, "__call__", counted)
+        return calls
+
+    def test_zero_residue_falls_back_to_the_exact_value(self, exact_calls):
+        data = InterpolationData.from_pairs([(0, [1])])
+        assert nonzero_at_nodes(P(-MOD_P, 1), data)  # x - P: residue 0 at 0, value -P
+        assert exact_calls == [0]
+        assert not nonzero_at_nodes(X, data)
+
+    def test_node_with_denominator_p_is_tested_exactly(self, exact_calls):
+        data = InterpolationData.from_pairs([(2, [1]), (Fraction(1, MOD_P), [1])])
+        assert nonzero_at_nodes(P(3, 1), data)
+        assert exact_calls == [Fraction(1, MOD_P)]
+        assert not nonzero_at_nodes(P(-1, MOD_P), data)
+
+    def test_coefficient_with_denominator_p_is_tested_exactly(self, exact_calls):
+        data = InterpolationData.from_pairs([(1, [1]), (2, [1])])
+        assert nonzero_at_nodes(P(Fraction(1, MOD_P), 1), data)
+        assert exact_calls == [1, 2]
+
+    def test_nonzero_residue_needs_no_exact_value(self, exact_calls):
+        assert nonzero_at_nodes(P(1, 0, 1), InterpolationData.from_pairs([(0, [1]), (3, [1])]))
+        assert exact_calls == []
+
+    def test_agrees_with_exact_evaluation(self):
+        rng = random.Random(39)
+        for _ in range(200):
+            data = random_data(rng, max_n=6)
+            b = random_poly(rng, rng.randint(0, 4))
+            if rng.random() < 0.5:  # plant a root at a node
+                b = b * (X - rng.choice(data.nodes))
+            assert nonzero_at_nodes(b, data) == all(b(x) != 0 for x in data.nodes)
 
 
 class TestCheckInterpolates:
