@@ -80,13 +80,15 @@ def _interpolation(problem) -> InterpolationData:
     return problem
 
 
-def _emit(args, payload: dict, text: str) -> int:
-    print(json.dumps(payload, indent=2) if args.json else text)
+def _emit(args, payload, text) -> int:
+    """Print payload() as JSON with --json, else text(); the other form is never built."""
+    print(json.dumps(payload(), indent=2) if args.json else text())
     return 0
 
 
 def _emit_sample(args, name: str, value: int, rf) -> int:
-    return _emit(args, {name: value, "solution": rf.to_json()}, f"{name} = {value}: {rf}")
+    return _emit(args, lambda: {name: value, "solution": rf.to_json()},
+                 lambda: f"{name} = {value}: {rf}")
 
 
 def _cmd_eea(args) -> int:
@@ -95,7 +97,7 @@ def _cmd_eea(args) -> int:
         trace = extended_euclid(nodal_poly(problem), hermite_polynomial(problem))
     else:
         trace = extended_euclid(problem.r0, problem.r1)
-    return _emit(args, trace.to_json(), str(trace))
+    return _emit(args, trace.to_json, lambda: str(trace))
 
 
 def _cmd_delta(args) -> int:
@@ -105,14 +107,17 @@ def _cmd_delta(args) -> int:
                             deltasolver.sample_solution_of_delta(data, _capped(args.solve)))
     if args.basis:
         basis = deltasolver.minimal_basis(data)
-        return _emit(args, basis.to_json(), str(basis))
+        return _emit(args, basis.to_json, lambda: str(basis))
     degree_set = deltasolver.admissible_delta_set(data)
     if args.set:
-        return _emit(args, degree_set.to_json(), f"admissible delta: {degree_set}")
+        return _emit(args, degree_set.to_json, lambda: f"admissible delta: {degree_set}")
     basis = deltasolver.minimal_basis(data)
     report = deltasolver.minimal_delta_solutions(data)
-    payload = {"basis": basis.to_json(), "report": report.to_json(), "admissible": degree_set.to_json()}
-    return _emit(args, payload, f"{basis}\n{report}\nadmissible delta: {degree_set}")
+    return _emit(
+        args,
+        lambda: {"basis": basis.to_json(), "report": report.to_json(), "admissible": degree_set.to_json()},
+        lambda: f"{basis}\n{report}\nadmissible delta: {degree_set}",
+    )
 
 
 def _cmd_kappa(args) -> int:
@@ -121,15 +126,18 @@ def _cmd_kappa(args) -> int:
         return _emit_sample(args, "kappa", args.solve,
                             kappasolver.sample_solution_of_kappa(data, _capped(args.solve)))
     report = kappasolver.admissible_kappa(data)
-    return _emit(args, report.to_json(args.min), report.text(args.min))
+    return _emit(args, lambda: report.to_json(args.min), lambda: report.text(args.min))
 
 
 def _cmd_hermite_d(args) -> int:
     data = _interpolation(_read_problem(args))
     d = args.degree
     rf = kappasolver.hermite_rational(data, d)
-    payload = {"d": d, "solvable": rf is not None, "solution": None if rf is None else rf.to_json()}
-    return _emit(args, payload, f"d = {d}: {'no solution' if rf is None else rf}")
+    return _emit(
+        args,
+        lambda: {"d": d, "solvable": rf is not None, "solution": None if rf is None else rf.to_json()},
+        lambda: f"d = {d}: {'no solution' if rf is None else rf}",
+    )
 
 
 def _cmd_mu_basis(args) -> int:
@@ -137,7 +145,7 @@ def _cmd_mu_basis(args) -> int:
     if not isinstance(param, PlaneParametrization):
         raise ValueError("this subcommand needs a parametrization problem file")
     basis = mu_basis(param)
-    return _emit(args, basis.to_json(args.projective), basis.text(args.projective))
+    return _emit(args, lambda: basis.to_json(args.projective), lambda: basis.text(args.projective))
 
 
 def _cmd_oracle(args) -> int:
@@ -146,13 +154,13 @@ def _cmd_oracle(args) -> int:
         if not isinstance(problem, PlaneParametrization):
             raise ValueError("--min-mu needs a parametrization problem file")
         value = oracle.min_mu_oracle(problem)
-        return _emit(args, {"min_mu": value}, f"min mu = {value}")
+        return _emit(args, lambda: {"min_mu": value}, lambda: f"min mu = {value}")
     data = _interpolation(problem)
     if args.kappa_set:
         values = sorted(oracle.kappa_values_below_n(data))
-        return _emit(args, {"kappa_below_n": values}, f"kappa values below n: {values}")
+        return _emit(args, lambda: {"kappa_below_n": values}, lambda: f"kappa values below n: {values}")
     value = oracle.min_degree_weak_pair(data)
-    return _emit(args, {"min_delta": value}, f"min delta = {value}")
+    return _emit(args, lambda: {"min_delta": value}, lambda: f"min delta = {value}")
 
 
 # -- parser ------------------------------------------------------------------------

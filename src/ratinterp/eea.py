@@ -13,16 +13,6 @@ The trace keeps every row and every quotient; remainders are stored
 exactly as produced (no monic rescaling), since downstream consumers
 depend on the raw values.
 
-Inside ``extended_euclid`` every remainder, cofactor and quotient is
-held as a Fraction scale times a primitive integer coefficient list
-(``exactpoly._scaled``), so the inner loops multiply and subtract
-integers and pay no gcd per coefficient.  Division is fraction-free
-(``_pseudo_div``); a difference or a quotient takes one content pass,
-while a product of primitive lists is primitive by Gauss's lemma and
-takes none.  The Euclidean remainder sequence over Q is unique, so the
-rows and quotients are exactly those of the Fraction recurrence above;
-each becomes a ``Poly`` once, at the end.
-
 ``decompose`` inverts the trace: any triple (a, b, c) with
 a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
 with deg m_i < deg q_i for 1 <= i <= N.  Because the s-degrees increase
@@ -37,11 +27,10 @@ parametrization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
-from .exactpoly import ONE, ZERO, Poly, _from_scaled, _Scaled, _scaled, _to_scaled
+from .exactpoly import ONE, ZERO, Poly
 
 Row = tuple[Poly, Poly, Poly]  # (r_i, s_i, t_i)
 
@@ -178,92 +167,20 @@ class Decomposition:
     m: tuple[Poly, ...]
 
 
-def _pseudo_div(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
-    """(D, Q, R) with D*a == Q*b + R, deg R < deg b, for b with a positive lead.
-
-    Each step eliminates the top live entry c after scaling by
-    lead/gcd(lead, c) only the dd entries under c that it updates; an
-    entry below them takes the product D of the scalings so far when the
-    window reaches it, and a quotient entry takes the scalings of the
-    later steps at the end.  So a quotient of degree k costs O(k * dd) integer
-    products, not O(deg a * k).
-    """
-    dd = len(b) - 1
-    lead = b[-1]
-    top = len(a) - 1 - dd
-    rem = list(a)
-    quot = [0] * (top + 1)
-    mults = [1] * (top + 1)
-    D = 1
-    for k in range(top, -1, -1):
-        if D != 1 and k < top:
-            rem[k] *= D
-        c = rem[k + dd]
-        if not c:
-            continue
-        g = math.gcd(lead, c)
-        mult = lead // g
-        if mult != 1:
-            for j in range(k, k + dd):
-                rem[j] *= mult
-            D *= mult
-            mults[k] = mult
-        cq = c // g
-        quot[k] = cq
-        for j in range(dd):
-            rem[k + j] -= cq * b[j]
-    run = 1
-    for k in range(top + 1):
-        quot[k] *= run
-        run *= mults[k]
-    return D, quot, rem[:dd]
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _sub_mul(prev: _Scaled, q: _Scaled, cur: _Scaled) -> _Scaled:
-    """prev - q*cur, the cofactor recurrence; q*cur needs no content pass."""
-    (s_prev, u), (s_q, w), (s_cur, v) = prev, q, cur
-    if not v:
-        return prev
-    s_prod, prod = s_q * s_cur, _mul(w, v)
-    if not u:
-        return -s_prod, prod
-    ratio = s_prev / s_prod  # prev - q*cur = (s_prod / r) * (p*u - r*prod)
-    p, r = ratio.numerator, ratio.denominator
-    out = [-r * c for c in prod]
-    for i, c in enumerate(u):
-        out[i] += p * c
-    return _scaled(s_prod / r, out)
-
-
 def extended_euclid(r0: Poly, r1: Poly) -> EEATrace:
     """Run the algorithm on r0, r1 with deg r0 >= deg r1 >= 0."""
     if r1.is_zero:
         raise ZeroSecondInput("the second input polynomial is zero")
     if r0.is_zero or r0.degree < r1.degree:
         raise ValueError("inputs must satisfy deg r0 >= deg r1 >= 0, both nonzero")
-    zero, one = _to_scaled(ZERO), _to_scaled(ONE)
-    rows = [(_to_scaled(r0), zero, one), (_to_scaled(r1), one, zero)]
+    rows = [(r0, ZERO, ONE), (r1, ONE, ZERO)]
     quotients = []
-    while rows[-1][0][1]:  # until the remainder's integer list is empty
-        (s_a, a), prev_s, prev_t = rows[-2]
-        (s_b, b), cur_s, cur_t = rows[-1]
-        D, quot, rem = _pseudo_div(a, b)
-        q = _scaled(s_a / (s_b * D), quot)
+    while not rows[-1][0].is_zero:
+        (a, s_prev, t_prev), (b, s_cur, t_cur) = rows[-2], rows[-1]
+        q, r = a.div_rem(b)
         quotients.append(q)
-        rows.append((_scaled(s_a / D, rem), _sub_mul(prev_s, q, cur_s), _sub_mul(prev_t, q, cur_t)))
-    return EEATrace(
-        rows=tuple(tuple(_from_scaled(*p) for p in row) for row in rows),
-        quotients=tuple(_from_scaled(*q) for q in quotients),
-    )
+        rows.append((r, s_prev - q * s_cur, t_prev - q * t_cur))
+    return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
 
 
 def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:

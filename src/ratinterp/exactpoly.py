@@ -1,9 +1,19 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction` values stored in ascending degree
-order with trailing zeros stripped, so every polynomial has exactly one
-representation; the empty coefficient tuple is the zero polynomial.
-All arithmetic is exact, there is no floating point anywhere.
+A polynomial is stored as a Fraction scale times an ascending list of
+integer coefficients that is primitive (content 1), has a positive
+leading entry and no trailing zero.  The zero polynomial is the scale 0
+with the empty list.  This normal form is unique, so equality and hashing
+compare it directly.  All arithmetic is exact, there is no floating point
+anywhere.
+
+Arithmetic runs on the integer lists and pays no gcd per coefficient.  A
+product of primitive lists is primitive (Gauss's lemma), so products take
+no content pass; sums, differences and remainders take one
+(``math.gcd`` over the list).  Negation, scalar products and ``monic``
+change only the scale.  Division is fraction-free (``div_rem``), and
+evaluation runs Horner on the integers and builds one Fraction at the end.
+``coeffs``, the reduced Fraction coefficients, is derived when it is read.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which
 compares below every integer and absorbs addition, so degree bookkeeping
@@ -23,6 +33,8 @@ NEG_INF = float("-inf")
 Scalar = Union[int, str, Fraction]
 
 _INTEGER_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+_P = 2**61 - 1  # a prime; node tests run on residues modulo it
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -60,107 +72,141 @@ def _rational_str(c: Fraction) -> str:
         return top if c.denominator == 1 else f"{top}/{Decimal(c.denominator)}"
 
 
+def _residue(x: Fraction) -> int | None:
+    """x modulo _P, or None when _P divides its denominator."""
+    den = x.denominator % _P
+    return x.numerator % _P * pow(den, -1, _P) % _P if den else None
+
+
 class Poly:
     """An immutable univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_scale", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._scale, self._ints = _normal_form(
+            Fraction(1, den), [c.numerator * (den // c.denominator) for c in cs])
 
     # -- queries ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Reduced Fraction coefficients, ascending; index k holds that of x**k."""
+        scale = self._scale
+        return tuple([scale * c for c in self._ints])
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def degree(self) -> int | float:
         """Degree as an int, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._ints) - 1 if self._ints else NEG_INF
 
     @property
     def leading(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self._scale * self._ints[-1] if self._ints else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (0 when k is outside the stored range)."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._ints):
+            return self._scale * self._ints[k]
         return Fraction(0)
+
+    def nonzero_at(self, nodes: Iterable[Fraction]) -> bool:
+        """True iff self vanishes at none of the nodes.
+
+        Horner runs on the integer list modulo the prime P = 2^61 - 1,
+        reduced once per call.  A nonzero residue proves the value
+        nonzero.  A zero residue, or a node whose denominator P divides,
+        falls back to the exact value, so the answer is always exact.
+        """
+        residues = [c % _P for c in reversed(self._ints)]
+        for x in nodes:
+            xm = _residue(x)
+            if xm is not None:
+                acc = 0
+                for c in residues:
+                    acc = (acc * xm + c) % _P
+                if acc:
+                    continue
+            if self(x) == 0:
+                return False
+        return True
 
     # -- equality / hashing ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._scale == other._scale and self._ints == other._ints
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly((other,)).coeffs
+            return self._ints == ((1,) if other else ()) and self._scale == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._scale, self._ints))
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly((other,))
-        return None
-
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._plus(other._scale, other._ints)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _make(-self._scale, self._ints)
 
     def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._plus(-other._scale, other._ints)
 
     def __rsub__(self, other) -> "Poly":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._plus(-self._scale, self._ints)
+
+    def _plus(self, scale: Fraction, ints: tuple[int, ...]) -> "Poly":
+        """self + scale*ints; one content pass."""
+        if not ints:
+            return self
+        if not self._ints:
+            return _make(scale, ints)
+        ratio = scale / self._scale  # the sum is (self._scale / r) * (r*self._ints + p*ints)
+        p, r = ratio.numerator, ratio.denominator
+        out = [r * c for c in self._ints] if r != 1 else list(self._ints)
+        out.extend([0] * (len(ints) - len(out)))
+        for i, c in enumerate(ints):
+            out[i] += p * c
+        return _make(*_normal_form(self._scale / r, out))
 
     def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
         if not a or not b:
             return ZERO
-        if len(b) == 1:  # scalar fast path
-            return Poly(tuple(c * b[0] for c in a))
+        scale = self._scale * other._scale
+        if len(b) == 1:  # a constant's list is (1,): only the scale changes
+            return _make(scale, a)
         if len(a) == 1:
-            return Poly(tuple(c * a[0] for c in b))
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+            return _make(scale, b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _make(scale, tuple(out))  # primitive with a positive lead (Gauss's lemma)
 
     __rmul__ = __mul__
 
@@ -178,46 +224,78 @@ class Poly:
         return result
 
     def div_rem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division: self == q*divisor + r with deg r < deg divisor."""
-        if divisor.is_zero:
+        """Euclidean division: self == q*divisor + r with deg r < deg divisor.
+
+        Fraction-free on the integer lists: D*a == Q*b + R for the lists a
+        of self and b of divisor.  Each step eliminates the top live
+        entry c after scaling by lead/gcd(lead, c) only the dd entries
+        under c that it updates; an entry below them takes the product D
+        of the scalings so far when the window reaches it, and a quotient
+        entry takes the scalings of the later steps at the end.  So a
+        quotient of degree k costs O(k * dd) integer products, not
+        O(deg a * k).  q and r each take one content pass.
+        """
+        b = divisor._ints
+        if not b:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        dd = len(divisor.coeffs) - 1
-        if len(self.coeffs) - 1 < dd:
+        dd = len(b) - 1
+        top = len(self._ints) - 1 - dd
+        if top < 0:
             return ZERO, self
-        rem = list(self.coeffs)
-        lead = divisor.coeffs[-1]
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dd] / lead
-            if c:
-                quot[k] = c
-                for j in range(dd + 1):
-                    rem[k + j] -= c * divisor.coeffs[j]
-        return Poly(quot), Poly(rem[:dd])
+        lead = b[-1]
+        rem = list(self._ints)
+        quot = [0] * (top + 1)
+        mults = [1] * (top + 1)
+        D = 1
+        for k in range(top, -1, -1):
+            if D != 1 and k < top:
+                rem[k] *= D
+            c = rem[k + dd]
+            if not c:
+                continue
+            g = math.gcd(lead, c)
+            mult = lead // g
+            if mult != 1:
+                for j in range(k, k + dd):
+                    rem[j] *= mult
+                D *= mult
+                mults[k] = mult
+            cq = c // g
+            quot[k] = cq
+            for j in range(dd):
+                rem[k + j] -= cq * b[j]
+        run = 1
+        for k in range(top + 1):
+            quot[k] *= run
+            run *= mults[k]
+        return (_make(*_normal_form(self._scale / (divisor._scale * D), quot)),
+                _make(*_normal_form(self._scale / D, rem[:dd])))
 
     def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at x by Horner's rule."""
+        """Evaluate at x = p/q by Horner's rule on the integers: one Fraction at the end."""
         x = as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self._ints:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1  # acc / qpow**(k-1) is the value of the top k coefficients
+        for c in reversed(self._ints):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return self._scale * Fraction(acc, qpow // q)
 
     def derivative(self, order: int = 1) -> "Poly":
         """The order-th formal derivative."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(k * cs[k] for k in range(1, len(cs)))
-        return Poly(cs)
+        ints = self._ints
+        return _make(*_normal_form(self._scale, [ints[k] * math.perm(k, order)
+                                                 for k in range(order, len(ints))]))
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1; the zero polynomial is unchanged."""
         if self.is_zero or self.leading == 1:
             return self
-        inv = 1 / self.leading
-        return Poly(tuple(c * inv for c in self.coeffs))
+        return _make(Fraction(1, self._ints[-1]), self._ints)
 
     # -- formatting / serialization -----------------------------------------
 
@@ -230,8 +308,9 @@ class Poly:
         With ``homogenize=d`` each term x^k also carries z^(d - k).
         """
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        coeffs = self.coeffs
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             z = 0 if homogenize is None else homogenize - k
@@ -258,57 +337,44 @@ class Poly:
         return cls(data)
 
 
-ZERO = Poly()
-ONE = Poly((1,))
-X = Poly((0, 1))
-
-
-# -- scaled integer lists ------------------------------------------------------
-#
-# A polynomial held as (scale, ints): a Fraction times an ascending list of
-# integers that is primitive (content 1) with a positive leading entry, so
-# the pair is unique; the zero polynomial is (0, []).  Arithmetic on the list
-# pays no gcd per coefficient, and a product of primitive lists is primitive
-# (Gauss's lemma), so only sums and quotients need a content pass.
-
-_Scaled = tuple[Fraction, list[int]]
-
-
-def _scaled(scale: Fraction, ints: list[int]) -> _Scaled:
-    """scale * ints as a scaled integer list: zeros stripped, content and sign moved to the scale.
+def _normal_form(scale: Fraction, ints: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """scale * ints in normal form: zeros stripped, content and sign moved to the scale.
 
     The list is consumed: it may be shortened in place.
     """
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return Fraction(0), []
+        return Fraction(0), ()
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
     if content != 1:
         ints = [c // content for c in ints]
-    return scale * content, ints
+        scale *= content
+    return scale, tuple(ints)
 
 
-def _to_scaled(p: Poly) -> _Scaled:
-    """p as a scaled integer list: its coefficients over their common denominator."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _scaled(Fraction(1, den), [c.numerator * (den // c.denominator) for c in p.coeffs])
-
-
-def _from_scaled(scale: Fraction, ints: list[int]) -> Poly:
-    """The Poly scale * ints; each product takes one gcd against the scale's denominator.
-
-    A scaled list has no trailing zero, so the coefficients are stored as they are.
-    """
+def _make(scale: Fraction, ints: tuple[int, ...]) -> Poly:
+    """The Poly scale * ints for a pair already in normal form."""
     p = Poly.__new__(Poly)
-    if scale.denominator == 1:
-        num = scale.numerator
-        p.coeffs = tuple([Fraction(num * c) for c in ints])
-    else:
-        p.coeffs = tuple([scale * c for c in ints])
+    p._scale, p._ints = scale, ints
     return p
+
+
+def _coerce(other) -> Poly | None:
+    """other as a Poly: a constant's list is (1,), the zero constant is ZERO."""
+    if isinstance(other, Poly):
+        return other
+    if isinstance(other, (int, Fraction)):
+        c = as_fraction(other)
+        return _make(c, (1,)) if c else ZERO
+    return None
+
+
+ZERO = Poly()
+ONE = Poly((1,))
+X = Poly((0, 1))
 
 
 def monomial(degree: int, coeff: Scalar = 1) -> Poly:

@@ -17,15 +17,12 @@ addition, b vanishes at no node.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ZeroDenominator
-from .exactpoly import (
-    ONE, X, ZERO, Poly, Scalar, _from_scaled, _rational_str, _scaled, as_fraction, gcd,
-)
+from .exactpoly import ONE, X, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd
 
 
 @dataclass(frozen=True)
@@ -215,21 +212,11 @@ def hermite_polynomial(data: InterpolationData) -> Poly:
                 nxt.append((col[i + 1] - col[i]) / (z[i + j] - z[i]))
         col = nxt
         newton_coeffs.append(col[0])
-    # nested form c_0 + (x - z_0)*(c_1 + (x - z_1)*(...)), from the last node down,
-    # on integers over one common denominator: g = ints/den
-    ints, den = [newton_coeffs[-1].numerator], newton_coeffs[-1].denominator
+    # nested form c_0 + (x - z_0)*(c_1 + (x - z_1)*(...)), from the last node down
+    g = Poly((newton_coeffs[-1],))
     for j in range(n - 2, -1, -1):
-        p, q = z[j].numerator, z[j].denominator
-        c = newton_coeffs[j]
-        # g*(x - p/q) + c = (ints*(q*x - p)*m + c*lcm)/lcm, lcm = lcm(den*q, c's denominator)
-        lcm = math.lcm(den * q, c.denominator)
-        m = lcm // (den * q)
-        mq, mp = m * q, m * p
-        ints = [-mp * ints[0] + c.numerator * (lcm // c.denominator)] + [
-            mq * ints[k - 1] - mp * ints[k] for k in range(1, len(ints))
-        ] + [mq * ints[-1]]
-        den = lcm
-    return _from_scaled(*_scaled(Fraction(1, den), ints))
+        g = g * (X - z[j]) + newton_coeffs[j]
+    return g
 
 
 def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
@@ -238,36 +225,12 @@ def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
     return residue.div_rem(nodal_poly(data))[1].is_zero
 
 
-_P = 2**61 - 1  # a prime; node tests run on residues modulo it
-
-
-def _residue(c: Fraction) -> int | None:
-    """c modulo _P, or None when _P divides its denominator."""
-    den = c.denominator % _P
-    return c.numerator % _P * pow(den, -1, _P) % _P if den else None
-
-
 def nonzero_at_nodes(b: Poly, data: InterpolationData) -> bool:
     """True iff b vanishes at no node: the node test that decides coprimality.
 
-    Horner runs on residues modulo the prime P = 2^61 - 1, with b reduced
-    once per call.  A nonzero residue proves b(x_i) != 0.  A zero residue,
-    or a denominator divisible by P, falls back to the exact value b(x_i),
-    so the answer is always exact.
+    Exact; residues modulo a prime decide most nodes (``Poly.nonzero_at``).
     """
-    residues = [_residue(c) for c in reversed(b.coeffs)]
-    exact_only = None in residues
-    for x in data.nodes:
-        xm = None if exact_only else _residue(x)
-        if xm is not None:
-            acc = 0
-            for c in residues:
-                acc = (acc * xm + c) % _P
-            if acc:
-                continue
-        if b(x) == 0:
-            return False
-    return True
+    return b.nonzero_at(data.nodes)
 
 
 def interpolant(a: Poly, b: Poly, data: InterpolationData) -> RationalFunction | None:

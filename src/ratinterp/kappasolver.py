@@ -72,15 +72,15 @@ class KappaReport:
 
     def to_json(self, minimum_only: bool = False) -> dict:
         """The report as JSON; only the minimum and its witnesses if asked."""
-        out = {
+        solutions = [rf.to_json() for rf in self.minimal_solutions]
+        if minimum_only:
+            return {"minimal_kappa": self.minimal_kappa, "minimal_solutions": solutions}
+        return {
             "tail_threshold": self.tail_threshold,
             "minimal_kappa": self.minimal_kappa,
             "isolated": [entry.to_json() for entry in self.isolated],
-            "minimal_solutions": [rf.to_json() for rf in self.minimal_solutions],
+            "minimal_solutions": solutions,
         }
-        if minimum_only:
-            del out["tail_threshold"], out["isolated"]
-        return out
 
     def text(self, minimum_only: bool = False) -> str:
         """The report as text; only the minimum and its witnesses if asked."""

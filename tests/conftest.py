@@ -4,12 +4,9 @@ from fractions import Fraction
 import pytest
 
 from ratinterp import (
-    EEATrace,
     InterpolationData,
-    ONE,
     PlaneParametrization,
     Poly,
-    X,
     ZERO,
     check_weak,
     decompose,
@@ -101,26 +98,87 @@ def random_param(rng, max_n=8):
     return PlaneParametrization(r0, random_poly(rng, rng.randint(0, n)))
 
 
+# -- an independent reference: polynomials as ascending tuples of Fractions -----
+#
+# The library's Poly runs on integer lists; these run on the plain Fraction
+# coefficients, so they check the kernel without sharing any of its code.
+
+
+def frac_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return frac_trim(out)
+
+
+def frac_neg(a):
+    return tuple(-c for c in a)
+
+
+def frac_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return frac_trim(out)
+
+
+def frac_div_rem(a, b):
+    """(q, r) with a == q*b + r and deg r < deg b, for nonzero b."""
+    dd = len(b) - 1
+    if len(a) - 1 < dd:
+        return (), frac_trim(a)
+    rem = list(a)
+    quot = [Fraction(0)] * (len(a) - dd)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + dd] / b[-1]
+        quot[k] = c
+        for j in range(dd + 1):
+            rem[k + j] -= c * b[j]
+    return frac_trim(quot), frac_trim(rem[:dd])
+
+
+def frac_eval(a, x):
+    """Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 def reference_euclid(r0, r1):
-    """The extended Euclidean algorithm directly on Fraction polynomials.
+    """The extended Euclidean algorithm on Fraction coefficient tuples: (rows, quotients).
 
     The reference for ``extended_euclid``: the Euclidean remainder
     sequence over Q is unique, so both must agree row by row and quotient
     by quotient.
     """
-    rows = [(r0, ZERO, ONE), (r1, ONE, ZERO)]
+    one = (Fraction(1),)
+    rows = [(r0, (), one), (r1, one, ())]
     quotients = []
-    while not rows[-1][0].is_zero:
+    while rows[-1][0]:
         prev_r, prev_s, prev_t = rows[-2]
         cur_r, cur_s, cur_t = rows[-1]
-        q, rem = prev_r.div_rem(cur_r)
+        q, rem = frac_div_rem(prev_r, cur_r)
         quotients.append(q)
-        rows.append((rem, prev_s - q * cur_s, prev_t - q * cur_t))
-    return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
+        rows.append((rem, frac_add(prev_s, frac_neg(frac_mul(q, cur_s))),
+                     frac_add(prev_t, frac_neg(frac_mul(q, cur_t)))))
+    return rows, quotients
 
 
 def reference_hermite_polynomial(data):
-    """g from the Newton form, nested in Fraction polynomials; the reference for g."""
+    """g from the Newton form, nested in Fraction coefficient tuples; the reference for g."""
     z, vals = [], []
     for x, values in data.points:
         for _ in values:
@@ -137,9 +195,9 @@ def reference_hermite_polynomial(data):
             for i in range(n - j)
         ]
         newton_coeffs.append(col[0])
-    g = Poly((newton_coeffs[-1],))
+    g = frac_trim((newton_coeffs[-1],))
     for j in range(n - 2, -1, -1):
-        g = g * (X - z[j]) + newton_coeffs[j]
+        g = frac_add(frac_mul(g, (-z[j], Fraction(1))), (newton_coeffs[j],))
     return g
 
 

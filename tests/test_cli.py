@@ -382,3 +382,54 @@ def test_parser_is_built_once_per_process(four_file, capsys, monkeypatch):
         cli._parser.cache_clear()
     assert builds == [1]
     assert "x^2 - 3" in capsys.readouterr().out
+
+
+def _refuse(*_args, **_kwargs):
+    raise RuntimeError("this output form must not be built")
+
+
+COMMANDS = [
+    ["eea"], ["delta"], ["delta", "--basis"], ["delta", "--set"], ["delta", "--solve", "3"],
+    ["kappa"], ["kappa", "--min"], ["kappa", "--solve", "4"], ["hermite-d", "-d", "1"],
+    ["hermite-d", "-d", "2"],
+]
+
+
+class TestOneOutputForm:
+    """Each invocation builds only the form it prints."""
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_text_builds_no_json(self, four_file, capsys, monkeypatch, argv):
+        from ratinterp import EEATrace, KappaReport
+
+        for owner in (EEATrace, KappaReport, Poly):
+            monkeypatch.setattr(owner, "to_json", _refuse)
+        assert main([*argv, four_file]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_json_builds_no_text(self, four_file, capsys, monkeypatch, argv):
+        from ratinterp import EEATrace, KappaReport
+
+        monkeypatch.setattr(EEATrace, "__str__", _refuse)
+        monkeypatch.setattr(KappaReport, "text", _refuse)
+        monkeypatch.setattr(Poly, "format", _refuse)
+        assert main([*argv, four_file, "--json"]) == 0
+        json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("projective", [[], ["--projective"]])
+    def test_mu_basis(self, curve_file, capsys, monkeypatch, projective):
+        from ratinterp.mubasis import MuBasis
+
+        monkeypatch.setattr(Poly, "to_json", _refuse)
+        assert main(["mu-basis", curve_file, *projective]) == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(MuBasis, "text", _refuse)  # the projective JSON lines are text
+        assert main(["mu-basis", curve_file, *projective, "--json"]) == 0
+
+    def test_kappa_min_json_renders_no_isolated_entry(self, four_file, capsys, monkeypatch):
+        from ratinterp.kappasolver import KappaIsolated
+
+        monkeypatch.setattr(KappaIsolated, "to_json", _refuse)
+        assert main(["kappa", "--min", four_file, "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["minimal_kappa", "minimal_solutions"]

@@ -1,13 +1,17 @@
+import ast
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratinterp import NEG_INF, ONE, X, ZERO, Poly, gcd, monomial
 from ratinterp.exactpoly import _rational_str, as_fraction
 
-from conftest import P, random_poly
+from conftest import P, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly
 
 
 class TestArithmetic:
@@ -232,3 +236,126 @@ class TestRationalGrammar:
             Poly(["1/0"])
         with pytest.raises(ValueError, match='expected an integer or a "p/q" string'):
             Poly([1.5])
+
+
+# -- every Poly operation against the Fraction-tuple reference in conftest --------
+
+LIMIT = 10 ** sys.get_int_max_str_digits()  # str() refuses integers of this size and up
+BIG = LIMIT + 1
+RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)),
+    st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 10**20)),
+)
+COEFFS = st.lists(st.one_of(st.just(Fraction(0)), RATIONALS), max_size=7)
+# zero, constants, negative and rational leads, a coefficient past the int-to-str limit
+EXAMPLES = [
+    (), (Fraction(0), Fraction(0)), (Fraction(5),), (Fraction(-2, 3),), (Fraction(1), Fraction(-4)),
+    (Fraction(3), Fraction(0), Fraction(-7, 2)), (Fraction(BIG), Fraction(1, 3), Fraction(-BIG, 7)),
+]
+
+
+def check_ring_operations(a, b, c):
+    pa, pb, ref_a, ref_b = Poly(a), Poly(b), frac_trim(a), frac_trim(b)
+    assert pa.coeffs == ref_a
+    assert (pa + pb).coeffs == frac_add(ref_a, ref_b)
+    assert (pa - pb).coeffs == frac_add(ref_a, frac_neg(ref_b))
+    assert (-pa).coeffs == frac_neg(ref_a)
+    assert (pa * pb).coeffs == frac_mul(ref_a, ref_b)
+    assert (pa + c).coeffs == (c + pa).coeffs == frac_add(ref_a, frac_trim((c,)))
+    assert (c - pa).coeffs == frac_add(frac_trim((c,)), frac_neg(ref_a))
+    assert (pa * c).coeffs == (c * pa).coeffs == frac_mul(ref_a, frac_trim((c,)))
+    power = (Fraction(1),)
+    for e in range(3):
+        assert (pa**e).coeffs == power
+        power = frac_mul(power, ref_a)
+
+
+def check_division_and_evaluation(a, b, c):
+    pa, pb, ref_a, ref_b = Poly(a), Poly(b), frac_trim(a), frac_trim(b)
+    if ref_b:
+        q, r = pa.div_rem(pb)
+        assert (q.coeffs, r.coeffs) == frac_div_rem(ref_a, ref_b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            pa.div_rem(pb)
+    for x in (c, Fraction(0), Fraction(1), -c):
+        assert pa(x) == frac_eval(ref_a, x)
+
+
+def check_queries(a, b, c):
+    pa, ref_a = Poly(a), frac_trim(a)
+    deriv = ref_a
+    for order in range(4):
+        assert pa.derivative(order).coeffs == deriv
+        deriv = frac_trim(k * deriv[k] for k in range(1, len(deriv)))
+    assert pa.degree == (len(ref_a) - 1 if ref_a else NEG_INF)
+    assert pa.is_zero == (not ref_a)
+    assert pa.leading == (ref_a[-1] if ref_a else 0)
+    assert [pa.coeff(k) for k in range(-1, len(ref_a) + 2)] == [0, *ref_a, 0, 0]
+    assert pa.monic().coeffs == (tuple(v / ref_a[-1] for v in ref_a) if ref_a else ())
+
+
+def check_equality_hash_and_json(a, b, c):
+    pa, pb, ref_a = Poly(a), Poly(b), frac_trim(a)
+    assert (pa == pb) == (ref_a == frac_trim(b))
+    if c:
+        scaled = Poly([v * c for v in a]) * (1 / c)  # equal, built another way
+        assert scaled == pa and hash(scaled) == hash(pa)
+    assert pa.to_json() == [_rational_str(v) for v in ref_a]
+    if all(abs(v.numerator) < LIMIT and v.denominator < LIMIT for v in ref_a):  # input stays capped
+        assert Poly.from_json(pa.to_json()) == pa
+    assert Poly(pa.coeffs) == pa and hash(Poly(pa.coeffs)) == hash(pa)
+    if len(ref_a) <= 1:  # a constant equals its scalar
+        assert pa == (ref_a[0] if ref_a else 0)
+        if ref_a and ref_a[0].denominator == 1:
+            assert pa == int(ref_a[0])
+    else:
+        assert pa != ref_a[0]
+
+
+CHECKS = [check_ring_operations, check_division_and_evaluation, check_queries,
+          check_equality_hash_and_json]
+
+
+class TestAgainstFractionReference:
+    """The integer-list kernel agrees with plain Fraction coefficient arithmetic."""
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @settings(database=None, deadline=None, max_examples=150)
+    @given(a=COEFFS, b=COEFFS, c=RATIONALS)
+    def test_random(self, check, a, b, c):
+        check(a, b, c)
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_explicit_cases(self, check):
+        for a in EXAMPLES:
+            for b in EXAMPLES:
+                check(a, b, Fraction(-3, 4))
+                check(a, b, Fraction(BIG, 5))
+
+    def test_equal_polynomials_from_different_inputs(self):
+        assert P(1, 2) * 2 == P(2, 4) and hash(P(1, 2) * 2) == hash(P(2, 4))
+        assert P("1/2", 1) == P(2, 4) * Fraction(1, 4)
+        assert P(0, 0) == ZERO == 0 and P(-3) == -3 and P("-3/5") == Fraction(-3, 5)
+        assert P(Fraction(BIG, 3), 1) - P(Fraction(BIG, 3)) == X
+
+
+def test_only_exactpoly_reads_the_representation():
+    """No module but exactpoly imports its private names or reads a private Poly attribute.
+
+    ``_rational_str`` is the one private name others may import.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "ratinterp"
+    private = {name for name in dir(Poly) if name.startswith("_") and not name.startswith("__")}
+    offences = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "exactpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exactpoly"):
+                offences += [f"{path.name}: imports {a.name}" for a in node.names
+                             if a.name.startswith("_") and a.name != "_rational_str"]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                offences.append(f"{path.name}:{node.lineno}: reads .{node.attr}")
+    assert not offences
