@@ -284,9 +284,11 @@ class Poly:
         return self._scale * Fraction(acc, qpow // q)
 
     def derivative(self, order: int = 1) -> "Poly":
-        """The order-th formal derivative."""
+        """The order-th formal derivative; order 0 returns self."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
+        if order == 0:
+            return self
         ints = self._ints
         return _make(*_normal_form(self._scale, [ints[k] * math.perm(k, order)
                                                  for k in range(order, len(ints))]))

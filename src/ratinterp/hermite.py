@@ -6,9 +6,13 @@ j-th derivative value at the node.  Two polynomials are attached to the
 instance:
 
 * the node polynomial f = prod (x - x_i)**n_i, monic of degree n, and
-* the unique interpolating polynomial g of degree < n (Newton form with
-  repeated nodes; confluent divided differences use the prescribed
-  derivative values divided by factorials).
+* the unique interpolating polynomial g of degree < n.
+
+Both come from one incremental Newton pass that adds the conditions one
+at a time, each node once per unit of its multiplicity, with no table of
+divided differences.  The instance builds the pair on first use and keeps
+it (``InterpolationData.newton_pair``), so every query on one instance
+shares one build, and nothing is cached beyond the instance.
 
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import ZeroDenominator
 from .exactpoly import ONE, X, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd
@@ -45,6 +49,24 @@ class InterpolationData:
             if x in seen:
                 raise ValueError(f"duplicate node {x}")
             seen.add(x)
+
+    @cached_property
+    def newton_pair(self) -> tuple[Poly, Poly]:
+        """(f, g), built together in one Newton pass on first use.
+
+        Each copy of a node adds one condition: for the j-th copy of x
+        with prescribed j-th derivative y, g += c*f with
+        c = (y - g^(j)(x)) / f^(j)(x), then f *= (X - x).  f vanishes to
+        order exactly j at x and to full order at every earlier node, so
+        the step meets the new condition and keeps every earlier one.
+        """
+        f, g = ONE, ZERO
+        for x, values in self.points:
+            for j, y in enumerate(values):
+                c = (y - g.derivative(j)(x)) / f.derivative(j)(x)
+                g = g + c * f
+                f = f * (X - x)
+        return f, g
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":
@@ -176,47 +198,18 @@ class RationalFunction:
         return {"numer": self.numer.to_json(), "denom": self.denom.to_json()}
 
 
-@lru_cache(maxsize=1)
 def nodal_poly(data: InterpolationData) -> Poly:
     """The monic polynomial vanishing to the prescribed order at each node."""
-    f = ONE
-    for x, values in data.points:
-        f = f * (X - x) ** len(values)
-    return f
+    return data.newton_pair[0]
 
 
-@lru_cache(maxsize=1)
 def hermite_polynomial(data: InterpolationData) -> Poly:
     """The unique polynomial of degree < n matching all prescribed values.
 
     Newton form over the node sequence with repetitions; a divided
     difference over j+1 copies of the same node is y_ij / j!.
     """
-    z: list[Fraction] = []
-    vals: list[tuple[Fraction, ...]] = []
-    for x, values in data.points:
-        for _ in values:
-            z.append(x)
-            vals.append(values)
-    n = len(z)
-    col = [vals[i][0] for i in range(n)]
-    newton_coeffs = [col[0]]
-    factorial = 1
-    for j in range(1, n):
-        factorial *= j
-        nxt = []
-        for i in range(n - j):
-            if z[i] == z[i + j]:
-                nxt.append(vals[i][j] / factorial)
-            else:
-                nxt.append((col[i + 1] - col[i]) / (z[i + j] - z[i]))
-        col = nxt
-        newton_coeffs.append(col[0])
-    # nested form c_0 + (x - z_0)*(c_1 + (x - z_1)*(...)), from the last node down
-    g = Poly((newton_coeffs[-1],))
-    for j in range(n - 2, -1, -1):
-        g = g * (X - z[j]) + newton_coeffs[j]
-    return g
+    return data.newton_pair[1]
 
 
 def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:

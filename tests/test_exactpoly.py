@@ -92,7 +92,7 @@ class TestEvalAndDerivative:
 
     def test_higher_orders(self):
         p = P(1, 1, 1, 1)
-        assert p.derivative(0) == p
+        assert p.derivative(0) is p
         assert p.derivative(2) == P(2, 6)
         assert p.derivative(5) == ZERO
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratinterp import (
     InterpolationData,
@@ -11,16 +13,21 @@ from ratinterp import (
     X,
     ZERO,
     ZeroDenominator,
+    admissible_kappa,
     check_interpolates,
     check_weak,
     hermite_polynomial,
+    minimal_delta_solutions,
     nodal_poly,
+    sample_solution_of_kappa,
     weak_cofactor,
+    yy_form,
 )
 from ratinterp.hermite import nonzero_at_nodes
 
 from conftest import (
     P,
+    frac_mul,
     integer_node_data,
     planted_data,
     random_data,
@@ -89,8 +96,67 @@ class TestInterpolationData:
             InterpolationData.from_json_dict(obj)
 
 
-def test_caches_hold_only_the_instance_in_use():
-    assert nodal_poly.cache_info().maxsize == hermite_polynomial.cache_info().maxsize == 1
+def reference_nodal_poly(data):
+    """f as a product of Fraction coefficient tuples (x - x_i), one per condition."""
+    f = (Fraction(1),)
+    for x, values in data.points:
+        for _ in values:
+            f = frac_mul(f, (-x, Fraction(1)))
+    return f
+
+
+class TestNewtonPair:
+    """f and g come from one Newton pass, built at most once per instance."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The instances whose (f, g) pair is built, in build order."""
+        built = []
+        pair = InterpolationData.__dict__["newton_pair"]
+        build = pair.func
+
+        def counted(data):
+            built.append(data)
+            return build(data)
+
+        monkeypatch.setattr(pair, "func", counted)
+        return built
+
+    def test_every_query_on_an_instance_shares_one_build(self, builds):
+        pairs = [(-1, [-3]), (0, [-2]), (1, [-1, 2]), (2, [6]), (3, [0])]
+        data = InterpolationData.from_pairs(pairs)
+        nodal_poly(data)
+        hermite_polynomial(data)
+        minimal_delta_solutions(data)
+        admissible_kappa(data)
+        rf = sample_solution_of_kappa(data, data.n)
+        yy_form(rf, data)
+        assert len(builds) == 1 and builds[0] is data
+
+        twin = InterpolationData.from_pairs(pairs)
+        assert twin == data and nodal_poly(twin) == nodal_poly(data)
+        assert len(builds) == 2 and builds[1] is twin
+
+    @settings(database=None, deadline=None, max_examples=100)
+    @given(points=st.lists(
+        st.tuples(st.fractions(-4, 4, max_denominator=6),
+                  st.lists(st.fractions(-20, 20, max_denominator=9), min_size=1, max_size=6)),
+        min_size=1, max_size=4, unique_by=lambda point: point[0]))
+    def test_matches_the_fraction_reference(self, points):
+        data = InterpolationData(tuple((x, tuple(values)) for x, values in points))
+        assert hermite_polynomial(data).coeffs == reference_hermite_polynomial(data)
+        assert nodal_poly(data).coeffs == reference_nodal_poly(data)
+
+    def test_high_multiplicity_next_to_simple_nodes(self):
+        data = InterpolationData.from_pairs(
+            [(-1, [3]), (Fraction(2, 3), [1, -2, 0, 5, "7/2", -1, 0, 4]), (2, ["-1/5"])])
+        f, g = nodal_poly(data), hermite_polynomial(data)
+        assert f.coeffs == reference_nodal_poly(data)
+        assert g.coeffs == reference_hermite_polynomial(data)
+        assert g.degree < data.n == 10
+        for x, values in data.points:
+            for j, y in enumerate(values):
+                assert g.derivative(j)(x) == y
 
 
 class TestNodalPoly:
