@@ -1,19 +1,20 @@
 """Exact dense univariate polynomial arithmetic over the rationals.
 
-A polynomial is stored as a Fraction scale times an ascending list of
-integer coefficients that is primitive (content 1), has a positive
-leading entry and no trailing zero.  The zero polynomial is the scale 0
-with the empty list.  This normal form is unique, so equality and hashing
-compare it directly.  All arithmetic is exact, there is no floating point
-anywhere.
+A polynomial is stored as a scale num/den, a reduced pair of ints with
+den > 0, times an ascending list of integer coefficients that is
+primitive (content 1), has a positive leading entry and no trailing
+zero.  The zero polynomial is the scale 0/1 with the empty list.  This
+normal form is unique, so equality and hashing compare it directly.  All
+arithmetic is exact, there is no floating point anywhere.
 
 Arithmetic runs on the integer lists and pays no gcd per coefficient.  A
 product of primitive lists is primitive (Gauss's lemma), so products take
 no content pass; sums, differences and remainders take one
 (``math.gcd`` over the list).  Negation, scalar products and ``monic``
-change only the scale.  Division is fraction-free (``div_rem``), and
-evaluation runs Horner on the integers and builds one Fraction at the end.
-``coeffs``, the reduced Fraction coefficients, is derived when it is read.
+change only the scale; scales multiply by gcd cross-cancellation
+(``_times``), so arithmetic builds no Fraction.  Division is fraction-free
+(``div_rem``), and evaluation runs Horner on the integers and builds one
+Fraction at the end.  ``coeffs``, the reduced Fractions, are derived when read.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which
 compares below every integer and absorbs addition, so degree bookkeeping
@@ -23,7 +24,9 @@ such as ``deg(p*q) == deg(p) + deg(q)`` needs no special cases.
 from __future__ import annotations
 
 import math
+import numbers
 import re
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
@@ -35,6 +38,11 @@ Scalar = Union[int, str, Fraction]
 _INTEGER_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 _P = 2**61 - 1  # a prime; node tests run on residues modulo it
+
+# Fraction(_Reduced(num, den)) copies the pair, as for any numbers.Rational, without the
+# gcd that Fraction(num, den) takes; on scales of thousands of bits it outweighs the read.
+_Reduced = namedtuple("_Reduced", "numerator denominator")
+numbers.Rational.register(_Reduced)
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -81,20 +89,20 @@ def _residue(x: Fraction) -> int | None:
 class Poly:
     """An immutable univariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_scale", "_ints")
+    __slots__ = ("_num", "_den", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
         cs = [as_fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        self._scale, self._ints = _normal_form(
-            Fraction(1, den), [c.numerator * (den // c.denominator) for c in cs])
+        self._num, self._den, self._ints = _normal_form(
+            1, den, [c.numerator * (den // c.denominator) for c in cs])
 
     # -- queries ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Reduced Fraction coefficients, ascending; index k holds that of x**k."""
-        scale = self._scale
+        scale = Fraction(_Reduced(self._num, self._den))
         return tuple([scale * c for c in self._ints])
 
     @property
@@ -109,12 +117,12 @@ class Poly:
     @property
     def leading(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self._scale * self._ints[-1] if self._ints else Fraction(0)
+        return self.coeff(len(self._ints) - 1)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (0 when k is outside the stored range)."""
         if 0 <= k < len(self._ints):
-            return self._scale * self._ints[k]
+            return Fraction(_Reduced(self._num, self._den)) * self._ints[k]
         return Fraction(0)
 
     def nonzero_at(self, nodes: Iterable[Fraction]) -> bool:
@@ -142,13 +150,14 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._scale == other._scale and self._ints == other._ints
+            return self._num == other._num and self._den == other._den and self._ints == other._ints
         if isinstance(other, (int, Fraction)):
-            return self._ints == ((1,) if other else ()) and self._scale == other
+            return (self._ints == ((1,) if other else ())
+                    and self._num == other.numerator and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._scale, self._ints))
+        return hash((self._num, self._den, self._ints))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -156,38 +165,40 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._plus(other._scale, other._ints)
+        return self._plus(other._num, other._den, other._ints)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _make(-self._scale, self._ints)
+        return _make(-self._num, self._den, self._ints)
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._plus(-other._scale, other._ints)
+        return self._plus(-other._num, other._den, other._ints)
 
     def __rsub__(self, other) -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other._plus(-self._scale, self._ints)
+        return other._plus(-self._num, self._den, self._ints)
 
-    def _plus(self, scale: Fraction, ints: tuple[int, ...]) -> "Poly":
-        """self + scale*ints; one content pass."""
+    def _plus(self, num: int, den: int, ints: tuple[int, ...]) -> "Poly":
+        """self + (num/den)*ints; one content pass."""
         if not ints:
             return self
         if not self._ints:
-            return _make(scale, ints)
-        ratio = scale / self._scale  # the sum is (self._scale / r) * (r*self._ints + p*ints)
-        p, r = ratio.numerator, ratio.denominator
-        out = [r * c for c in self._ints] if r != 1 else list(self._ints)
+            return _make(num, den, ints)
+        # with g = gcd of the numerators and l = lcm of the denominators the sum is
+        # (g/l) * (u*self._ints + v*ints); g/l is reduced, as each scale is
+        g, h = math.gcd(self._num, num), math.gcd(self._den, den)
+        u, v = self._num // g * (den // h), num // g * (self._den // h)
+        out = [u * c for c in self._ints] if u != 1 else list(self._ints)
         out.extend([0] * (len(ints) - len(out)))
         for i, c in enumerate(ints):
-            out[i] += p * c
-        return _make(*_normal_form(self._scale / r, out))
+            out[i] += v * c
+        return _make(*_normal_form(g, self._den // h * den, out))
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
@@ -196,17 +207,17 @@ class Poly:
         a, b = self._ints, other._ints
         if not a or not b:
             return ZERO
-        scale = self._scale * other._scale
+        num, den = _times(self._num, self._den, other._num, other._den)
         if len(b) == 1:  # a constant's list is (1,): only the scale changes
-            return _make(scale, a)
+            return _make(num, den, a)
         if len(a) == 1:
-            return _make(scale, b)
+            return _make(num, den, b)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _make(scale, tuple(out))  # primitive with a positive lead (Gauss's lemma)
+        return _make(num, den, tuple(out))  # primitive with a positive lead (Gauss's lemma)
 
     __rmul__ = __mul__
 
@@ -233,7 +244,8 @@ class Poly:
         of the scalings so far when the window reaches it, and a quotient
         entry takes the scalings of the later steps at the end.  So a
         quotient of degree k costs O(k * dd) integer products, not
-        O(deg a * k).  q and r each take one content pass.
+        O(deg a * k).  q and r each take one content pass.  q's scale is r's
+        over divisor's: cross-cancellation needs reduced pairs, not one (den, num*D).
         """
         b = divisor._ints
         if not b:
@@ -268,8 +280,10 @@ class Poly:
         for k in range(top + 1):
             quot[k] *= run
             run *= mults[k]
-        return (_make(*_normal_form(self._scale / (divisor._scale * D), quot)),
-                _make(*_normal_form(self._scale / D, rem[:dd])))
+        num, den = _times(self._num, self._den, 1, D)
+        bn, bd = divisor._num, divisor._den
+        qnum, qden = _times(num, den, bd, bn) if bn > 0 else _times(num, den, -bd, -bn)
+        return _make(*_normal_form(qnum, qden, quot)), _make(*_normal_form(num, den, rem[:dd]))
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at x = p/q by Horner's rule on the integers: one Fraction at the end."""
@@ -281,7 +295,8 @@ class Poly:
         for c in reversed(self._ints):
             acc = acc * p + c * qpow
             qpow *= q
-        return self._scale * Fraction(acc, qpow // q)
+        g = math.gcd(acc, qpow // q)
+        return Fraction(_Reduced(*_times(self._num, self._den, acc // g, qpow // q // g)))
 
     def derivative(self, order: int = 1) -> "Poly":
         """The order-th formal derivative; order 0 returns self."""
@@ -290,14 +305,14 @@ class Poly:
         if order == 0:
             return self
         ints = self._ints
-        return _make(*_normal_form(self._scale, [ints[k] * math.perm(k, order)
+        return _make(*_normal_form(self._num, self._den, [ints[k] * math.perm(k, order)
                                                  for k in range(order, len(ints))]))
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1; the zero polynomial is unchanged."""
-        if self.is_zero or self.leading == 1:
+        if self.is_zero or (self._num == 1 and self._den == self._ints[-1]):
             return self
-        return _make(Fraction(1, self._ints[-1]), self._ints)
+        return _make(1, self._ints[-1], self._ints)
 
     # -- formatting / serialization -----------------------------------------
 
@@ -339,28 +354,35 @@ class Poly:
         return cls(data)
 
 
-def _normal_form(scale: Fraction, ints: list[int]) -> tuple[Fraction, tuple[int, ...]]:
-    """scale * ints in normal form: zeros stripped, content and sign moved to the scale.
+def _times(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) * (n2/d2) as a reduced pair, for reduced pairs with d1, d2 > 0."""
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
 
-    The list is consumed: it may be shortened in place.
+
+def _normal_form(num: int, den: int, ints: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(num/den) * ints in normal form: zeros stripped, content and sign moved to the scale.
+
+    num/den must be reduced with den > 0.  The list is consumed: it may
+    be shortened in place.
     """
     while ints and not ints[-1]:
         ints.pop()
     if not ints:
-        return Fraction(0), ()
+        return 0, 1, ()
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
     if content != 1:
         ints = [c // content for c in ints]
-        scale *= content
-    return scale, tuple(ints)
+        num, den = _times(num, den, content, 1)
+    return num, den, tuple(ints)
 
 
-def _make(scale: Fraction, ints: tuple[int, ...]) -> Poly:
-    """The Poly scale * ints for a pair already in normal form."""
+def _make(num: int, den: int, ints: tuple[int, ...]) -> Poly:
+    """The Poly (num/den) * ints for a triple already in normal form."""
     p = Poly.__new__(Poly)
-    p._scale, p._ints = scale, ints
+    p._num, p._den, p._ints = num, den, ints
     return p
 
 
@@ -368,9 +390,10 @@ def _coerce(other) -> Poly | None:
     """other as a Poly: a constant's list is (1,), the zero constant is ZERO."""
     if isinstance(other, Poly):
         return other
+    if isinstance(other, bool):
+        as_fraction(other)  # raises: a bool is not a scalar
     if isinstance(other, (int, Fraction)):
-        c = as_fraction(other)
-        return _make(c, (1,)) if c else ZERO
+        return _make(other.numerator, other.denominator, (1,)) if other else ZERO
     return None
 
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificateError
 from .exactpoly import Poly
 from .hermite import InterpolationData
 from .mubasis import PlaneParametrization
@@ -88,8 +89,8 @@ def nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
         for row, pc in reversed(list(zip(ech, piv_cols))):
             acc = sum((Fraction(row[j]) * v[j] for j in range(pc + 1, ncols)), Fraction(0))
             v[pc] = -acc / row[pc]
-        for r in rows:
-            assert sum((c * x for c, x in zip(r, v)), Fraction(0)) == 0
+        if any(sum((c * x for c, x in zip(r, v)), Fraction(0)) != 0 for r in rows):
+            raise CertificateError("nullspace vector does not solve the system")
         basis.append(v)
     return basis
 

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratinterp import NEG_INF, ONE, X, ZERO, Poly, gcd, monomial
+from ratinterp import (
+    NEG_INF, ONE, X, ZERO, InterpolationData, PlaneParametrization, Poly, extended_euclid, gcd,
+    hermite_polynomial, monomial, mu_basis, nodal_poly,
+)
 from ratinterp.exactpoly import _rational_str, as_fraction
 
 from conftest import P, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly
@@ -339,6 +342,95 @@ class TestAgainstFractionReference:
         assert P("1/2", 1) == P(2, 4) * Fraction(1, 4)
         assert P(0, 0) == ZERO == 0 and P(-3) == -3 and P("-3/5") == Fraction(-3, 5)
         assert P(Fraction(BIG, 3), 1) - P(Fraction(BIG, 3)) == X
+
+
+# -- the normal form is unique, whatever operation built it -----------------------
+
+NEGATIVE_RATIONALS = st.builds(Fraction, st.integers(-10**20, -1), st.integers(1, 10**20))
+
+
+def assert_normal(p):
+    """p equals, and hashes like, the polynomial built afresh from its coefficients."""
+    fresh = Poly(p.coeffs)
+    assert fresh == p and hash(fresh) == hash(p)
+
+
+def operation_results(pa, pb, c):
+    yield from (pa + pb, pa - pb, pb - pa, -pa, pa * pb, pa * c, c * pa, pa + c, c - pa)
+    yield from (pa**e for e in range(4))
+    if not pb.is_zero:
+        yield from pa.div_rem(pb)
+    yield from (pa.derivative(order) for order in range(3))
+    yield pa.monic()
+
+
+class TestUniqueNormalForm:
+    """Every operation returns the normal form, so == and hash stay exact comparisons."""
+
+    @settings(database=None, deadline=None, max_examples=200)
+    @given(a=COEFFS, b=COEFFS, c=NEGATIVE_RATIONALS)
+    def test_random(self, a, b, c):
+        for p in operation_results(Poly(a), Poly(b), c):
+            assert_normal(p)
+
+    def test_division_whose_scalings_share_a_factor_with_the_divisor_scale(self):
+        # the divisor x + 1/2 is (1/2)*(2x + 1): its lead 2 enters the scalings D,
+        # and D = 2 shares the factor 2 with the denominator of the divisor's scale
+        q, r = P(0, 0, 1).div_rem(P("1/2", 1))
+        assert (q, r) == (P("-1/2", 1), P("1/4"))
+        assert_normal(q)
+        assert_normal(r)
+        q, r = P(5, "-4/9", 0, "2/3").div_rem(P("-3/4", "1/6", "3/2"))
+        assert q * P("-3/4", "1/6", "3/2") + r == P(5, "-4/9", 0, "2/3")
+        assert_normal(q)
+        assert_normal(r)
+
+
+# -- scales are integer pairs: the trace and the mu-basis build no Fraction --------
+
+
+def count_fractions(monkeypatch):
+    """A list that gains one entry for every Fraction built from now on."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # where Python 3.12+ builds arithmetic results
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return built
+
+
+class TestNoFractionInArithmetic:
+    def test_counter_sees_fraction_arithmetic(self, monkeypatch):
+        built = count_fractions(monkeypatch)
+        Fraction(1, 3) * Fraction(3, 5) + 1
+        assert len(built) >= 2
+
+    def test_extended_euclid_on_rational_nodes(self, monkeypatch):
+        rng = random.Random(5)
+        data = InterpolationData.from_pairs(
+            [(Fraction(k, 3), [Fraction(rng.randint(-9, 9), rng.randint(1, 7))]) for k in range(20)])
+        f, g = nodal_poly(data), hermite_polynomial(data)
+        built = count_fractions(monkeypatch)
+        trace = extended_euclid(f, g)
+        assert len(built) == 0 and trace.N >= 10
+
+    def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):
+        param = PlaneParametrization(P("1/2", -3, "5/7", 0, 2, "-7/5", "-11/3"),
+                                     P(4, "-2/9", 1, "3/4", "-1/6"))
+        built = count_fractions(monkeypatch)
+        basis = mu_basis(param)
+        assert len(built) == 0 and basis.mu >= 1
 
 
 def test_only_exactpoly_reads_the_representation():

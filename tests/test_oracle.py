@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from ratinterp import PlaneParametrization, check_weak, minimal_basis, monomial
+import pytest
+
+from ratinterp import CertificateError, PlaneParametrization, check_weak, minimal_basis, monomial
+from ratinterp import oracle
 from ratinterp.oracle import (
     kappa_values_below_n,
     min_degree_weak_pair,
@@ -55,6 +58,12 @@ class TestElimination:
     def test_solve_underdetermined(self):
         x = solve_linear([[F(1), F(1)]], [F(3)])
         assert x is not None and x[0] + x[1] == 3
+
+    def test_nullspace_checks_its_vectors(self, monkeypatch):
+        # an elimination that loses the second column yields (0, 1), which fails x + y = 0
+        monkeypatch.setattr(oracle, "_row_echelon_ff", lambda rows, ncols: ([[1, 0]], [0]))
+        with pytest.raises(CertificateError, match="does not solve"):
+            nullspace([[F(1), F(1)]], 2)
 
     def test_random_nullspaces_are_exact(self):
         rng = random.Random(109)
