@@ -4,8 +4,9 @@ A polynomial is stored as a scale num/den, a reduced pair of ints with
 den > 0, times an ascending list of integer coefficients that is
 primitive (content 1), has a positive leading entry and no trailing
 zero.  The zero polynomial is the scale 0/1 with the empty list.  This
-normal form is unique, so equality and hashing compare it directly.  All
-arithmetic is exact, there is no floating point anywhere.
+normal form is unique, so equality and hashing compare it directly; a
+constant equals, and hashes as, its scalar.  All arithmetic is exact,
+there is no floating point anywhere.
 
 Arithmetic runs on the integer lists and pays no gcd per coefficient.  A
 product of primitive lists is primitive (Gauss's lemma), so products take
@@ -15,6 +16,8 @@ change only the scale; scales multiply by gcd cross-cancellation
 (``_times``), so arithmetic builds no Fraction.  Division is fraction-free
 (``div_rem``), and evaluation runs Horner on the integers and builds one
 Fraction at the end.  ``coeffs``, the reduced Fractions, are derived when read.
+``newton_pair`` builds the node polynomial and the interpolant of Hermite
+data directly on integer lists, with no Poly or Fraction per condition.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which
 compares below every integer and absorbs addition, so degree bookkeeping
@@ -157,7 +160,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den, self._ints))
+        if len(self._ints) > 1:
+            return hash((self._num, self._den, self._ints))
+        return hash(Fraction(_Reduced(self._num, self._den)))  # as the scalar it equals
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -290,13 +295,9 @@ class Poly:
         x = as_fraction(x)
         if not self._ints:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc, qpow = 0, 1  # acc / qpow**(k-1) is the value of the top k coefficients
-        for c in reversed(self._ints):
-            acc = acc * p + c * qpow
-            qpow *= q
-        g = math.gcd(acc, qpow // q)
-        return Fraction(_Reduced(*_times(self._num, self._den, acc // g, qpow // q // g)))
+        acc, qpow = _horner(self._ints, x.numerator, x.denominator)
+        g = math.gcd(acc, qpow)
+        return Fraction(_Reduced(*_times(self._num, self._den, acc // g, qpow // g)))
 
     def derivative(self, order: int = 1) -> "Poly":
         """The order-th formal derivative; order 0 returns self."""
@@ -360,6 +361,15 @@ def _times(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
 
 
+def _horner(ints, p: int, q: int) -> tuple[int, int]:
+    """(acc, qpow) with qpow = q**(len(ints) - 1): the nonempty list ints is acc/qpow at p/q."""
+    acc, qpow = ints[-1], 1
+    for k in range(len(ints) - 2, -1, -1):
+        qpow *= q
+        acc = acc * p + ints[k] * qpow
+    return acc, qpow
+
+
 def _normal_form(num: int, den: int, ints: list[int]) -> tuple[int, int, tuple[int, ...]]:
     """(num/den) * ints in normal form: zeros stripped, content and sign moved to the scale.
 
@@ -416,3 +426,46 @@ def gcd(p: Poly, q: Poly) -> Poly:
     while not q.is_zero:
         p, q = q, p.div_rem(q)[1]
     return p.monic()
+
+
+def newton_pair(points) -> tuple[Poly, Poly]:
+    """(f, g) for Hermite data: the monic node polynomial and the interpolant of degree < n.
+
+    ``points`` holds (x, values), values[j] the j-th derivative at x.  Each
+    node adds one condition per unit of multiplicity (Newton-Hermite, as in
+    von zur Gathen & Gerhard, ch. 5), on integer lists: F = prod (q*X - p)
+    over the conditions so far, for x = p/q, and g = G/dG.  F vanishes to
+    order j at the j-th copy of x and to full order at the earlier nodes,
+    so g + (y - g^(j)(x)) / F^(j)(x) * F meets condition y and keeps the
+    others.  F^(j)(x) comes from the factored form of F, g^(j)(x) from one
+    Horner pass; seen from G the multiplier is a ratio v/u reduced by one
+    gcd, and G <- u*G + v*F, dG <- u*dG take one content pass, none when
+    v is 0.  At the end f = F/lead(F): lead(F) = prod q is not 1 at a
+    rational node.
+    """
+    F, G, dG = [1], [], 1
+    done = []  # (p, q, multiplicity) of the nodes already added
+    for x, values in points:
+        p, q = x.numerator, x.denominator
+        # F = (q*X - p)**j * prod (q_i*X - p_i)**m_i over the earlier nodes, so
+        # F^(j)(x) = j! * q**j * base / qF, where base and qF are fixed for the node
+        base, qF = math.prod([(b * p - a * q) ** m for a, b, m in done]), q ** (len(F) - 1)
+        for j, y in enumerate(values):
+            # g^(j)(x) = aG / (qG * dG), and qG divides qF since deg G < deg F
+            aG, qG = (_horner([c * math.perm(k, j) for k, c in enumerate(G[j:], j)] if j else G, p, q)
+                      if len(G) > j else (0, 1))
+            # v/u = dG * (y - g^(j)(x)) / F^(j)(x)
+            v = (y.numerator * qG * dG - y.denominator * aG) * (qF // qG)
+            if v:
+                u = y.denominator * math.factorial(j) * q**j * base
+                h = math.gcd(v, u) if u > 0 else -math.gcd(v, u)
+                u, v = u // h, v // h
+                G.extend([0] * (len(F) - len(G)))
+                G = [u * a + v * b for a, b in zip(G, F)]
+                dG *= u
+                h = math.gcd(dG, *G)
+                if h != 1:
+                    dG, G = dG // h, [a // h for a in G]
+            F = [q * a - p * b for a, b in zip([0, *F], [*F, 0])]
+        done.append((p, q, len(values)))
+    return _make(*_normal_form(1, F[-1], F)), _make(*_normal_form(1, dG, G))

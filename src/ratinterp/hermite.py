@@ -8,11 +8,12 @@ instance:
 * the node polynomial f = prod (x - x_i)**n_i, monic of degree n, and
 * the unique interpolating polynomial g of degree < n.
 
-Both come from one incremental Newton pass that adds the conditions one
-at a time, each node once per unit of its multiplicity, with no table of
-divided differences.  The instance builds the pair on first use and keeps
-it (``InterpolationData.newton_pair``), so every query on one instance
-shares one build, and nothing is cached beyond the instance.
+Both come from one incremental Newton pass on integer lists
+(``exactpoly.newton_pair``) that adds the conditions one at a time, each
+node once per unit of its multiplicity.  The instance builds the pair on
+first use and keeps it (``InterpolationData.newton_pair``), so every
+query on one instance shares one build, and nothing is cached beyond
+the instance.
 
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ZeroDenominator
-from .exactpoly import ONE, X, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd
+from .exactpoly import ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,8 @@ class InterpolationData:
 
     @cached_property
     def newton_pair(self) -> tuple[Poly, Poly]:
-        """(f, g), built together in one Newton pass on first use.
-
-        Each copy of a node adds one condition: for the j-th copy of x
-        with prescribed j-th derivative y, g += c*f with
-        c = (y - g^(j)(x)) / f^(j)(x), then f *= (X - x).  f vanishes to
-        order exactly j at x and to full order at every earlier node, so
-        the step meets the new condition and keeps every earlier one.
-        """
-        f, g = ONE, ZERO
-        for x, values in self.points:
-            for j, y in enumerate(values):
-                c = (y - g.derivative(j)(x)) / f.derivative(j)(x)
-                g = g + c * f
-                f = f * (X - x)
-        return f, g
+        """(f, g), built together on first use by ``exactpoly.newton_pair``."""
+        return newton_pair(self.points)
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":
@@ -206,8 +194,8 @@ def nodal_poly(data: InterpolationData) -> Poly:
 def hermite_polynomial(data: InterpolationData) -> Poly:
     """The unique polynomial of degree < n matching all prescribed values.
 
-    Newton form over the node sequence with repetitions; a divided
-    difference over j+1 copies of the same node is y_ij / j!.
+    Built with f by adding the conditions one at a time: each adds a
+    multiple of the node polynomial of the conditions before it.
     """
     return data.newton_pair[1]
 

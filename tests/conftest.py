@@ -25,6 +25,27 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
+def count_fractions(monkeypatch):
+    """A list that gains one entry for every Fraction built from now on."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # where Python 3.12+ builds arithmetic results
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    return built
+
+
 DATA_FOUR = InterpolationData.from_pairs([(0, [-2]), (2, [6]), (-1, [-3, 3])])
 DATA_SIX_EVEN = InterpolationData.from_pairs(
     [(1, [1]), (-1, [1]), (2, [-14]), (-2, [-14]), (3, [1]), (-3, [1])]

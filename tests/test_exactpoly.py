@@ -14,7 +14,11 @@ from ratinterp import (
 )
 from ratinterp.exactpoly import _rational_str, as_fraction
 
-from conftest import P, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly
+from conftest import (
+    P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly,
+)
+
+CONSTANTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
 
 
 class TestArithmetic:
@@ -214,6 +218,21 @@ class TestFormatting:
         assert P(3) == 3
         assert P(0, 1) != 1
 
+    @pytest.mark.parametrize("scalar", [0, 5, Fraction(-3, 7)])
+    def test_a_constant_hashes_as_its_scalar(self, scalar):
+        const = P(scalar)  # P(0) == ZERO, so ZERO must hash as 0
+        assert const == scalar and hash(const) == hash(scalar)
+        assert len({const, scalar}) == 1 and len({scalar, const}) == 1
+        assert {scalar: "a"}.get(const) == "a" and {const: "a"}.get(scalar) == "a"
+        assert {scalar: "a"}.get(P(0, scalar or 1)) is None
+
+    @settings(database=None, max_examples=200)
+    @given(a=CONSTANTS, b=CONSTANTS)
+    def test_equal_constants_hash_equal(self, a, b):
+        for x, y in ((P(a), a), (P(a), P(b)), (P(a), b), (P(a) * P(b), a * b)):
+            if x == y:
+                assert hash(x) == hash(y)
+
 
 class TestRationalGrammar:
     """as_fraction is the one reader of outside scalars, for the constructors and JSON alike."""
@@ -387,27 +406,6 @@ class TestUniqueNormalForm:
 
 
 # -- scales are integer pairs: the trace and the mu-basis build no Fraction --------
-
-
-def count_fractions(monkeypatch):
-    """A list that gains one entry for every Fraction built from now on."""
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    if hasattr(Fraction, "_from_coprime_ints"):  # where Python 3.12+ builds arithmetic results
-        coprime = Fraction._from_coprime_ints.__func__
-
-        def counting_coprime(cls, *args):
-            built.append(args)
-            return coprime(cls, *args)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-    return built
 
 
 class TestNoFractionInArithmetic:

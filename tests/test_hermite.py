@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from ratinterp.hermite import nonzero_at_nodes
 
 from conftest import (
     P,
+    count_fractions,
     frac_mul,
     integer_node_data,
     planted_data,
@@ -38,6 +40,18 @@ from conftest import (
 )
 
 MOD_P = 2**61 - 1  # the prime of the modular node test
+BIG = 10 ** sys.get_int_max_str_digits() + 1  # str() refuses integers of this size and up
+
+# inputs that take the Newton pass off its common path
+EDGE_CASES = {
+    # g = x^2 after three conditions: every later correction is 0
+    "zero_corrections": [(x, [x * x]) for x in (-3, -1, 0, 2, 4, 5, 7, 9)],
+    # a negative rational node of multiplicity 4 between simple nodes
+    "negative_rational_repeated": [(2, [1]), (Fraction(-5, 3), ["1/2", -3, 0, "7/4"]), (0, [-2]),
+                                   (Fraction(1, 2), [5])],
+    # values past the int-to-str limit, at an integer and at a rational node
+    "past_the_str_limit": [(1, [BIG, -BIG]), (Fraction(-2, 7), [Fraction(1, BIG)]), (3, [0])],
+}
 
 
 class TestInterpolationData:
@@ -158,6 +172,27 @@ class TestNewtonPair:
             for j, y in enumerate(values):
                 assert g.derivative(j)(x) == y
 
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_off_the_common_path(self, case):
+        """f against the Fraction product, g against every condition; g's reference check is below."""
+        data = InterpolationData.from_pairs(EDGE_CASES[case])
+        f, g = data.newton_pair
+        assert f.coeffs == reference_nodal_poly(data)
+        for x, values in data.points:
+            for j, y in enumerate(values):
+                assert g.derivative(j)(x) == y and f.derivative(j)(x) == 0
+
+    def test_builds_no_fraction(self, monkeypatch):
+        """The pass runs on integer lists: no Fraction for any condition, on any kind of node."""
+        rng = random.Random(10)
+        cases = [family(rng, 10) for family in (integer_node_data, repeated_node_data, rational_node_data)]
+        cases.append(planted_data(rng, 10, P(1, -2), P(Fraction(1, 2), 0, 1)))
+        cases += [InterpolationData.from_pairs(pairs) for pairs in EDGE_CASES.values()]
+        built = count_fractions(monkeypatch)
+        for data in cases:
+            data.newton_pair
+        assert built == []
+
 
 class TestNodalPoly:
     def test_four_point(self, data_four):
@@ -209,6 +244,7 @@ class TestHermitePolynomial:
             cases += [family(rng, rng.randint(1, 20)) for _ in range(10)]
         cases += [planted_data(rng, n, random_poly(rng, 2), P(Fraction(1, 2), 0, 1)) for n in (24, 40)]
         cases.append(InterpolationData.from_pairs([(Fraction(1, 3), [0, 0]), (Fraction(-2, 5), [0])]))
+        cases += [InterpolationData.from_pairs(pairs) for pairs in EDGE_CASES.values()]
         for data in cases:
             assert hermite_polynomial(data).coeffs == reference_hermite_polynomial(data)
 
