@@ -30,7 +30,7 @@ from . import deltasolver, kappasolver, oracle
 from .eea import extended_euclid
 from .errors import DomainError
 from .exactpoly import Poly
-from .hermite import InterpolationData, hermite_polynomial, nodal_poly
+from .hermite import InterpolationData
 from .mubasis import PlaneParametrization, mu_basis
 
 # Largest accepted n, the sum of the multiplicities or deg r0.  The cost of
@@ -94,7 +94,7 @@ def _emit_sample(args, name: str, value: int, rf) -> int:
 def _cmd_eea(args) -> int:
     problem = _read_problem(args)
     if isinstance(problem, InterpolationData):
-        trace = extended_euclid(nodal_poly(problem), hermite_polynomial(problem))
+        trace = extended_euclid(*problem.newton_pair)
     else:
         trace = extended_euclid(problem.r0, problem.r1)
     return _emit(args, trace.to_json, lambda: str(trace))

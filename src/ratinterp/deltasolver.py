@@ -25,17 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eea import degree_split, extended_euclid
+from .eea import degree_split
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial
-from .hermite import (
-    InterpolationData,
-    RationalFunction,
-    combine,
-    hermite_polynomial,
-    interpolant,
-    nodal_poly,
-)
+from .hermite import InterpolationData, RationalFunction, combine, interpolant
 
 Pair = tuple[Poly, Poly]
 
@@ -152,15 +145,15 @@ class DeltaSolutionReport:
 def minimal_basis(data: InterpolationData) -> MinimalBasis:
     """A minimal basis of the weak pairs, from the smallest critical index."""
     n = data.n
-    g = hermite_polynomial(data)
-    if g.is_zero:
+    trace = data.trace()
+    if trace is None:
         # all prescribed values are zero: (0, 1) interpolates and the
         # split 0 + n certifies minimality directly
         return MinimalBasis(
-            pair1=(ZERO, ONE), pair2=(nodal_poly(data), ZERO),
+            pair1=(ZERO, ONE), pair2=(data.newton_pair[0], ZERO),
             mu1=0, mu2=n, critical_index=-1,
         )
-    i, low, high, mu = degree_split(extended_euclid(nodal_poly(data), g))
+    i, low, high, mu = degree_split(trace)
     return MinimalBasis(pair1=low[:2], pair2=high[:2], mu1=mu, mu2=n - mu, critical_index=i)
 
 

@@ -15,6 +15,13 @@ first use and keeps it (``InterpolationData.newton_pair``), so every
 query on one instance shares one build, and nothing is cached beyond
 the instance.
 
+``InterpolationData.trace()`` is the one door from an instance to the
+remainder trace of (f, g), which every solver query reads its answer
+from; it returns None for all-zero data.  It runs the EEA anew on each
+call: the benchmark's traced counts pin three EEA runs per full CLI
+``delta`` report (``perfbench/tests/test_perfbench.py``), so sharing one
+trace per instance waits until that pin moves.
+
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
 addition, b vanishes at no node.
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .eea import EEATrace, extended_euclid
 from .errors import ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
 
@@ -55,6 +63,11 @@ class InterpolationData:
     def newton_pair(self) -> tuple[Poly, Poly]:
         """(f, g), built together on first use by ``exactpoly.newton_pair``."""
         return newton_pair(self.points)
+
+    def trace(self) -> EEATrace | None:
+        """The remainder trace of (f, g), run anew on each call; None for all-zero data."""
+        f, g = self.newton_pair
+        return None if g.is_zero else extended_euclid(f, g)
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import Decomposition, EEATrace, decompose, extended_euclid
+from .eea import Decomposition, EEATrace, decompose
 from .errors import CertificateError, KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, ZERO, Poly, monomial
 from .hermite import (
@@ -29,9 +29,7 @@ from .hermite import (
     RationalFunction,
     check_interpolates,
     combine,
-    hermite_polynomial,
     interpolant,
-    nodal_poly,
     weak_cofactor,
 )
 
@@ -106,17 +104,11 @@ def kappa_of(rf: RationalFunction) -> int:
     return top + rf.denom.degree
 
 
-def _trace(data: InterpolationData) -> EEATrace | None:
-    """The remainder trace of (f, g); None for all-zero data, which has none."""
-    g = hermite_polynomial(data)
-    return None if g.is_zero else extended_euclid(nodal_poly(data), g)
-
-
 def yy_form(rf: RationalFunction, data: InterpolationData) -> Decomposition:
     """Trace-row coordinates of the canonical weak pair of an interpolant."""
     if not check_interpolates(rf, data):
         raise NotAnInterpolant(f"{rf} does not interpolate the data")
-    trace = _trace(data)
+    trace = data.trace()
     if trace is None:
         raise ValueError(
             "identically zero data has no remainder sequence to decompose against"
@@ -127,7 +119,7 @@ def yy_form(rf: RationalFunction, data: InterpolationData) -> Decomposition:
 
 def admissible_kappa(data: InterpolationData) -> KappaReport:
     """All admissible degree sums below n, with witnesses, plus the tail n."""
-    return _kappa_report(data, _trace(data))
+    return _kappa_report(data, data.trace())
 
 
 def _kappa_report(data: InterpolationData, trace: EEATrace | None) -> KappaReport:
@@ -163,8 +155,7 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     n = data.n
-    f = nodal_poly(data)
-    g = hermite_polynomial(data)
+    f, g = data.newton_pair
     if kappa >= n and g.is_zero:
         # (x**e + 1) * f over 1 interpolates zero data with degree sum n + e
         return RationalFunction.coprime((monomial(kappa - n) + ONE) * f, ONE)
@@ -172,7 +163,7 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
         # pad the base rows with a multiple of f; the denominator stays
         # constant, so every target is reachable with no scan
         return RationalFunction.coprime((monomial(kappa - n) + ONE) * f + f + g, ONE)
-    trace = _trace(data)
+    trace = data.trace()
     if kappa < n:
         report = _kappa_report(data, trace)
         for entry in report.isolated:
@@ -198,7 +189,7 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     n = data.n
     if not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
-    trace = _trace(data)
+    trace = data.trace()
     if trace is None:
         return RationalFunction.coprime(ZERO, ONE)
     for k in range(1, trace.N + 1):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from .eea import Row, degree_split, extended_euclid
 from .exactpoly import ONE, ZERO, Poly
 
-_SLOTS = ("T0", "T1", "T2")
-
 
 @dataclass(frozen=True)
 class PlaneParametrization:

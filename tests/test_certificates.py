@@ -14,26 +14,27 @@ from ratinterp import (
     DenominatorVanishesAtNode,
     InterpolationData,
     RationalFunction,
+    admissible_delta_set,
     admissible_kappa,
-    deltasolver,
     evaluate_parametrization,
     extended_euclid,
     hermite_rational,
-    kappasolver,
     minimal_basis,
     minimal_delta_solutions,
     sample_solution_of_delta,
     sample_solution_of_kappa,
+    yy_form,
 )
 from ratinterp.cli import main
 
-from conftest import DATA_SIX_EVEN, P, coprimality_for_free_check
+from conftest import DATA_ALL_ZERO, DATA_SIX_EVEN, P, coprimality_for_free_check
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 GUARDS = """
 import sys
 import ratinterp.deltasolver as ds
+import ratinterp.hermite as hm
 import ratinterp.mubasis as mb
 from ratinterp import (
     CertificateError, EEATrace, InterpolationData, MinimalBasis, ONE, ZERO, X,
@@ -67,7 +68,7 @@ raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2]
 raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
 raises("check_invariants", EEATrace(trace.rows, (ONE,) * trace.N).check_invariants)
 raises("check_invariants", EEATrace(trace.rows[:-1], trace.quotients).check_invariants)
-ds.extended_euclid = padded
+hm.extended_euclid = padded
 raises("split", lambda: ds.minimal_basis(data))
 ds.minimal_basis = lambda d: MinimalBasis(basis.pair1, basis.pair2, 1, 2, 2)
 raises("family member", lambda: minimal_delta_solutions(data))
@@ -144,8 +145,7 @@ def test_each_query_runs_at_most_one_eea(monkeypatch, tmp_path, capsys):
         runs.append((f, g))
         return extended_euclid(f, g)
 
-    for module in (deltasolver, kappasolver):
-        monkeypatch.setattr(module, "extended_euclid", counted)
+    monkeypatch.setattr("ratinterp.hermite.extended_euclid", counted)
     data = DATA_SIX_EVEN  # FAMILY, mu1 = 2, mu2 = 4, n = 6
     path = tmp_path / "six.json"
     path.write_text(json.dumps(data.to_json_dict()))
@@ -164,3 +164,20 @@ def test_each_query_runs_at_most_one_eea(monkeypatch, tmp_path, capsys):
     for argv in (["delta", "--solve", "5"], ["delta", "--set"], ["kappa", "--solve", "6"]):
         assert count(main, [*argv, str(path)]) == 1, argv
     capsys.readouterr()
+    rf = minimal_delta_solutions(data).representative
+    single = [(minimal_delta_solutions, data), (admissible_delta_set, data), (admissible_kappa, data),
+              (yy_form, rf, data), *((hermite_rational, data, d) for d in range(data.n))]
+    for query, *args in single:
+        assert count(query, *args) == 1, (query.__name__, args)
+
+    zero = DATA_ALL_ZERO  # n = 3, no trace
+    queries = [(minimal_basis, zero), (minimal_delta_solutions, zero), (admissible_delta_set, zero),
+               (admissible_kappa, zero), *((hermite_rational, zero, d) for d in range(zero.n)),
+               *((sample_solution_of_delta, zero, delta) for delta in (0, 3, 4)),
+               *((sample_solution_of_kappa, zero, kappa) for kappa in (0, 3, 4))]
+    for query, *args in queries:
+        assert count(query, *args) == 0, (query.__name__, args)
+    runs.clear()
+    with pytest.raises(ValueError, match="no remainder sequence"):
+        yy_form(RationalFunction(P(0), P(1)), zero)
+    assert len(runs) == 0
