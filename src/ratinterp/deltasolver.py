@@ -154,7 +154,7 @@ def minimal_basis(data: InterpolationData) -> MinimalBasis:
             mu1=0, mu2=n, critical_index=-1,
         )
     i, low, high, mu = degree_split(trace)
-    return MinimalBasis(pair1=low[:2], pair2=high[:2], mu1=mu, mu2=n - mu, critical_index=i)
+    return MinimalBasis(pair1=low, pair2=high, mu1=mu, mu2=n - mu, critical_index=i)
 
 
 def _unique_solution(basis: MinimalBasis, data: InterpolationData) -> RationalFunction | None:

@@ -1,4 +1,4 @@
-"""The extended Euclidean algorithm with its full cofactor trace.
+"""The extended Euclidean algorithm with its cofactor trace.
 
 Starting from r0, r1 the remainder recurrence
 
@@ -11,13 +11,17 @@ recurrence from (s0, t0) = (0, 1) and (s1, t1) = (1, 0), so that
 
 The trace keeps every row and every quotient; remainders are stored
 exactly as produced (no monic rescaling), since downstream consumers
-depend on the raw values.
+depend on the raw values.  A *half* trace has rows (r_i, s_i) only; its
+``t(i)`` derives t_i from the row identity by exact division by r0, a
+checked certificate.  ``InterpolationData.trace()`` and ``mu_basis``
+run half traces: interpolation answers are (r, s) pairs and never print t.
 
 ``decompose`` inverts the trace: any triple (a, b, c) with
 a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
 with deg m_i < deg q_i for 1 <= i <= N.  Because the s-degrees increase
 in steps of exactly deg q_i, the m_i fall out of repeated Euclidean
-division of b by the s_i from the top down, and m_0 is then fixed by c.
+division of b by the s_i from the top down, and m_0 is then fixed by a
+and the r column, so no t is needed.
 
 ``degree_split`` picks the rows at the smallest critical index, where
 consecutive row degrees split n = deg r0.  Those two rows are both the
@@ -32,12 +36,12 @@ from dataclasses import dataclass
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
 from .exactpoly import ONE, ZERO, Poly
 
-Row = tuple[Poly, Poly, Poly]  # (r_i, s_i, t_i)
+Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
 
 
 @dataclass(frozen=True)
 class EEATrace:
-    """Rows (r_i, s_i, t_i) for i = 0..N+1 and quotients q_1..q_N."""
+    """Rows (r_i, s_i, t_i), or (r_i, s_i) if half, for i = 0..N+1 and quotients q_1..q_N."""
 
     rows: tuple[Row, ...]
     quotients: tuple[Poly, ...]
@@ -57,7 +61,17 @@ class EEATrace:
         return self.rows[i][1]
 
     def t(self, i: int) -> Poly:
-        return self.rows[i][2]
+        """t_i; on a half trace (r_i - s_i*r1) / r0, which must divide exactly."""
+        row = self.rows[i]
+        if len(row) == 3:
+            return row[2]
+        t, rem = (row[0] - row[1] * self.r(1)).div_rem(self.r(0))
+        _certify(rem.is_zero, f"r0 does not divide r_{i} - s_{i}*r1; broken trace")
+        return t
+
+    def full_rows(self) -> tuple[Row, ...]:
+        """Every row as (r_i, s_i, t_i), t read through ``t(i)``."""
+        return tuple((self.r(i), self.s(i), self.t(i)) for i in range(len(self.rows)))
 
     def q(self, i: int) -> Poly:
         """Quotient q_i, 1-indexed: r_{i-1} = q_i * r_i + r_{i+1}."""
@@ -104,7 +118,7 @@ class EEATrace:
             "N": self.N,
             "rows": [
                 {"i": i, "r": r.to_json(), "s": s.to_json(), "t": t.to_json()}
-                for i, (r, s, t) in enumerate(self.rows)
+                for i, (r, s, t) in enumerate(self.full_rows())
             ],
             "quotients": [q.to_json() for q in self.quotients],
         }
@@ -112,7 +126,7 @@ class EEATrace:
     def __str__(self) -> str:
         """The remainder/cofactor table, one row per i, columns padded."""
         table = [["i", "deg r_i", "r_i", "s_i", "t_i", "q_i"]]
-        for i, (r, s, t) in enumerate(self.rows):
+        for i, (r, s, t) in enumerate(self.full_rows()):
             q = str(self.q(i)) if 1 <= i <= self.N else ""
             table.append([str(i), "-inf" if r.is_zero else str(r.degree), str(r), str(s), str(t), q])
         widths = [max(len(line[c]) for line in table) for c in range(len(table[0]))]
@@ -153,7 +167,7 @@ def degree_split(trace: EEATrace) -> tuple[int, Row, Row, int]:
     """
     i = critical_indices(trace)[0]
     low, high = trace.rows[i], trace.rows[i + 1]
-    d_low, d_high = (int(max(r.degree, s.degree)) for r, s, _ in (low, high))
+    d_low, d_high = (int(max(row[0].degree, row[1].degree)) for row in (low, high))
     if d_high < d_low:
         low, high, d_low, d_high = high, low, d_high, d_low
     _certify(d_low + d_high == trace.n, f"row degrees {d_low} + {d_high} do not split n = {trace.n}")
@@ -167,19 +181,24 @@ class Decomposition:
     m: tuple[Poly, ...]
 
 
-def extended_euclid(r0: Poly, r1: Poly) -> EEATrace:
-    """Run the algorithm on r0, r1 with deg r0 >= deg r1 >= 0."""
+def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False) -> EEATrace:
+    """Run the algorithm on r0, r1 with deg r0 >= deg r1 >= 0.
+
+    Rows are (r, s, t), all computed here; with ``half=True`` they are
+    (r, s), with the same quotients.  A keyword, not a second function,
+    so that every run of the algorithm is a call of this one.
+    """
     if r1.is_zero:
         raise ZeroSecondInput("the second input polynomial is zero")
     if r0.is_zero or r0.degree < r1.degree:
         raise ValueError("inputs must satisfy deg r0 >= deg r1 >= 0, both nonzero")
-    rows = [(r0, ZERO, ONE), (r1, ONE, ZERO)]
+    rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
     quotients = []
     while not rows[-1][0].is_zero:
-        (a, s_prev, t_prev), (b, s_cur, t_cur) = rows[-2], rows[-1]
-        q, r = a.div_rem(b)
+        prev, cur = rows[-2], rows[-1]
+        q, r = prev[0].div_rem(cur[0])
         quotients.append(q)
-        rows.append((r, s_prev - q * s_cur, t_prev - q * t_cur))
+        rows.append((r, *(p - q * c for p, c in zip(prev[1:], cur[1:]))))
     return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
 
 
@@ -196,10 +215,11 @@ def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
     for i in range(N + 1, 1, -1):
         m[i], rem = rem.div_rem(trace.s(i))
     m[1] = rem  # s_1 == 1
-    residue = c
+    residue = a
     for i in range(1, N + 2):
-        residue = residue - m[i] * trace.t(i)
-    m[0] = residue  # t_0 == 1
+        residue = residue - m[i] * trace.r(i)
+    m[0], rem = residue.div_rem(r0)  # equals c - sum m_i * t_i
+    _certify(rem.is_zero, "r0 does not divide the r-column residue; broken trace")
     for i in range(1, N + 1):
         # automatic for genuine syzygies; a violation means a broken trace
         if m[i].degree >= trace.q(i).degree:
@@ -212,7 +232,7 @@ def recombine(dec: Decomposition, trace: EEATrace) -> tuple[Poly, Poly, Poly]:
     if len(dec.m) != trace.N + 2:
         raise ValueError("decomposition length does not match the trace")
     a = b = c = ZERO
-    for m_i, (r_i, s_i, t_i) in zip(dec.m, trace.rows):
+    for m_i, (r_i, s_i, t_i) in zip(dec.m, trace.full_rows()):
         a = a + m_i * r_i
         b = b + m_i * s_i
         c = c + m_i * t_i
@@ -220,7 +240,7 @@ def recombine(dec: Decomposition, trace: EEATrace) -> tuple[Poly, Poly, Poly]:
 
 
 def syzygy_basis_pair(trace: EEATrace, i: int) -> tuple[Row, Row]:
-    """Rows i and i+1, a module basis of the relations among (1, -r1, -r0)."""
+    """Rows i and i+1 as (r, s, t), a module basis of the relations among (1, -r1, -r0)."""
     if not 0 <= i <= trace.N - 1:
         raise IndexError(f"row pair index {i} outside 0..{trace.N - 1}")
-    return trace.rows[i], trace.rows[i + 1]
+    return tuple((trace.r(j), trace.s(j), trace.t(j)) for j in (i, i + 1))

@@ -17,10 +17,11 @@ the instance.
 
 ``InterpolationData.trace()`` is the one door from an instance to the
 remainder trace of (f, g), which every solver query reads its answer
-from; it returns None for all-zero data.  It runs the EEA anew on each
-call: the benchmark's traced counts pin three EEA runs per full CLI
-``delta`` report (``perfbench/tests/test_perfbench.py``), so sharing one
-trace per instance waits until that pin moves.
+from; it returns None for all-zero data.  The trace is a half one, rows
+(r_i, s_i): every answer is a weak pair, and none prints t.  It runs the
+EEA anew on each call: the benchmark's traced counts pin three EEA runs
+per full CLI ``delta`` report (``perfbench/tests/test_perfbench.py``),
+so sharing one trace per instance waits until that pin moves.
 
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
@@ -65,9 +66,9 @@ class InterpolationData:
         return newton_pair(self.points)
 
     def trace(self) -> EEATrace | None:
-        """The remainder trace of (f, g), run anew on each call; None for all-zero data."""
+        """The half trace of (f, g), rows (r_i, s_i), run anew on each call; None for all-zero data."""
         f, g = self.newton_pair
-        return None if g.is_zero else extended_euclid(f, g)
+        return None if g.is_zero else extended_euclid(f, g, half=True)
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":

@@ -178,7 +178,7 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
     # node_count + 1 values is accepted
     k = 1 if trace.N >= 2 else 0
     for lam in range(1, data.node_count + 2):
-        candidate = combine(trace.rows[k][:2], trace.rows[k + 1][:2], ONE, Poly((lam,)), data)
+        candidate = combine(trace.rows[k], trace.rows[k + 1], ONE, Poly((lam,)), data)
         if candidate is not None and kappa_of(candidate) == n:
             return candidate
     raise CertificateError(f"no multiplier up to {lam} gives degree sum {n}; broken trace")

@@ -7,14 +7,15 @@ relation among (r0, r1, 1).  The rows of the remainder trace of
 index, where consecutive row degrees split n = deg r0, the two rows
 form a basis of all moving lines with degrees mu and n - mu, mu
 minimal.  It is the split that also gives the minimal basis of the
-interpolation problem (``eea.degree_split``).
+interpolation problem (``eea.degree_split``).  The trace is a half one:
+t is derived, with its certificate, at the two split rows only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import Row, degree_split, extended_euclid
+from .eea import EEATrace, degree_split, extended_euclid
 from .exactpoly import ONE, ZERO, Poly
 
 
@@ -55,10 +56,9 @@ class MovingLine:
         return {"ct0": self.ct0.to_json(), "ct1": self.ct1.to_json(), "c1": self.c1.to_json()}
 
     @classmethod
-    def from_row(cls, row: Row) -> "MovingLine":
-        """The line t*T0 + s*T1 - r of a trace row (r, s, t)."""
-        r, s, t = row
-        return cls(t, s, -r)
+    def from_row(cls, trace: EEATrace, i: int) -> "MovingLine":
+        """The line t_i*T0 + s_i*T1 - r_i of trace row i."""
+        return cls(trace.t(i), trace.s(i), -trace.r(i))
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,11 @@ def mu_basis(param: PlaneParametrization) -> MuBasis:
             low=MovingLine(ZERO, ONE, -param.r1),
             high=MovingLine(ONE, ZERO, -param.r0),
         )
-    _, low, high, mu = degree_split(extended_euclid(param.r0, param.r1))
-    return MuBasis(mu=mu, low=MovingLine.from_row(low), high=MovingLine.from_row(high))
+    trace = extended_euclid(param.r0, param.r1, half=True)
+    i, low, _, mu = degree_split(trace)
+    indices = (i, i + 1) if low is trace.rows[i] else (i + 1, i)  # the low row first
+    low, high = (MovingLine.from_row(trace, j) for j in indices)
+    return MuBasis(mu=mu, low=low, high=high)
 
 
 def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:

@@ -48,9 +48,9 @@ trace = extended_euclid(f, g)
 basis = ds.minimal_basis(data)
 
 
-def padded(r0, r1):
+def padded(r0, r1, **kw):
     # every row times x**5: the critical indices survive, the degree split does not
-    real = extended_euclid(r0, r1)
+    real = extended_euclid(r0, r1, **kw)
     rows = tuple(tuple(X ** 5 * p for p in row) for row in real.rows)
     return EEATrace(rows=rows, quotients=real.quotients)
 
@@ -75,6 +75,17 @@ raises("family member", lambda: minimal_delta_solutions(data))
 mb.extended_euclid = padded
 curve = PlaneParametrization(Poly([0, 0, 6, 0, -4]), Poly([0, 4, 0, -4]))
 raises("mu_basis", lambda: mu_basis(curve))
+
+
+def tampered(r0, r1, **kw):
+    # s_i + 1 from row 1 on: every degree survives, the row identity does not
+    real = extended_euclid(r0, r1, **kw)
+    return EEATrace(real.rows[:1] + tuple((r, s + ONE) for r, s in real.rows[1:]), real.quotients)
+
+
+raises("half t", lambda: tampered(f, g, half=True).t(2))
+mb.extended_euclid = tampered
+raises("mu_basis t", lambda: mu_basis(curve))
 """
 
 
@@ -141,9 +152,9 @@ def test_solver_fractions_match_the_generic_gcd():
 def test_each_query_runs_at_most_one_eea(monkeypatch, tmp_path, capsys):
     runs = []
 
-    def counted(f, g):
+    def counted(f, g, **kw):
         runs.append((f, g))
-        return extended_euclid(f, g)
+        return extended_euclid(f, g, **kw)
 
     monkeypatch.setattr("ratinterp.hermite.extended_euclid", counted)
     data = DATA_SIX_EVEN  # FAMILY, mu1 = 2, mu2 = 4, n = 6
