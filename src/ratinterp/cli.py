@@ -15,7 +15,8 @@ machine-readable mirror of the report types, each of which renders
 itself; this module only parses arguments, reads input, dispatches and
 maps errors to exit codes.  Exit status: 0 on success, 1 when a request
 has no valid answer, 2 on malformed input, conflicting mode flags, or a
-problem of degree above ``MAX_DEGREE``.
+problem of degree above ``MAX_DEGREE`` (``KAPPA_SET_MAX_DEGREE`` for
+``oracle --kappa-set``).
 """
 
 from __future__ import annotations
@@ -38,10 +39,14 @@ from .mubasis import PlaneParametrization, mu_basis
 # before any of it runs.
 MAX_DEGREE = 128
 
+# Largest n for ``oracle --kappa-set``, whose candidate grid grows exponentially
+# with n: constant data took 1.1 s at n = 6 and ran past 60 s at n = 7.
+KAPPA_SET_MAX_DEGREE = 6
 
-def _capped(degree: int) -> int:
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} exceeds the limit {MAX_DEGREE}")
+
+def _capped(degree: int, limit: int = MAX_DEGREE, name: str = "the limit") -> int:
+    if degree > limit:
+        raise ValueError(f"degree {degree} exceeds {name} {limit}")
     return degree
 
 
@@ -157,6 +162,7 @@ def _cmd_oracle(args) -> int:
         return _emit(args, lambda: {"min_mu": value}, lambda: f"min mu = {value}")
     data = _interpolation(problem)
     if args.kappa_set:
+        _capped(data.n, KAPPA_SET_MAX_DEGREE, "the --kappa-set limit")
         values = sorted(oracle.kappa_values_below_n(data))
         return _emit(args, lambda: {"kappa_below_n": values}, lambda: f"kappa values below n: {values}")
     value = oracle.min_degree_weak_pair(data)

@@ -18,6 +18,8 @@ of interpolants:
 Every fraction is built by ``hermite.interpolant`` (the small pair, a
 trace row) or ``hermite.combine`` (a combination u*pair1 + v*pair2),
 where the trace decides coprimality; no generic gcd runs on the basis.
+The family representative and the samples above the minimum are the
+first passing combinations of bounded multipliers (``hermite.first_member``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .eea import degree_split
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial
-from .hermite import InterpolationData, RationalFunction, combine, interpolant
+from .hermite import InterpolationData, RationalFunction, combine, first_member, interpolant
 
 Pair = tuple[Poly, Poly]
 
@@ -154,7 +156,8 @@ def minimal_basis(data: InterpolationData) -> MinimalBasis:
             mu1=0, mu2=n, critical_index=-1,
         )
     i, low, high, mu = degree_split(trace)
-    return MinimalBasis(pair1=low, pair2=high, mu1=mu, mu2=n - mu, critical_index=i)
+    pair1, pair2 = ((trace.r(j), trace.s(j)) for j in (low, high))
+    return MinimalBasis(pair1=pair1, pair2=pair2, mu1=mu, mu2=n - mu, critical_index=i)
 
 
 def _unique_solution(basis: MinimalBasis, data: InterpolationData) -> RationalFunction | None:
@@ -178,28 +181,14 @@ def _node_constraints(
     return tuple(out)
 
 
-def _family_parameter(basis: MinimalBasis, constraints) -> Poly:
-    """p = x**e + k, e = mu2 - mu1, with the least k >= 0 that no node forbids.
+def _family_member(data: InterpolationData, basis: MinimalBasis) -> tuple[Poly, Poly, RationalFunction]:
+    """(p, 1, (a2 + p*a1)/(b2 + p*b1)) for p = x**e + k, e = mu2 - mu1, k >= 0 least.
 
-    Node x_i forbids p(x_i) == v_i, that is k == v_i - x_i**e.
+    A node forbids at most one k, so one of k = 0..node_count passes.
     """
     e = basis.mu2 - basis.mu1
-    banned = {v - x**e for x, v in constraints if v is not None}
-    k = 0
-    while k in banned:
-        k += 1
-    return monomial(e) + k
-
-
-def _family_member(data: InterpolationData, basis: MinimalBasis, p: Poly) -> RationalFunction:
-    """The member (a2 + p*a1)/(b2 + p*b1), for p from ``_family_parameter``.
-
-    Its node test and its degree are checked.
-    """
-    member = combine(basis.pair1, basis.pair2, p, ONE, data)
-    if member is None or member.delta_degree != basis.mu2:
-        raise CertificateError(f"family member for p = {p} fails its degree or node check")
-    return member
+    multipliers = ((monomial(e) + k, ONE) for k in range(data.node_count + 1))
+    return first_member(basis.pair1, basis.pair2, multipliers, lambda rf: rf.delta_degree == basis.mu2, data)
 
 
 def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
@@ -215,14 +204,13 @@ def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
             family_degree=None,
             node_constraints=(),
         )
-    constraints = _node_constraints(data, basis)
     return DeltaSolutionReport(
         kind="FAMILY",
         minimal_delta=basis.mu2,
         basis=basis,
-        representative=_family_member(data, basis, _family_parameter(basis, constraints)),
+        representative=_family_member(data, basis)[2],
         family_degree=basis.mu2 - basis.mu1,
-        node_constraints=constraints,
+        node_constraints=_node_constraints(data, basis),
     )
 
 
@@ -253,19 +241,12 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
         raise ValueError("delta must be nonnegative")
     basis = minimal_basis(data)
     unique = _unique_solution(basis, data)
-    if not (unique is not None and delta == basis.mu1) and delta < basis.mu2:
-        raise DegreeNotAdmissible(
-            f"no interpolant has max-degree {delta}; "
-            f"admissible: {_degree_set(basis, unique)}"
-        )
-    if unique is not None:
-        if delta == basis.mu1:
-            return unique
-        u0, v0 = ONE, ZERO
-    else:
-        u0, v0 = _family_parameter(basis, _node_constraints(data, basis)), ONE
-        if delta == basis.mu2:
-            return _family_member(data, basis, u0)
+    admissible = _degree_set(basis, unique)
+    if delta not in admissible:
+        raise DegreeNotAdmissible(f"no interpolant has max-degree {delta}; admissible: {admissible}")
+    u0, v0, minimal = (ONE, ZERO, unique) if unique is not None else _family_member(data, basis)
+    if delta == minimal.delta_degree:
+        return minimal
     # Climb from the minimal solution c*(u0*pair1 + v0*pair2), with
     # c = 1/lead(u0*b1 + v0*b2): adding lam * x**m * pair2, m = delta - mu2,
     # raises the degree to exactly delta for every lam != 0.  Each node
@@ -274,8 +255,5 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
     # is accepted.
     c = 1 / (u0 * basis.pair1[1] + v0 * basis.pair2[1]).leading
     shift = monomial(delta - basis.mu2)
-    for lam in range(1, data.node_count + u0.degree + 2):
-        candidate = combine(basis.pair1, basis.pair2, c * u0, c * v0 + lam * shift, data)
-        if candidate is not None and candidate.delta_degree == delta:
-            return candidate
-    raise CertificateError(f"no multiplier up to {lam} gives degree {delta}; broken basis")
+    multipliers = ((c * u0, c * v0 + lam * shift) for lam in range(1, data.node_count + u0.degree + 2))
+    return first_member(basis.pair1, basis.pair2, multipliers, lambda rf: rf.delta_degree == delta, data)[2]

@@ -156,18 +156,18 @@ def critical_indices(trace: EEATrace) -> tuple[int, ...]:
     return out
 
 
-def degree_split(trace: EEATrace) -> tuple[int, Row, Row, int]:
-    """(i, low, high, mu): rows i and i+1 at the smallest critical index i.
+def degree_split(trace: EEATrace) -> tuple[int, int, int, int]:
+    """(i, low, high, mu): the indices i and i+1 at the smallest critical index i.
 
     A row's degree is max(deg r, deg s) (deg t never exceeds it).  The
-    rows come ordered by degree, row i staying low on a tie, and mu is
-    the low degree.  Both the minimal basis of the weak pairs and the
-    mu-basis of moving lines are this split.  Certificate: the two
+    indices come ordered by row degree, row i staying low on a tie, and
+    mu is the low degree.  Both the minimal basis of the weak pairs and
+    the mu-basis of moving lines are this split.  Certificate: the two
     degrees sum to n, else ``CertificateError``.
     """
     i = critical_indices(trace)[0]
-    low, high = trace.rows[i], trace.rows[i + 1]
-    d_low, d_high = (int(max(row[0].degree, row[1].degree)) for row in (low, high))
+    low, high = i, i + 1
+    d_low, d_high = (int(max(trace.r(j).degree, trace.s(j).degree)) for j in (low, high))
     if d_high < d_low:
         low, high, d_low, d_high = high, low, d_high, d_low
     _certify(d_low + d_high == trace.n, f"row degrees {d_low} + {d_high} do not split n = {trace.n}")

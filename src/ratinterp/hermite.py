@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .eea import EEATrace, extended_euclid
-from .errors import ZeroDenominator
+from .errors import CertificateError, ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
 
 
@@ -258,6 +258,21 @@ def combine(
     if common.degree > 0:
         u, v = u.div_rem(common)[0], v.div_rem(common)[0]
     return interpolant(u * pair1[0] + v * pair2[0], u * pair1[1] + v * pair2[1], data)
+
+
+def first_member(
+    pair1: tuple[Poly, Poly], pair2: tuple[Poly, Poly], multipliers, accept, data: InterpolationData
+) -> tuple[Poly, Poly, RationalFunction]:
+    """The first (u, v, member) over the multipliers whose ``combine`` passes ``accept``.
+
+    Each caller bounds its multipliers so that one must pass (a node forbids
+    at most one); running out certifies a broken basis or trace.
+    """
+    for u, v in multipliers:
+        member = combine(pair1, pair2, u, v, data)
+        if member is not None and accept(member):
+            return u, v, member
+    raise CertificateError("no multiplier in the bound gives an accepted member; broken basis or trace")
 
 
 def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:

@@ -11,24 +11,23 @@ The prescribed-split problem (numerator degree <= d, denominator degree
 first drops to d or below: it is solvable iff that row's r and s are
 coprime, and then the reduced row fraction is the solution.
 
-Row fractions are built by ``hermite.interpolant`` and the sampled
-combinations r_k + lam*r_{k+1} over s_k + lam*s_{k+1} by
-``hermite.combine``; both read coprimality off the trace, never from a
-generic gcd.
+Row fractions are built by ``hermite.interpolant`` and the kappa = n
+sample r_k + lam*r_{k+1} over s_k + lam*s_{k+1} by ``hermite.first_member``;
+both read coprimality off the trace, never from a generic gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import Decomposition, EEATrace, decompose
-from .errors import CertificateError, KappaNotAdmissible, NotAnInterpolant
+from .eea import Decomposition, decompose
+from .errors import KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, ZERO, Poly, monomial
 from .hermite import (
     InterpolationData,
     RationalFunction,
     check_interpolates,
-    combine,
+    first_member,
     interpolant,
     weak_cofactor,
 )
@@ -119,11 +118,8 @@ def yy_form(rf: RationalFunction, data: InterpolationData) -> Decomposition:
 
 def admissible_kappa(data: InterpolationData) -> KappaReport:
     """All admissible degree sums below n, with witnesses, plus the tail n."""
-    return _kappa_report(data, data.trace())
-
-
-def _kappa_report(data: InterpolationData, trace: EEATrace | None) -> KappaReport:
     n = data.n
+    trace = data.trace()
     if trace is None:
         # only the zero function has degree sum below n here
         zero = RationalFunction.coprime(ZERO, ONE)
@@ -163,9 +159,8 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
         # pad the base rows with a multiple of f; the denominator stays
         # constant, so every target is reachable with no scan
         return RationalFunction.coprime((monomial(kappa - n) + ONE) * f + f + g, ONE)
-    trace = data.trace()
     if kappa < n:
-        report = _kappa_report(data, trace)
+        report = admissible_kappa(data)
         for entry in report.isolated:
             if entry.kappa == kappa:
                 return entry.solution
@@ -176,12 +171,11 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
     # kappa == n: every lam that passes the node test gives degree sum n,
     # and each node forbids at most one lam, so one of the first
     # node_count + 1 values is accepted
+    trace = data.trace()
     k = 1 if trace.N >= 2 else 0
-    for lam in range(1, data.node_count + 2):
-        candidate = combine(trace.rows[k], trace.rows[k + 1], ONE, Poly((lam,)), data)
-        if candidate is not None and kappa_of(candidate) == n:
-            return candidate
-    raise CertificateError(f"no multiplier up to {lam} gives degree sum {n}; broken trace")
+    low, high = ((trace.r(j), trace.s(j)) for j in (k, k + 1))
+    multipliers = ((ONE, Poly((lam,))) for lam in range(1, data.node_count + 2))
+    return first_member(low, high, multipliers, lambda rf: kappa_of(rf) == n, data)[2]
 
 
 def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None:

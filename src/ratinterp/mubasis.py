@@ -102,10 +102,8 @@ def mu_basis(param: PlaneParametrization) -> MuBasis:
             high=MovingLine(ONE, ZERO, -param.r0),
         )
     trace = extended_euclid(param.r0, param.r1, half=True)
-    i, low, _, mu = degree_split(trace)
-    indices = (i, i + 1) if low is trace.rows[i] else (i + 1, i)  # the low row first
-    low, high = (MovingLine.from_row(trace, j) for j in indices)
-    return MuBasis(mu=mu, low=low, high=high)
+    _, low, high, mu = degree_split(trace)
+    return MuBasis(mu=mu, low=MovingLine.from_row(trace, low), high=MovingLine.from_row(trace, high))
 
 
 def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:

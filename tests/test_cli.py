@@ -8,7 +8,7 @@ import pytest
 from ratinterp import (
     InterpolationData, Poly, RationalFunction, check_interpolates, extended_euclid, kappa_of,
 )
-from ratinterp.cli import MAX_DEGREE, main
+from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, main
 
 from conftest import P
 
@@ -182,6 +182,18 @@ class TestOracleCommand:
     def test_min_mu(self, curve_file, capsys):
         assert main(["oracle", "--min-mu", curve_file]) == 0
         assert "min mu = 2" in capsys.readouterr().out
+
+    def test_kappa_set_degree_cap(self, tmp_path, capsys):
+        """Seven constant values exit 2 before the exponential scan; the plain oracle still answers."""
+        path = tmp_path / "constant7.json"
+        path.write_text(json.dumps({"points": [{"x": str(x), "values": ["5"]} for x in range(7)]}))
+        assert KAPPA_SET_MAX_DEGREE == 6
+        start = time.perf_counter()
+        assert main(["oracle", "--kappa-set", str(path)]) == 2
+        assert capsys.readouterr().err == "input error: degree 7 exceeds the --kappa-set limit 6\n"
+        assert time.perf_counter() - start < 0.5
+        assert main(["oracle", str(path)]) == 0
+        assert capsys.readouterr().out == "min delta = 0\n"
 
 
 class TestInputHandling:

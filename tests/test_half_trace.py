@@ -128,7 +128,9 @@ def test_mu_basis_matches_the_full_trace_rows():
         param = random_param(rng)
         if param.r1.degree <= 0:
             continue
-        _, low, high, mu = degree_split(extended_euclid(param.r0, param.r1))
+        full = extended_euclid(param.r0, param.r1)
+        _, lo, hi, mu = degree_split(full)
+        low, high = full.rows[lo], full.rows[hi]
         basis = mu_basis(param)
         assert basis.mu == mu
         assert basis.low == MovingLine(low[2], low[1], -low[0])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratinterp import (
+    CertificateError,
     InterpolationData,
     ONE,
     Poly,
@@ -18,13 +19,14 @@ from ratinterp import (
     check_interpolates,
     check_weak,
     hermite_polynomial,
+    minimal_basis,
     minimal_delta_solutions,
     nodal_poly,
     sample_solution_of_kappa,
     weak_cofactor,
     yy_form,
 )
-from ratinterp.hermite import nonzero_at_nodes
+from ratinterp.hermite import combine, first_member, nonzero_at_nodes
 
 from conftest import (
     P,
@@ -341,6 +343,28 @@ class TestNodeTest:
             if rng.random() < 0.5:  # plant a root at a node
                 b = b * (X - rng.choice(data.nodes))
             assert nonzero_at_nodes(b, data) == all(b(x) != 0 for x in data.nodes)
+
+
+class TestFirstMember:
+    def test_returns_the_first_accepted_multipliers(self, data_four):
+        basis = minimal_basis(data_four)
+        tried = []
+
+        def accept(rf):
+            tried.append(rf)
+            return len(tried) == 2
+
+        # p = -2/3 makes the denominator vanish at a node: skipped before accept sees it
+        multipliers = [(Poly((lam,)), ONE) for lam in (Fraction(-2, 3), 1, 2, 3)]
+        u, v, member = first_member(basis.pair1, basis.pair2, multipliers, accept, data_four)
+        assert (u, v) == multipliers[2] and len(tried) == 2
+        assert member == tried[1] == combine(basis.pair1, basis.pair2, u, v, data_four)
+
+    def test_raises_when_the_multipliers_run_out(self, data_four):
+        basis = minimal_basis(data_four)
+        multipliers = [(Poly((lam,)), ONE) for lam in range(3)]
+        with pytest.raises(CertificateError, match="no multiplier in the bound"):
+            first_member(basis.pair1, basis.pair2, multipliers, lambda rf: False, data_four)
 
 
 class TestCheckInterpolates:

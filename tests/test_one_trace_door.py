@@ -1,4 +1,5 @@
-"""The solvers reach the trace of an instance only through ``InterpolationData.trace``."""
+"""The solvers reach the trace of an instance only through ``InterpolationData.trace``,
+and only ``eea`` knows the layout of its rows."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,15 @@ def test_only_the_door_and_its_neighbours_run_the_eea():
 def test_solvers_build_no_trace_of_their_own():
     paths = [SRC / name for name in SOLVERS]
     assert not list(_offences({"extended_euclid", "hermite_polynomial", "nodal_poly", "_trace"}, paths))
+
+
+def test_only_eea_reads_the_row_layout():
+    # every other module reads a trace through r(i), s(i), t(i) and q(i)
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "eea.py"]
+    offences = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert not offences
