@@ -1,13 +1,15 @@
 """Brute-force ground truth by exact linear algebra, independent of the
 remainder-sequence machinery.
 
-Weak pairs of bounded degree are the nullspace of the linear system that
-states every prescribed derivative condition directly on the unknown
-coefficients of (a, b) -- the interpolating polynomial g never enters,
-so agreement with the trace-based solvers is evidence rather than a
-tautology.  Moving lines of bounded degree are likewise a nullspace.
-Elimination clears denominators and proceeds fraction-free over the
-integers; back-substitution is exact over the rationals.
+Each question is the kernel of a linear map on coefficient vectors, and
+``nullspace`` (fraction-free elimination over the integers, exact
+back-substitution over the rationals) is the one routine that finds it.
+Three systems feed it: derivative conditions for weak pairs, stated with
+the prescribed values only, so g never enters and agreement with the
+trace-based solvers is evidence rather than a tautology;
+product-coefficient rows (``_convolution_rows``) for moving lines,
+coprimality and coordinates in a pair basis; and the augmented system
+(A | -b) for ``solve_linear``.
 
 Admissible degree sums below n are decided split by split: the valid
 members of a solution space (exact top degrees, denominator nonzero at
@@ -20,21 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError
 from .exactpoly import Poly
 from .hermite import InterpolationData
 from .mubasis import PlaneParametrization
-
-
-@dataclass
-class LinearSystem:
-    """Rows of exact rational conditions over a described unknown vector."""
-
-    matrix: list[list[Fraction]]
-    unknowns: str
 
 
 # -- fraction-free elimination ------------------------------------------------
@@ -45,18 +38,18 @@ def _cleared(row: list[Fraction]) -> list[int]:
     return [int(c * denom) for c in row]
 
 
-def _row_echelon_ff(rows: list[list[int]], pivot_width: int):
-    """Bareiss fraction-free echelon form; pivots only in the first columns."""
+def _row_echelon_ff(rows: list[list[int]]):
+    """Bareiss fraction-free echelon form of nonempty rows; pivots in every column."""
     m = [list(r) for r in rows]
+    width = len(m[0])
     piv_cols: list[int] = []
     rank = 0
     prev = 1
-    for c in range(pivot_width):
+    for c in range(width):
         pivot_row = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        width = len(m[rank])
         # the update must hit every row below, zero head included: rows are
         # rescaled by the pivot so the next division by `prev` stays exact
         for i in range(rank + 1, len(m)):
@@ -80,7 +73,7 @@ def nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
             for i in range(ncols)
         ]
-    ech, piv_cols = _row_echelon_ff([_cleared(r) for r in rows], ncols)
+    ech, piv_cols = _row_echelon_ff([_cleared(r) for r in rows])
     pivots = set(piv_cols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
@@ -95,32 +88,42 @@ def nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def solve_linear(
-    matrix: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """One exact solution (free unknowns zero), or None when inconsistent."""
+def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """One exact solution (free unknowns zero), or None when inconsistent.
+
+    It heads the kernel vector of (matrix | -rhs) whose free column is the
+    last one; when that column is a pivot, every kernel vector ends in 0.
+    """
     ncols = len(matrix[0]) if matrix else 0
-    aug = [list(r) + [v] for r, v in zip(matrix, rhs)]
-    aug = [r for r in aug if any(c != 0 for c in r)]
-    if not aug:
-        return [Fraction(0)] * ncols
-    ech, piv_cols = _row_echelon_ff([_cleared(r) for r in aug], ncols)
-    # back-substitute with free unknowns at zero, then verify against the
-    # original system; verification subsumes the inconsistency check
-    x = [Fraction(0)] * ncols
-    for row, pc in reversed(list(zip(ech, piv_cols))):
-        acc = sum((Fraction(row[j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-        x[pc] = (Fraction(row[ncols]) - acc) / row[pc]
-    for r, v in zip(matrix, rhs):
-        if sum((c * xi for c, xi in zip(r, x)), Fraction(0)) != v:
-            return None
-    return x
+    basis = nullspace([list(r) + [-v] for r, v in zip(matrix, rhs)], ncols + 1)
+    if not basis or basis[-1][ncols] == 0:
+        return None
+    return basis[-1][:ncols]
+
+
+def _convolution_rows(blocks: list[tuple[Poly, ...]], degrees: tuple[int, ...]) -> list[list[Fraction]]:
+    """Matrix of (u_1, ..., u_k) -> sum p_j*u_j with deg u_j <= degrees[j].
+
+    Each block (p_1, ..., p_k) gives the rows of the sum's coefficients from
+    degree 0 up; the columns hold u_1's coefficients, then u_2's, and so on.
+    """
+    zero = Fraction(0)
+    rows = []
+    for block in blocks:
+        coeffs = [p.coeffs for p in block]
+        top = max((len(c) - 1 + d for c, d in zip(coeffs, degrees) if c and d >= 0), default=-1)
+        for m in range(top + 1):
+            row = []
+            for c, d in zip(coeffs, degrees):
+                row += [c[m - k] if 0 <= m - k < len(c) else zero for k in range(d + 1)]
+            rows.append(row)
+    return rows
 
 
 # -- weak interpolation pairs -------------------------------------------------
 
 
-def weak_system(data: InterpolationData, da: int, db: int) -> LinearSystem:
+def weak_system(data: InterpolationData, da: int, db: int) -> list[list[Fraction]]:
     """Linearized derivative conditions on coefficients (a_0..a_da, b_0..b_db).
 
     Row (i, j) states (a - b*g)^(j)(x_i) = 0 using only the prescribed
@@ -140,15 +143,14 @@ def weak_system(data: InterpolationData, da: int, db: int) -> LinearSystem:
                     acc += math.comb(j, t) * values[j - t] * math.perm(k, t) * x ** (k - t)
                 row.append(-acc)
             rows.append(row)
-    return LinearSystem(matrix=rows, unknowns=f"a_0..a_{da}, b_0..b_{db}")
+    return rows
 
 
 def weak_pairs_upto(
     data: InterpolationData, da: int, db: int
 ) -> list[tuple[Poly, Poly]]:
     """Exact basis of the weak pairs with deg a <= da and deg b <= db."""
-    system = weak_system(data, da, db)
-    vectors = nullspace(system.matrix, da + db + 2)
+    vectors = nullspace(weak_system(data, da, db), da + db + 2)
     return [(Poly(v[: da + 1]), Poly(v[da + 1 :])) for v in vectors]
 
 
@@ -157,7 +159,7 @@ def min_degree_weak_pair(data: InterpolationData) -> int:
     for delta in range(data.n + 1):
         if weak_pairs_upto(data, delta, delta):
             return delta
-    raise AssertionError("no weak pair up to degree n")  # pragma: no cover
+    raise CertificateError("no weak pair up to degree n")
 
 
 def express_in_pair_basis(
@@ -168,24 +170,13 @@ def express_in_pair_basis(
     dq: int,
 ) -> tuple[Poly, Poly] | None:
     """Solve pair == p*basis1 + q*basis2 with deg p <= dp, deg q <= dq."""
-    np_, nq = max(dp + 1, 0), max(dq + 1, 0)
-    degrees = [
-        int(max(g.degree, 0))
-        for g in (*pair, *basis1, *basis2)
-        if not g.is_zero
-    ]
-    width = (max(degrees) if degrees else 0) + max(dp, dq, 0) + 1
-    rows = []
-    rhs = []
-    for target, g1, g2 in ((pair[0], basis1[0], basis2[0]), (pair[1], basis1[1], basis2[1])):
-        for m in range(width):
-            row = [g1.coeff(m - k) for k in range(np_)]
-            row += [g2.coeff(m - k) for k in range(nq)]
-            rows.append(row)
-            rhs.append(target.coeff(m))
-    solution = solve_linear(rows, rhs)
+    rows = _convolution_rows(
+        [(basis1[0], basis2[0], pair[0]), (basis1[1], basis2[1], pair[1])], (dp, dq, 0)
+    )
+    solution = solve_linear([r[:-1] for r in rows], [r[-1] for r in rows])
     if solution is None:
         return None
+    np_ = max(dp + 1, 0)
     return Poly(solution[:np_]), Poly(solution[np_:])
 
 
@@ -206,12 +197,7 @@ def _coprime(a: Poly, b: Poly) -> bool:
     da, db = a.degree, b.degree
     if da == 0 or db == 0:
         return True
-    rows = []
-    for m in range(da + db):
-        row = [a.coeff(m - k) for k in range(db)]
-        row += [b.coeff(m - k) for k in range(da)]
-        rows.append(row)
-    return not nullspace(rows, da + db)
+    return not nullspace(_convolution_rows([(a, b)], (db - 1, da - 1)), da + db)
 
 
 def _split_has_interpolant(data: InterpolationData, da: int, db: int) -> bool:
@@ -282,13 +268,8 @@ def min_mu_oracle(param: PlaneParametrization) -> int:
     w = -(u*r0 + v*r1) absorbs everything of degree <= d, so the
     conditions are the coefficients of u*r0 + v*r1 in degrees d+1..d+n.
     """
-    n = param.n
-    for d in range(n + 1):
-        rows = []
-        for m in range(d + 1, d + n + 1):
-            row = [param.r0.coeff(m - k) for k in range(d + 1)]
-            row += [param.r1.coeff(m - k) for k in range(d + 1)]
-            rows.append(row)
+    for d in range(param.n + 1):
+        rows = _convolution_rows([(param.r0, param.r1)], (d, d))[d + 1 :]
         if nullspace(rows, 2 * (d + 1)):
             return d
-    raise AssertionError("no moving line up to degree n")  # pragma: no cover
+    raise CertificateError("no moving line up to degree n")

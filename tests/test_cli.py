@@ -183,6 +183,10 @@ class TestOracleCommand:
         assert main(["oracle", "--min-mu", curve_file]) == 0
         assert "min mu = 2" in capsys.readouterr().out
 
+    def test_min_mu_needs_a_parametrization(self, four_file, capsys):
+        assert main(["oracle", "--min-mu", four_file]) == 2
+        assert capsys.readouterr().err == "input error: --min-mu needs a parametrization problem file\n"
+
     def test_kappa_set_degree_cap(self, tmp_path, capsys):
         """Seven constant values exit 2 before the exponential scan; the plain oracle still answers."""
         path = tmp_path / "constant7.json"

@@ -253,6 +253,17 @@ class TestRationalGrammar:
             with pytest.raises(ValueError):
                 build(bad)
 
+    @pytest.mark.parametrize(
+        "operation", [lambda: P(1, 2) + True, lambda: True * P(1), lambda: P(1) - False]
+    )
+    def test_bool_operand_is_rejected(self, operation):
+        with pytest.raises(ValueError, match='expected an integer or a "p/q" string'):
+            operation()
+
+    def test_negative_power_is_rejected(self):
+        with pytest.raises(ValueError, match="negative polynomial power"):
+            P(1, 1) ** -1
+
     def test_zero_denominator_message(self):
         with pytest.raises(ValueError, match="zero denominator"):
             Poly(["1/0"])

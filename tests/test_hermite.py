@@ -440,6 +440,13 @@ class TestRationalFunction:
     def test_equality_of_representations(self):
         assert RationalFunction(P(0, 2), P(2)) == RationalFunction(X, ONE)
 
+    def test_hash_agrees_with_equality(self):
+        half, inverse = RationalFunction(P(2), P(0, 2)), RationalFunction(ONE, X)
+        assert half == inverse and hash(half) == hash(inverse)
+        assert len({half, inverse}) == 1
+        assert {half: "half"}[inverse] == "half" and {inverse: "inverse"}[half] == "inverse"
+        assert (half == 5) is False
+
     def test_delta_degree(self):
         assert RationalFunction(P(6), P(-3, 0, 1)).delta_degree == 2
         assert RationalFunction(P(-2, 0, 0, 1), ONE).delta_degree == 3

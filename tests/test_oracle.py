@@ -6,6 +6,7 @@ import pytest
 from ratinterp import CertificateError, PlaneParametrization, check_weak, minimal_basis, monomial
 from ratinterp import oracle
 from ratinterp.oracle import (
+    _convolution_rows,
     kappa_values_below_n,
     min_degree_weak_pair,
     min_mu_oracle,
@@ -23,6 +24,7 @@ from conftest import (
     DATA_SIX_EVEN,
     P,
     random_data,
+    random_poly,
 )
 
 F = Fraction
@@ -61,7 +63,7 @@ class TestElimination:
 
     def test_nullspace_checks_its_vectors(self, monkeypatch):
         # an elimination that loses the second column yields (0, 1), which fails x + y = 0
-        monkeypatch.setattr(oracle, "_row_echelon_ff", lambda rows, ncols: ([[1, 0]], [0]))
+        monkeypatch.setattr(oracle, "_row_echelon_ff", lambda rows: ([[1, 0]], [0]))
         with pytest.raises(CertificateError, match="does not solve"):
             nullspace([[F(1), F(1)]], 2)
 
@@ -82,12 +84,29 @@ class TestElimination:
             rank = ncols - len(basis)
             assert 0 <= rank <= min(nrows, ncols)
 
+    def test_convolution_rows_apply_the_product_map(self):
+        # every coefficient of sum p_j*u_j has its row, a negative bound included
+        rng = random.Random(131)
+        for _ in range(60):
+            k = rng.randint(1, 3)
+            degrees = tuple(rng.randint(-1, 3) for _ in range(k))
+            block = tuple(random_poly(rng, rng.randint(-1, 4)) for _ in range(k))
+            us = [random_poly(rng, rng.randint(-1, d)) for d in degrees]
+            rows = _convolution_rows([block], degrees)
+            vector = [u.coeff(i) for u, d in zip(us, degrees) for i in range(d + 1)]
+            total = sum((p * u for p, u in zip(block, us)), P())
+            assert total.degree < len(rows)
+            assert all(len(row) == len(vector) for row in rows)
+            assert [sum(c * x for c, x in zip(row, vector)) for row in rows] == [
+                total.coeff(m) for m in range(len(rows))
+            ]
+
 
 class TestWeakPairs:
     def test_system_row_count(self):
-        system = weak_system(DATA_FOUR, 2, 2)
-        assert len(system.matrix) == DATA_FOUR.n
-        assert all(len(row) == 6 for row in system.matrix)
+        matrix = weak_system(DATA_FOUR, 2, 2)
+        assert len(matrix) == DATA_FOUR.n
+        assert all(len(row) == 6 for row in matrix)
 
     def test_four_point_space(self):
         pairs = weak_pairs_upto(DATA_FOUR, 2, 2)
@@ -115,6 +134,11 @@ class TestWeakPairs:
         assert min_degree_weak_pair(DATA_RECIPROCAL) == 1
         assert min_degree_weak_pair(DATA_ALL_ZERO) == 0
 
+    def test_min_degree_without_a_pair_is_a_certificate_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "weak_pairs_upto", lambda data, da, db: [])
+        with pytest.raises(CertificateError, match="no weak pair up to degree n"):
+            min_degree_weak_pair(DATA_FOUR)
+
     def test_dimension_formula(self):
         rng = random.Random(113)
         for _ in range(25):
@@ -130,6 +154,11 @@ class TestMovingLineOracle:
         assert min_mu_oracle(PlaneParametrization(P(0, 0, 6, 0, -4), P(0, 4, 0, -4))) == 2
         assert min_mu_oracle(PlaneParametrization(monomial(5), monomial(2))) == 2
         assert min_mu_oracle(PlaneParametrization(monomial(2), monomial(1))) == 1
+
+    def test_no_moving_line_is_a_certificate_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "nullspace", lambda matrix, ncols: [])
+        with pytest.raises(CertificateError, match="no moving line up to degree n"):
+            min_mu_oracle(PlaneParametrization(monomial(2), monomial(1)))
 
 
 class TestKappaSearch:
