@@ -43,7 +43,7 @@ class MinimalBasis:
     pair2: Pair
     mu1: int
     mu2: int
-    critical_index: int  # trace index of the basis rows; -1 for the all-zero case
+    critical_index: int  # trace index i of the basis rows i and i + 1
 
     def __post_init__(self) -> None:
         if self.mu1 > self.mu2:
@@ -146,18 +146,10 @@ class DeltaSolutionReport:
 
 def minimal_basis(data: InterpolationData) -> MinimalBasis:
     """A minimal basis of the weak pairs, from the smallest critical index."""
-    n = data.n
     trace = data.trace()
-    if trace is None:
-        # all prescribed values are zero: (0, 1) interpolates and the
-        # split 0 + n certifies minimality directly
-        return MinimalBasis(
-            pair1=(ZERO, ONE), pair2=(data.newton_pair[0], ZERO),
-            mu1=0, mu2=n, critical_index=-1,
-        )
     i, low, high, mu = degree_split(trace)
     pair1, pair2 = ((trace.r(j), trace.s(j)) for j in (low, high))
-    return MinimalBasis(pair1=pair1, pair2=pair2, mu1=mu, mu2=n - mu, critical_index=i)
+    return MinimalBasis(pair1=pair1, pair2=pair2, mu1=mu, mu2=data.n - mu, critical_index=i)
 
 
 def _unique_solution(basis: MinimalBasis, data: InterpolationData) -> RationalFunction | None:

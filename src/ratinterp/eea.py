@@ -13,8 +13,9 @@ The trace keeps every row and every quotient; remainders are stored
 exactly as produced (no monic rescaling), since downstream consumers
 depend on the raw values.  A *half* trace has rows (r_i, s_i) only; its
 ``t(i)`` derives t_i from the row identity by exact division by r0, a
-checked certificate.  ``InterpolationData.trace()`` and ``mu_basis``
-run half traces: interpolation answers are (r, s) pairs and never print t.
+checked certificate.  ``InterpolationData.trace()`` and ``mu_basis`` take
+half traces from ``half_trace``, which for r1 = 0 gives the trivial one,
+rows (r0, 0), (0, 1) and N = 0, that ``extended_euclid`` refuses.
 
 ``decompose`` inverts the trace: any triple (a, b, c) with
 a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
@@ -26,7 +27,8 @@ and the r column, so no t is needed.
 ``degree_split`` picks the rows at the smallest critical index, where
 consecutive row degrees split n = deg r0.  Those two rows are both the
 minimal basis of the interpolation problem and the mu-basis of a plane
-parametrization.
+parametrization.  Index 0 is critical exactly when deg r1 <= 0: rows
+(r0, 0) and (r1, 1) split n = n + 0.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def critical_indices(trace: EEATrace) -> tuple[int, ...]:
     the quotient degree sums.
     """
     out = tuple(
-        i for i in range(1, trace.N + 1)
+        i for i in range(trace.N + 1)
         if trace.r(i).degree >= trace.s(i).degree
         and trace.s(i + 1).degree >= trace.r(i + 1).degree
     )
@@ -200,6 +202,13 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False) -> EEATrace:
         quotients.append(q)
         rows.append((r, *(p - q * c for p, c in zip(prev[1:], cur[1:]))))
     return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
+
+
+def half_trace(r0: Poly, r1: Poly) -> EEATrace:
+    """The half trace of (r0, r1); for r1 = 0 the trivial one, rows (r0, 0), (0, 1), N = 0."""
+    if r1.is_zero:
+        return EEATrace(rows=((r0, ZERO), (ZERO, ONE)), quotients=())
+    return extended_euclid(r0, r1, half=True)
 
 
 def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:

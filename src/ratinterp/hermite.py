@@ -17,8 +17,9 @@ the instance.
 
 ``InterpolationData.trace()`` is the one door from an instance to the
 remainder trace of (f, g), which every solver query reads its answer
-from; it returns None for all-zero data.  The trace is a half one, rows
-(r_i, s_i): every answer is a weak pair, and none prints t.  It runs the
+from.  All-zero data has the trivial trace, rows (f, 0), (0, 1) and
+N = 0 (``eea.half_trace``).  The trace is a half one, rows (r_i, s_i):
+every answer is a weak pair, and none prints t.  It runs the
 EEA anew on each call: the benchmark's traced counts pin three EEA runs
 per full CLI ``delta`` report (``perfbench/tests/test_perfbench.py``),
 so sharing one trace per instance waits until that pin moves.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .eea import EEATrace, extended_euclid
+from .eea import EEATrace, half_trace
 from .errors import CertificateError, ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
 
@@ -65,10 +66,9 @@ class InterpolationData:
         """(f, g), built together on first use by ``exactpoly.newton_pair``."""
         return newton_pair(self.points)
 
-    def trace(self) -> EEATrace | None:
-        """The half trace of (f, g), rows (r_i, s_i), run anew on each call; None for all-zero data."""
-        f, g = self.newton_pair
-        return None if g.is_zero else extended_euclid(f, g, half=True)
+    def trace(self) -> EEATrace:
+        """The half trace of (f, g), rows (r_i, s_i), run anew on each call."""
+        return half_trace(*self.newton_pair)
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":
@@ -214,10 +214,14 @@ def hermite_polynomial(data: InterpolationData) -> Poly:
     return data.newton_pair[1]
 
 
+def _weak_division(a: Poly, b: Poly, data: InterpolationData) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a - b*g by the node polynomial f."""
+    return (a - b * hermite_polynomial(data)).div_rem(nodal_poly(data))
+
+
 def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
     """True iff the node polynomial divides a - b*g."""
-    residue = a - b * hermite_polynomial(data)
-    return residue.div_rem(nodal_poly(data))[1].is_zero
+    return _weak_division(a, b, data)[1].is_zero
 
 
 def nonzero_at_nodes(b: Poly, data: InterpolationData) -> bool:
@@ -282,7 +286,7 @@ def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:
 
 def weak_cofactor(a: Poly, b: Poly, data: InterpolationData) -> Poly:
     """The unique c with a == b*g + c*f, for a pair satisfying the weak conditions."""
-    q, r = (a - b * hermite_polynomial(data)).div_rem(nodal_poly(data))
+    q, r = _weak_division(a, b, data)
     if not r.is_zero:
         raise ValueError("pair does not satisfy the weak interpolation conditions")
     return q

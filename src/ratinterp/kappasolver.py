@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 from .eea import Decomposition, decompose
 from .errors import KappaNotAdmissible, NotAnInterpolant
-from .exactpoly import ONE, ZERO, Poly, monomial
+from .exactpoly import ONE, Poly, monomial
 from .hermite import (
     InterpolationData,
     RationalFunction,
-    check_interpolates,
     first_member,
     interpolant,
+    nonzero_at_nodes,
     weak_cofactor,
 )
 
@@ -105,42 +105,34 @@ def kappa_of(rf: RationalFunction) -> int:
 
 def yy_form(rf: RationalFunction, data: InterpolationData) -> Decomposition:
     """Trace-row coordinates of the canonical weak pair of an interpolant."""
-    if not check_interpolates(rf, data):
+    # check_interpolates would divide a - b*g by f once more than weak_cofactor
+    if not nonzero_at_nodes(rf.denom, data):
         raise NotAnInterpolant(f"{rf} does not interpolate the data")
-    trace = data.trace()
-    if trace is None:
-        raise ValueError(
-            "identically zero data has no remainder sequence to decompose against"
-        )
-    c = weak_cofactor(rf.numer, rf.denom, data)
-    return decompose(rf.numer, rf.denom, c, trace)
+    try:
+        c = weak_cofactor(rf.numer, rf.denom, data)
+    except ValueError:
+        raise NotAnInterpolant(f"{rf} does not interpolate the data") from None
+    return decompose(rf.numer, rf.denom, c, data.trace())
 
 
 def admissible_kappa(data: InterpolationData) -> KappaReport:
     """All admissible degree sums below n, with witnesses, plus the tail n."""
-    n = data.n
     trace = data.trace()
-    if trace is None:
-        # only the zero function has degree sum below n here
-        zero = RationalFunction.coprime(ZERO, ONE)
-        entry = KappaIsolated(kappa=0, index=1, solution=zero, raw_pair=(ZERO, ONE))
-        return KappaReport(
-            isolated=(entry,), tail_threshold=n,
-            minimal_kappa=0, minimal_solutions=(zero,),
-        )
     entries = []
-    for k in range(1, trace.N + 1):
+    # rows 1..N; the zero row N + 1 only when it is row 1 (all-zero data, 0/1)
+    for k in range(1, max(trace.N, 1) + 1):
         solution = interpolant(trace.r(k), trace.s(k), data)
         if solution is not None:
+            # kappa_of(r_k/s_k) = n - deg q_k by the degree identities
             entries.append(KappaIsolated(
-                kappa=n - trace.q(k).degree, index=k,
+                kappa=kappa_of(solution), index=k,
                 solution=solution, raw_pair=(trace.r(k), trace.s(k)),
             ))
     # k = 1 always qualifies (s_1 == 1), so the set is never empty
     minimal = min(entry.kappa for entry in entries)
     return KappaReport(
         isolated=tuple(entries),
-        tail_threshold=n,
+        tail_threshold=data.n,
         minimal_kappa=minimal,
         minimal_solutions=tuple(e.solution for e in entries if e.kappa == minimal),
     )
@@ -184,11 +176,7 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     if not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
     trace = data.trace()
-    if trace is None:
-        return RationalFunction.coprime(ZERO, ONE)
-    for k in range(1, trace.N + 1):
-        if trace.r(k).degree <= d:
-            return interpolant(trace.r(k), trace.s(k), data)
-    # every nonzero remainder has degree above d: only the (unreachable)
-    # zero row is small enough, so there is no solution
-    return None
+    # the zero row N + 1 always qualifies; it gives 0/1 for all-zero data
+    # and None otherwise, since its s then vanishes at a node
+    k = next(k for k in range(1, trace.N + 2) if trace.r(k).degree <= d)
+    return interpolant(trace.r(k), trace.s(k), data)

@@ -7,16 +7,18 @@ relation among (r0, r1, 1).  The rows of the remainder trace of
 index, where consecutive row degrees split n = deg r0, the two rows
 form a basis of all moving lines with degrees mu and n - mu, mu
 minimal.  It is the split that also gives the minimal basis of the
-interpolation problem (``eea.degree_split``).  The trace is a half one:
-t is derived, with its certificate, at the two split rows only.
+interpolation problem (``eea.degree_split``).  The trace is a half one
+(``eea.half_trace``): t is derived, with its certificate, at the two
+split rows only.  A constant or zero r1 needs no case of its own: index
+0 is then critical, and row 1 gives the degree-0 line T1 - r1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import EEATrace, degree_split, extended_euclid
-from .exactpoly import ONE, ZERO, Poly
+from .eea import EEATrace, degree_split, half_trace
+from .exactpoly import ONE, Poly
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,7 @@ class MuBasis:
 
 def mu_basis(param: PlaneParametrization) -> MuBasis:
     """Minimal-degree basis of the moving lines of the parametrization."""
-    if param.r1.degree <= 0:
-        # T1 - r1 is a relation of degree 0 when the second coordinate is constant
-        return MuBasis(
-            mu=0,
-            low=MovingLine(ZERO, ONE, -param.r1),
-            high=MovingLine(ONE, ZERO, -param.r0),
-        )
-    trace = extended_euclid(param.r0, param.r1, half=True)
+    trace = half_trace(param.r0, param.r1)
     _, low, high, mu = degree_split(trace)
     return MuBasis(mu=mu, low=MovingLine.from_row(trace, low), high=MovingLine.from_row(trace, high))
 

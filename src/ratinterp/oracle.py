@@ -20,6 +20,7 @@ a member or proves there is none.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -154,12 +155,17 @@ def weak_pairs_upto(
     return [(Poly(v[: da + 1]), Poly(v[da + 1 :])) for v in vectors]
 
 
+def _least_degree(holds, n: int, what: str) -> int:
+    """The least d in 0..n with holds(d), bisected: holds is monotone in d."""
+    d = bisect.bisect_left(range(n + 1), True, key=holds)
+    if d > n:
+        raise CertificateError(f"no {what} up to degree n")
+    return d
+
+
 def min_degree_weak_pair(data: InterpolationData) -> int:
-    """Smallest max-degree of a nonzero weak pair."""
-    for delta in range(data.n + 1):
-        if weak_pairs_upto(data, delta, delta):
-            return delta
-    raise CertificateError("no weak pair up to degree n")
+    """Smallest max-degree of a nonzero weak pair (one of degree <= delta is one of degree <= delta + 1)."""
+    return _least_degree(lambda delta: bool(weak_pairs_upto(data, delta, delta)), data.n, "weak pair")
 
 
 def express_in_pair_basis(
@@ -267,9 +273,9 @@ def min_mu_oracle(param: PlaneParametrization) -> int:
     At candidate degree d the unknowns are the coefficients of u and v;
     w = -(u*r0 + v*r1) absorbs everything of degree <= d, so the
     conditions are the coefficients of u*r0 + v*r1 in degrees d+1..d+n.
+    A line of degree <= d has degree <= d + 1, so d is bisected.
     """
-    for d in range(param.n + 1):
-        rows = _convolution_rows([(param.r0, param.r1)], (d, d))[d + 1 :]
-        if nullspace(rows, 2 * (d + 1)):
-            return d
-    raise CertificateError("no moving line up to degree n")
+    def holds(d: int) -> bool:
+        return bool(nullspace(_convolution_rows([(param.r0, param.r1)], (d, d))[d + 1 :], 2 * (d + 1)))
+
+    return _least_degree(holds, param.n, "moving line")

@@ -65,9 +65,8 @@ class TestYYForm:
         with pytest.raises(NotAnInterpolant):
             yy_form(RationalFunction(P(0, 3), ONE), data_four)
 
-    def test_zero_data_has_no_decomposition(self, data_all_zero):
-        with pytest.raises(ValueError):
-            yy_form(RationalFunction(ZERO, ONE), data_all_zero)
+    def test_zero_data_decomposes_on_the_trivial_trace(self, data_all_zero):
+        assert yy_form(RationalFunction(ZERO, ONE), data_all_zero).m == (ZERO, ONE)
 
 
 class TestAdmissibleKappa:

@@ -6,9 +6,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ratinterp"
 
-# eea defines the EEA, hermite owns the door, mubasis traces (r0, r1), the CLI
-# prints the trace of any problem, and the package re-exports the name
-ALLOWED = {"eea.py", "hermite.py", "mubasis.py", "cli.py", "__init__.py"}
+# eea defines the EEA and ``half_trace``, which the door and mubasis call; the
+# CLI prints the trace of any problem, and the package re-exports the name
+ALLOWED = {"eea.py", "cli.py", "__init__.py"}
 SOLVERS = ("deltasolver.py", "kappasolver.py")
 
 

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from ratinterp import CertificateError, PlaneParametrization, check_weak, minimal_basis, monomial
+from ratinterp import (
+    CertificateError,
+    InterpolationData,
+    PlaneParametrization,
+    check_weak,
+    minimal_basis,
+    monomial,
+    mu_basis,
+)
 from ratinterp import oracle
 from ratinterp.oracle import (
     _convolution_rows,
@@ -189,3 +197,24 @@ class TestKappaSearch:
             assert _coprime(a, b) == (gcd(a, b).degree == 0)
         assert _coprime(ZERO, P(5))
         assert not _coprime(ZERO, P(0, 5))
+
+
+def test_minimum_searches_bisect_the_degree(monkeypatch):
+    # a nonzero pair or line of degree <= d is one of degree <= d + 1, so
+    # about log2(n + 2) eliminations decide the minimum, not one per degree
+    eliminations = []
+    real = oracle.nullspace
+
+    def counted(matrix, ncols):
+        eliminations.append(ncols)
+        return real(matrix, ncols)
+
+    monkeypatch.setattr(oracle, "nullspace", counted)
+    rng = random.Random(5)
+    data = InterpolationData.from_pairs([(x, [rng.randint(-9, 9)]) for x in range(16)])
+    assert min_degree_weak_pair(data) == minimal_basis(data).mu1
+    assert len(eliminations) <= 5
+    eliminations.clear()
+    curve = PlaneParametrization(random_poly(rng, 16), random_poly(rng, 15))
+    assert min_mu_oracle(curve) == mu_basis(curve).mu
+    assert len(eliminations) <= 5
