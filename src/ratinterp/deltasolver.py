@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eea import degree_split
+from .eea import degree_split, past_split
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
-from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial
+from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial, value_ratios
 from .hermite import InterpolationData, RationalFunction, combine, first_member, interpolant
 
 Pair = tuple[Poly, Poly]
@@ -145,8 +145,8 @@ class DeltaSolutionReport:
 
 
 def minimal_basis(data: InterpolationData) -> MinimalBasis:
-    """A minimal basis of the weak pairs, from the smallest critical index."""
-    trace = data.trace()
+    """A minimal basis of the weak pairs, from the smallest critical index; no later row is run."""
+    trace = data.trace(until=past_split)
     i, low, high, mu = degree_split(trace)
     pair1, pair2 = ((trace.r(j), trace.s(j)) for j in (low, high))
     return MinimalBasis(pair1=pair1, pair2=pair2, mu1=mu, mu2=data.n - mu, critical_index=i)
@@ -165,12 +165,7 @@ def _node_constraints(
     data: InterpolationData, basis: MinimalBasis
 ) -> tuple[tuple[Fraction, Fraction | None], ...]:
     """Per node, the value of p at which b2 + p*b1 vanishes there (None: never)."""
-    b1, b2 = basis.pair1[1], basis.pair2[1]
-    out = []
-    for x in data.nodes:
-        b1_x = b1(x)
-        out.append((x, -b2(x) / b1_x if b1_x != 0 else None))
-    return tuple(out)
+    return tuple(zip(data.nodes, value_ratios(-basis.pair2[1], basis.pair1[1], data.nodes)))
 
 
 def _family_member(data: InterpolationData, basis: MinimalBasis) -> tuple[Poly, Poly, RationalFunction]:

@@ -4,18 +4,23 @@ Starting from r0, r1 the remainder recurrence
 
     r_i = q_{i+1} * r_{i+1} + r_{i+2}
 
-runs until r_{N+1} = 0, while the cofactor rows evolve by the same
-recurrence from (s0, t0) = (0, 1) and (s1, t1) = (1, 0), so that
+runs, while the cofactor rows evolve by the same recurrence from
+(s0, t0) = (0, 1) and (s1, t1) = (1, 0), so that
 
     r_i = s_i * r1 + t_i * r0      for every i.
 
-The trace keeps every row and every quotient; remainders are stored
-exactly as produced (no monic rescaling), since downstream consumers
-depend on the raw values.  A *half* trace has rows (r_i, s_i) only; its
-``t(i)`` derives t_i from the row identity by exact division by r0, a
-checked certificate.  ``InterpolationData.trace()`` and ``mu_basis`` take
-half traces from ``half_trace``, which for r1 = 0 gives the trivial one,
-rows (r0, 0), (0, 1) and N = 0, that ``extended_euclid`` refuses.
+A *complete* trace runs until r_{N+1} = 0.  A *truncated* one stops one
+row past the first row that a predicate ``until(r, s)`` accepts, as
+rational function reconstruction stops at a degree bound (von zur Gathen
+& Gerhard, 5.7); the readers of every row (``full_rows``, ``decompose``,
+``recombine``) refuse it.  A trace keeps every row it computes and
+every quotient; remainders are stored exactly as produced (no monic
+rescaling), since downstream consumers depend on the raw values.  A
+*half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
+row identity by exact division by r0, a checked certificate.
+``InterpolationData.trace()`` and ``mu_basis`` take half traces from
+``half_trace``, which for r1 = 0 gives the trivial one, rows (r0, 0),
+(0, 1) and N = 0, that ``extended_euclid`` refuses.
 
 ``decompose`` inverts the trace: any triple (a, b, c) with
 a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
@@ -34,11 +39,13 @@ parametrization.  Index 0 is critical exactly when deg r1 <= 0: rows
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
 from .exactpoly import ONE, ZERO, Poly
 
 Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
+Until = Callable[[Poly, Poly], bool] | None  # a row predicate on (r_i, s_i), or None
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,11 @@ class EEATrace:
     def n(self) -> int:
         return self.rows[0][0].degree
 
+    @property
+    def complete(self) -> bool:
+        """True iff r_{N+1} = 0, i.e. the run was not truncated."""
+        return self.r(self.N + 1).is_zero
+
     def r(self, i: int) -> Poly:
         return self.rows[i][0]
 
@@ -72,7 +84,8 @@ class EEATrace:
         return t
 
     def full_rows(self) -> tuple[Row, ...]:
-        """Every row as (r_i, s_i, t_i), t read through ``t(i)``."""
+        """Every row as (r_i, s_i, t_i), t read through ``t(i)``; a complete trace only."""
+        _require_complete(self)
         return tuple((self.r(i), self.s(i), self.t(i)) for i in range(len(self.rows)))
 
     def q(self, i: int) -> Poly:
@@ -80,10 +93,10 @@ class EEATrace:
         return self.quotients[i - 1]
 
     def check_invariants(self) -> None:
-        """Check every structural identity of the trace; raise CertificateError if one fails."""
+        """Check every identity on the rows present, r_N != 0 too; raise CertificateError if one fails."""
         N = self.N
         _certify(len(self.rows) == N + 2, "row count does not match the quotients")
-        _certify(self.r(N + 1).is_zero and not self.r(N).is_zero, "trace does not end at r_{N+1} = 0")
+        _certify(not self.r(N).is_zero, "trace runs past its first zero remainder")
         r0, r1 = self.r(0), self.r(1)
         for i in range(1, N + 1):
             _certify(self.r(i).degree > self.r(i + 1).degree, f"degree not dropping at {i}")
@@ -142,6 +155,11 @@ def _certify(ok: bool, message: str) -> None:
         raise CertificateError(message)
 
 
+def _require_complete(trace: EEATrace) -> None:
+    if not trace.complete:
+        raise ValueError("this needs every row; the trace was truncated")
+
+
 def critical_indices(trace: EEATrace) -> tuple[int, ...]:
     """All trace indices whose row pair splits n; there are one or two.
 
@@ -183,12 +201,19 @@ class Decomposition:
     m: tuple[Poly, ...]
 
 
-def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False) -> EEATrace:
+def past_split(r: Poly, s: Poly) -> bool:
+    """``until`` for the split: row i + 1 is the first with deg s >= deg r, and row i + 2 shows a tie."""
+    return s.degree >= r.degree
+
+
+def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, until: Until = None) -> EEATrace:
     """Run the algorithm on r0, r1 with deg r0 >= deg r1 >= 0.
 
     Rows are (r, s, t), all computed here; with ``half=True`` they are
-    (r, s), with the same quotients.  A keyword, not a second function,
-    so that every run of the algorithm is a call of this one.
+    (r, s), with the same quotients.  With ``until`` the run stops one
+    row after the first row whose (r, s) it accepts, or at r_{N+1} = 0
+    if that comes first.  Keywords, not more functions, so that every
+    run of the algorithm is a call of this one.
     """
     if r1.is_zero:
         raise ZeroSecondInput("the second input polynomial is zero")
@@ -196,7 +221,7 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False) -> EEATrace:
         raise ValueError("inputs must satisfy deg r0 >= deg r1 >= 0, both nonzero")
     rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
     quotients = []
-    while not rows[-1][0].is_zero:
+    while not rows[-1][0].is_zero and not (until is not None and until(*rows[-2][:2])):
         prev, cur = rows[-2], rows[-1]
         q, r = prev[0].div_rem(cur[0])
         quotients.append(q)
@@ -204,15 +229,16 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False) -> EEATrace:
     return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
 
 
-def half_trace(r0: Poly, r1: Poly) -> EEATrace:
-    """The half trace of (r0, r1); for r1 = 0 the trivial one, rows (r0, 0), (0, 1), N = 0."""
+def half_trace(r0: Poly, r1: Poly, until: Until = None) -> EEATrace:
+    """The half trace of (r0, r1), stopped by ``until``; for r1 = 0 the trivial one, N = 0."""
     if r1.is_zero:
         return EEATrace(rows=((r0, ZERO), (ZERO, ONE)), quotients=())
-    return extended_euclid(r0, r1, half=True)
+    return extended_euclid(r0, r1, half=True, until=until)
 
 
 def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
-    """Expand (a, b, c) with a = r1*b + r0*c in the trace-row basis."""
+    """Expand (a, b, c) with a = r1*b + r0*c in the trace-row basis of a complete trace."""
+    _require_complete(trace)
     r0, r1 = trace.r(0), trace.r(1)
     if r0.degree == r1.degree:
         raise DegreeTie("decomposition requires deg r0 > deg r1")
@@ -237,7 +263,8 @@ def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
 
 
 def recombine(dec: Decomposition, trace: EEATrace) -> tuple[Poly, Poly, Poly]:
-    """Sum m_i * (r_i, s_i, t_i) back into a triple."""
+    """Sum m_i * (r_i, s_i, t_i) back into a triple; a complete trace only."""
+    _require_complete(trace)
     if len(dec.m) != trace.N + 2:
         raise ValueError("decomposition length does not match the trace")
     a = b = c = ZERO

@@ -419,6 +419,30 @@ def monomial(degree: int, coeff: Scalar = 1) -> Poly:
     return Poly((0,) * degree + (as_fraction(coeff),))
 
 
+def value_ratios(top: Poly, bottom: Poly, nodes: Iterable[Fraction]) -> tuple[Fraction | None, ...]:
+    """top(x)/bottom(x) at each node x, None where bottom vanishes; bottom must be nonzero.
+
+    The ratio of the two scales is taken once; at a node it is multiplied
+    by the reduced ratio of the two integer Horner values, so the large
+    scales meet no division per node.
+    """
+    bn, bd = bottom._num, bottom._den
+    num, den = _times(top._num, top._den, bd, bn) if bn > 0 else _times(top._num, top._den, -bd, -bn)
+    out = []
+    for x in nodes:
+        p, q = x.numerator, x.denominator
+        low, qlow = _horner(bottom._ints, p, q)
+        if not low:
+            out.append(None)
+            continue
+        high, qhigh = _horner(top._ints, p, q) if top._ints else (0, 1)
+        # top(x)/bottom(x) = num/den * (high/qhigh) / (low/qlow)
+        high, low = high * qlow, low * qhigh
+        g = math.gcd(high, low) if low > 0 else -math.gcd(high, low)
+        out.append(Fraction(_Reduced(*_times(num, den, high // g, low // g))))
+    return tuple(out)
+
+
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor.  gcd(0, 0) is undefined."""
     if p.is_zero and q.is_zero:

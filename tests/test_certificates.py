@@ -67,6 +67,12 @@ raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2]
 raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
 raises("check_invariants", EEATrace(trace.rows, (ONE,) * trace.N).check_invariants)
 raises("check_invariants", EEATrace(trace.rows[:-1], trace.quotients).check_invariants)
+cut = extended_euclid(X ** 8 + ONE, Poly([1, 2, 3, 4, 5, 6, 7]), half=True, until=ea.past_split)
+cut.check_invariants()
+if cut.complete:
+    sys.exit("the truncated trace runs to the zero remainder")
+mutated = (cut.r(cut.N + 1) + X, cut.s(cut.N + 1))
+raises("truncated check_invariants", EEATrace(cut.rows[:-1] + (mutated,), cut.quotients).check_invariants)
 ea.extended_euclid = padded
 raises("split", lambda: ds.minimal_basis(data))
 ds.minimal_basis = lambda d: MinimalBasis(basis.pair1, basis.pair2, 1, 2, 2)

@@ -12,7 +12,7 @@ from ratinterp import (
     NEG_INF, ONE, X, ZERO, InterpolationData, PlaneParametrization, Poly, extended_euclid, gcd,
     hermite_polynomial, monomial, mu_basis, nodal_poly,
 )
-from ratinterp.exactpoly import _rational_str, as_fraction
+from ratinterp.exactpoly import _rational_str, as_fraction, value_ratios
 
 from conftest import (
     P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly,
@@ -372,6 +372,38 @@ class TestAgainstFractionReference:
         assert P("1/2", 1) == P(2, 4) * Fraction(1, 4)
         assert P(0, 0) == ZERO == 0 and P(-3) == -3 and P("-3/5") == Fraction(-3, 5)
         assert P(Fraction(BIG, 3), 1) - P(Fraction(BIG, 3)) == X
+
+
+class TestValueRatios:
+    """value_ratios(top, bottom, nodes) is top(x)/bottom(x) per node, None where bottom vanishes."""
+
+    @staticmethod
+    def check(a, b, nodes):
+        top, bottom = Poly(a), Poly(b)
+        expected = tuple(None if frac_eval(frac_trim(b), x) == 0
+                         else frac_eval(frac_trim(a), x) / frac_eval(frac_trim(b), x) for x in nodes)
+        assert value_ratios(top, bottom, nodes) == expected
+
+    @settings(database=None, deadline=None, max_examples=100)
+    @given(a=COEFFS, b=COEFFS.filter(lambda b: any(b)), nodes=st.lists(RATIONALS, max_size=4))
+    def test_random(self, a, b, nodes):
+        self.check(a, b, nodes)
+
+    def test_roots_zero_top_and_scales(self):
+        nodes = [Fraction(-1, 2), Fraction(0), Fraction(3), Fraction(BIG, 7)]
+        bottom = P(1, 2) * P(-3, 1) * Fraction(BIG, 11)  # vanishes at -1/2 and 3
+        for top in (ZERO, P(5), P(0, "-7/3") * Fraction(-5, BIG), P(1, 2) * X**3):
+            self.check(top.coeffs, bottom.coeffs, nodes)
+        assert value_ratios(P(1), bottom, nodes)[::2] == (None, None)
+
+    def test_one_fraction_per_node(self, monkeypatch):
+        rng = random.Random(8)
+        top, bottom = (Poly([rng.randint(-9, 9) for _ in range(30)]) * Fraction(3**400, 2**500 + 1)
+                       for _ in range(2))
+        nodes = [Fraction(k, 3) for k in range(-5, 6)]
+        built = count_fractions(monkeypatch)
+        value_ratios(top, bottom, nodes)
+        assert len(built) == len(nodes)
 
 
 # -- the normal form is unique, whatever operation built it -----------------------

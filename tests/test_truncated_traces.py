@@ -1,0 +1,173 @@
+"""Truncated traces: each query runs the EEA only as far as the rows it reads,
+and reads the same answer off them as off the complete trace."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ratinterp import (
+    ONE,
+    ZERO,
+    CertificateError,
+    EEATrace,
+    MovingLine,
+    PlaneParametrization,
+    admissible_delta_set,
+    admissible_kappa,
+    critical_indices,
+    decompose,
+    degree_split,
+    extended_euclid,
+    hermite_rational,
+    minimal_basis,
+    minimal_delta_solutions,
+    mu_basis,
+    recombine,
+    sample_solution_of_delta,
+    sample_solution_of_kappa,
+    yy_form,
+)
+from ratinterp.eea import Decomposition, half_trace, past_split
+
+from conftest import integer_node_data, random_data, random_param, random_poly
+
+DATA24 = integer_node_data(random.Random(24), 24)
+_rng = random.Random(124)
+PARAM24 = PlaneParametrization(random_poly(_rng, 24), random_poly(_rng, 23))
+
+
+def assert_prefix(trace: EEATrace, complete: EEATrace) -> None:
+    """trace holds the first rows and quotients of complete, and says whether it holds them all."""
+    assert trace.rows == complete.rows[:len(trace.rows)]
+    assert trace.quotients == complete.quotients[:trace.N]
+    assert trace.complete == (trace.rows == complete.rows)
+
+
+def _record(mp) -> list[EEATrace]:
+    """The traces that extended_euclid returns from now on."""
+    traces = []
+
+    def recording(r0, r1, **kw):
+        traces.append(extended_euclid(r0, r1, **kw))
+        return traces[-1]
+
+    mp.setattr("ratinterp.eea.extended_euclid", recording)
+    return traces
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    return _record(monkeypatch)
+
+
+def _run(traces, query, *args) -> EEATrace:
+    traces.clear()
+    query(*args)
+    assert len(traces) == 1, query.__name__
+    return traces[0]
+
+
+def test_each_query_computes_the_rows_it_reads(recorded):
+    data, n = DATA24, DATA24.n
+    complete = half_trace(*data.newton_pair)
+    i = degree_split(complete)[0]
+    assert i + 3 < complete.N + 2  # the stop saves rows here
+    mu2 = n - degree_split(complete)[3]
+    for query, *args in [(minimal_basis, data), (minimal_delta_solutions, data),
+                         (admissible_delta_set, data), (sample_solution_of_delta, data, mu2 + 1)]:
+        trace = _run(recorded, query, *args)
+        assert len(trace.rows) == i + 3, query.__name__
+        assert_prefix(trace, complete)
+    for d in range(n):
+        k = next(k for k in range(1, complete.N + 2) if complete.r(k).degree <= d)
+        trace = _run(recorded, hermite_rational, data, d)
+        assert len(trace.rows) == min(k + 2, complete.N + 2), d  # row k + 1, if k is not the zero row
+        assert_prefix(trace, complete)
+    assert len(_run(recorded, sample_solution_of_kappa, data, n).rows) == 3
+    assert _run(recorded, admissible_kappa, data).complete
+    rf = admissible_kappa(data).minimal_solutions[0]
+    assert _run(recorded, yy_form, rf, data).complete
+
+    param_complete = half_trace(PARAM24.r0, PARAM24.r1)
+    i = degree_split(param_complete)[0]
+    assert i + 3 < param_complete.N + 2
+    trace = _run(recorded, mu_basis, PARAM24)
+    assert len(trace.rows) == i + 3
+    assert_prefix(trace, param_complete)
+
+
+def test_until_stops_one_row_past_the_first_accepted_row():
+    r0, r1 = PARAM24.r0, PARAM24.r1
+    complete = extended_euclid(r0, r1)
+    for k in range(complete.N + 1):
+        trace = extended_euclid(r0, r1, until=lambda r, s, k=k: r.degree <= complete.r(k).degree)
+        assert len(trace.rows) == k + 2
+        assert_prefix(trace, complete)
+    # the zero remainder ends the run even if nothing is accepted
+    assert extended_euclid(r0, r1, until=lambda r, s: False) == complete
+
+
+def test_a_truncated_trace_is_certified_but_refuses_the_readers_of_every_row():
+    r0, r1 = PARAM24.r0, PARAM24.r1
+    for half in (False, True):
+        complete = extended_euclid(r0, r1, half=half)
+        cut = extended_euclid(r0, r1, half=half, until=past_split)
+        assert complete.complete and not cut.complete
+        cut.check_invariants()
+        dec = Decomposition((ONE,) + (ZERO,) * (complete.N + 1))
+        triple = recombine(dec, complete)  # row 0
+        for read in (cut.full_rows, cut.to_json, lambda: str(cut),
+                     lambda: decompose(*triple, cut), lambda: recombine(dec, cut)):
+            with pytest.raises(ValueError, match="truncated"):
+                read()
+        last = (cut.r(cut.N + 1) + r1,) + cut.rows[-1][1:]
+        with pytest.raises(CertificateError):
+            EEATrace(cut.rows[:-1] + (last,), cut.quotients).check_invariants()
+
+
+def _answers(data):
+    n = data.n
+    return (minimal_basis(data), minimal_delta_solutions(data),
+            [hermite_rational(data, d) for d in range(n)], sample_solution_of_kappa(data, n))
+
+
+def _untruncated(r0, r1, *, half=False, until=None):
+    return extended_euclid(r0, r1, half=half)
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_truncated_interpolation_traces_read_as_the_complete_one(seed):
+    data = random_data(random.Random(seed), max_n=14)
+    complete = half_trace(*data.newton_pair)
+    split = data.trace(until=past_split)
+    assert_prefix(split, complete)
+    assert critical_indices(split) == critical_indices(complete)
+    assert degree_split(split) == degree_split(complete)
+    with pytest.MonkeyPatch.context() as mp:
+        traces = _record(mp)
+        answers = _answers(data)
+    for trace in traces:
+        assert_prefix(trace, complete)
+        trace.check_invariants()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("ratinterp.eea.extended_euclid", _untruncated)
+        assert _answers(data) == answers
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_truncated_mu_basis_traces_read_as_the_complete_one(seed):
+    param = random_param(random.Random(seed), max_n=14)
+    complete = half_trace(param.r0, param.r1)
+    split = half_trace(param.r0, param.r1, until=past_split)
+    assert_prefix(split, complete)
+    split.check_invariants()
+    assert critical_indices(split) == critical_indices(complete)
+    _, low, high, mu = degree_split(complete)
+    assert degree_split(split) == degree_split(complete)
+    basis = mu_basis(param)
+    assert (basis.mu, basis.low, basis.high) == (
+        mu, MovingLine.from_row(complete, low), MovingLine.from_row(complete, high))
