@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eea import degree_split, past_split
+from .eea import degree_split, split_bound
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
 from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial, value_ratios
 from .hermite import InterpolationData, RationalFunction, combine, first_member, interpolant
@@ -146,7 +146,7 @@ class DeltaSolutionReport:
 
 def minimal_basis(data: InterpolationData) -> MinimalBasis:
     """A minimal basis of the weak pairs, from the smallest critical index; no later row is run."""
-    trace = data.trace(until=past_split)
+    trace = data.trace(bound=split_bound(data.n))
     i, low, high, mu = degree_split(trace)
     pair1, pair2 = ((trace.r(j), trace.s(j)) for j in (low, high))
     return MinimalBasis(pair1=pair1, pair2=pair2, mu1=mu, mu2=data.n - mu, critical_index=i)

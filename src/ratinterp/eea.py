@@ -9,18 +9,17 @@ runs, while the cofactor rows evolve by the same recurrence from
 
     r_i = s_i * r1 + t_i * r0      for every i.
 
-A *complete* trace runs until r_{N+1} = 0.  A *truncated* one stops one
-row past the first row that a predicate ``until(r, s)`` accepts, as
-rational function reconstruction stops at a degree bound (von zur Gathen
-& Gerhard, 5.7); the readers of every row (``full_rows``, ``decompose``,
+A *complete* trace runs to r_{N+1} = 0.  A *truncated* one stops one
+row past the first remainder of degree <= ``bound``, as rational
+function reconstruction stops at a degree bound (von zur Gathen &
+Gerhard, 5.7); the readers of every row (``full_rows``, ``decompose``,
 ``recombine``) refuse it.  A trace keeps every row it computes and
 every quotient; remainders are stored exactly as produced (no monic
 rescaling), since downstream consumers depend on the raw values.  A
 *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
-row identity by exact division by r0, a checked certificate.
-``InterpolationData.trace()`` and ``mu_basis`` take half traces from
-``half_trace``, which for r1 = 0 gives the trivial one, rows (r0, 0),
-(0, 1) and N = 0, that ``extended_euclid`` refuses.
+row identity by exact division by r0, a checked certificate.  Queries
+take half traces from ``half_trace``, which maps r1 = 0, refused by
+``extended_euclid``, to the trivial trace: rows (r0, 0), (0, 1), N = 0.
 
 ``decompose`` inverts the trace: any triple (a, b, c) with
 a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
@@ -39,13 +38,11 @@ parametrization.  Index 0 is critical exactly when deg r1 <= 0: rows
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
-from .exactpoly import ONE, ZERO, Poly
+from .exactpoly import NEG_INF, ONE, ZERO, Poly
 
 Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
-Until = Callable[[Poly, Poly], bool] | None  # a row predicate on (r_i, s_i), or None
 
 
 @dataclass(frozen=True)
@@ -98,25 +95,21 @@ class EEATrace:
         _certify(len(self.rows) == N + 2, "row count does not match the quotients")
         _certify(not self.r(N).is_zero, "trace runs past its first zero remainder")
         r0, r1 = self.r(0), self.r(1)
+        # dropping degrees, the defining recurrence and quotient degrees
         for i in range(1, N + 1):
             _certify(self.r(i).degree > self.r(i + 1).degree, f"degree not dropping at {i}")
-        # defining recurrence and quotient degrees
-        for i in range(1, N + 1):
             _certify(self.r(i - 1) == self.q(i) * self.r(i) + self.r(i + 1), f"recurrence fails at {i}")
             if i >= 2 or r0.degree > r1.degree:
                 _certify(self.q(i).degree >= 1, f"constant quotient q_{i}")
         # row identity r_i = s_i*r1 + t_i*r0
         for i in range(N + 2):
             _certify(self.r(i) == self.s(i) * r1 + self.t(i) * r0, f"row identity fails at {i}")
-        # cumulative degree identities
+        # cumulative degree identities: deg q_1 + ... + deg q_i = n - deg r_i = deg s_{i+1}
         qsum = 0
         for i in range(1, N + 1):
             qsum += self.q(i).degree
             _certify(self.r(i).degree == r0.degree - qsum, f"r-degree identity fails at {i}")
-        qsum = 0
-        for i in range(2, N + 2):
-            qsum += self.q(i - 1).degree
-            _certify(self.s(i).degree == qsum, f"s-degree identity fails at {i}")
+            _certify(self.s(i + 1).degree == qsum, f"s-degree identity fails at {i + 1}")
         # consecutive rows are unimodular, and the 2x2 minors reproduce the inputs
         for i in range(N + 1):
             sign = 1 if i % 2 == 0 else -1
@@ -201,19 +194,27 @@ class Decomposition:
     m: tuple[Poly, ...]
 
 
-def past_split(r: Poly, s: Poly) -> bool:
-    """``until`` for the split: row i + 1 is the first with deg s >= deg r, and row i + 2 shows a tie."""
-    return s.degree >= r.degree
+def split_bound(n: int) -> int:
+    """The ``bound`` at which a trace with deg r0 = n keeps its degree split.
+
+    At the smallest critical index i, deg r_{i-1} + deg r_i >= n >= deg r_i +
+    deg r_{i+1}, as deg s_j = n - deg r_{j-1} (the first is vacuous at i = 0).
+    Degrees fall strictly from row 1 on, so deg r_{i+1} < n/2 < deg r_{i-1}:
+    the first remainder of degree <= n // 2 is row i or i + 1, and the trace
+    keeps both.  If it is row i, deg r_i + deg r_{i+1} < n, so index i + 1 is
+    not critical and no tie is lost.
+    """
+    return n // 2
 
 
-def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, until: Until = None) -> EEATrace:
+def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | float = NEG_INF) -> EEATrace:
     """Run the algorithm on r0, r1 with deg r0 >= deg r1 >= 0.
 
     Rows are (r, s, t), all computed here; with ``half=True`` they are
-    (r, s), with the same quotients.  With ``until`` the run stops one
-    row after the first row whose (r, s) it accepts, or at r_{N+1} = 0
-    if that comes first.  Keywords, not more functions, so that every
-    run of the algorithm is a call of this one.
+    (r, s), with the same quotients.  The run stops one row after the
+    first remainder of degree <= ``bound`` (by default none), or at
+    r_{N+1} = 0 if that comes first.  Keywords, not more functions, so
+    that every run of the algorithm is a call of this one.
     """
     if r1.is_zero:
         raise ZeroSecondInput("the second input polynomial is zero")
@@ -221,7 +222,7 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, until: Until = No
         raise ValueError("inputs must satisfy deg r0 >= deg r1 >= 0, both nonzero")
     rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
     quotients = []
-    while not rows[-1][0].is_zero and not (until is not None and until(*rows[-2][:2])):
+    while not rows[-1][0].is_zero and rows[-2][0].degree > bound:
         prev, cur = rows[-2], rows[-1]
         q, r = prev[0].div_rem(cur[0])
         quotients.append(q)
@@ -229,11 +230,11 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, until: Until = No
     return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
 
 
-def half_trace(r0: Poly, r1: Poly, until: Until = None) -> EEATrace:
-    """The half trace of (r0, r1), stopped by ``until``; for r1 = 0 the trivial one, N = 0."""
+def half_trace(r0: Poly, r1: Poly, bound: int | float = NEG_INF) -> EEATrace:
+    """The half trace of (r0, r1), truncated at ``bound``; for r1 = 0 the trivial one, N = 0."""
     if r1.is_zero:
         return EEATrace(rows=((r0, ZERO), (ZERO, ONE)), quotients=())
-    return extended_euclid(r0, r1, half=True, until=until)
+    return extended_euclid(r0, r1, half=True, bound=bound)
 
 
 def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:

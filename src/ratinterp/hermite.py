@@ -20,11 +20,9 @@ remainder trace of (f, g), which every solver query reads its answer
 from.  All-zero data has the trivial trace, rows (f, 0), (0, 1) and
 N = 0 (``eea.half_trace``).  The trace is a half one, rows (r_i, s_i):
 every answer is a weak pair, and none prints t.  A query that reads no
-row past some point passes ``until``, and the trace stops one row past
-the first row it accepts.  It runs the EEA anew on each call: the
-benchmark's traced counts pin three EEA runs per full CLI ``delta``
-report (``perfbench/tests/test_perfbench.py``), so sharing one trace
-per instance waits until that pin moves.
+row past the first remainder of degree <= some bound passes ``bound``,
+and the trace stops one row past that remainder.  It runs the EEA anew
+on each call, as the benchmark pins three runs per full CLI ``delta``.
 
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
@@ -37,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .eea import EEATrace, Until, half_trace
+from .eea import EEATrace, half_trace
 from .errors import CertificateError, ZeroDenominator
-from .exactpoly import ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
+from .exactpoly import NEG_INF, ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
 
 
 @dataclass(frozen=True)
@@ -68,9 +66,9 @@ class InterpolationData:
         """(f, g), built together on first use by ``exactpoly.newton_pair``."""
         return newton_pair(self.points)
 
-    def trace(self, until: Until = None) -> EEATrace:
-        """The half trace of (f, g), rows (r_i, s_i), run anew on each call; ``until`` truncates it."""
-        return half_trace(*self.newton_pair, until=until)
+    def trace(self, bound: int | float = NEG_INF) -> EEATrace:
+        """The half trace of (f, g), rows (r_i, s_i), run anew on each call; ``bound`` truncates it."""
+        return half_trace(*self.newton_pair, bound=bound)
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":

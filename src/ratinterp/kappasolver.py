@@ -162,8 +162,8 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
         )
     # kappa == n: every lam that passes the node test gives degree sum n,
     # and each node forbids at most one lam, so one of the first
-    # node_count + 1 values is accepted; it reads rows 0..2, row 1 the first with s != 0
-    trace = data.trace(until=lambda r, s: not s.is_zero)
+    # node_count + 1 values is accepted; bound deg g = deg r1 keeps rows 0..2
+    trace = data.trace(bound=g.degree)
     k = 0 if trace.r(2).is_zero else 1
     low, high = ((trace.r(j), trace.s(j)) for j in (k, k + 1))
     multipliers = ((ONE, Poly((lam,))) for lam in range(1, data.node_count + 2))
@@ -175,8 +175,8 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     n = data.n
     if not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
-    trace = data.trace(until=lambda r, s: r.degree <= d)
-    # the zero row N + 1 always qualifies; it gives 0/1 for all-zero data
-    # and None otherwise, since its s then vanishes at a node
+    trace = data.trace(bound=d)
+    # the trace stops one row past the first row with deg r <= d, unless that is
+    # the zero row N + 1: 0/1 for all-zero data, else None (its s vanishes at a node)
     k = next(k for k in range(1, trace.N + 2) if trace.r(k).degree <= d)
     return interpolant(trace.r(k), trace.s(k), data)

@@ -8,17 +8,17 @@ index, where consecutive row degrees split n = deg r0, the two rows
 form a basis of all moving lines with degrees mu and n - mu, mu
 minimal.  It is the split that also gives the minimal basis of the
 interpolation problem (``eea.degree_split``).  The trace is a half one
-(``eea.half_trace``) that stops one row past the split
-(``eea.past_split``), and t is derived, with its certificate, at the two
-split rows only.  A constant or zero r1 needs no case of its own: index
-0 is then critical, and row 1 gives the degree-0 line T1 - r1.
+truncated at ``eea.split_bound``, which keeps both split rows, and t is
+derived, with its certificate, at those two rows only.  A constant or
+zero r1 needs no case of its own: index 0 is then critical, and row 1
+gives the degree-0 line T1 - r1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import EEATrace, degree_split, half_trace, past_split
+from .eea import EEATrace, degree_split, half_trace, split_bound
 from .exactpoly import ONE, Poly
 
 
@@ -97,7 +97,7 @@ class MuBasis:
 
 def mu_basis(param: PlaneParametrization) -> MuBasis:
     """Minimal-degree basis of the moving lines of the parametrization."""
-    trace = half_trace(param.r0, param.r1, until=past_split)
+    trace = half_trace(param.r0, param.r1, bound=split_bound(param.n))
     _, low, high, mu = degree_split(trace)
     return MuBasis(mu=mu, low=MovingLine.from_row(trace, low), high=MovingLine.from_row(trace, high))
 

@@ -67,7 +67,7 @@ raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2]
 raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
 raises("check_invariants", EEATrace(trace.rows, (ONE,) * trace.N).check_invariants)
 raises("check_invariants", EEATrace(trace.rows[:-1], trace.quotients).check_invariants)
-cut = extended_euclid(X ** 8 + ONE, Poly([1, 2, 3, 4, 5, 6, 7]), half=True, until=ea.past_split)
+cut = extended_euclid(X ** 8 + ONE, Poly([1, 2, 3, 4, 5, 6, 7]), half=True, bound=ea.split_bound(8))
 cut.check_invariants()
 if cut.complete:
     sys.exit("the truncated trace runs to the zero remainder")

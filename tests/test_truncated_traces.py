@@ -1,5 +1,6 @@
 """Truncated traces: each query runs the EEA only as far as the rows it reads,
-and reads the same answer off them as off the complete trace."""
+and reads the same answer off them as off the complete trace.  A trace stops
+one row past the first remainder of degree <= its bound."""
 
 import random
 
@@ -29,9 +30,16 @@ from ratinterp import (
     sample_solution_of_kappa,
     yy_form,
 )
-from ratinterp.eea import Decomposition, half_trace, past_split
+from ratinterp.eea import Decomposition, half_trace, split_bound
 
-from conftest import integer_node_data, random_data, random_param, random_poly
+from conftest import (
+    integer_node_data,
+    random_data,
+    random_param,
+    random_poly,
+    rational_node_data,
+    repeated_node_data,
+)
 
 DATA24 = integer_node_data(random.Random(24), 24)
 _rng = random.Random(124)
@@ -69,19 +77,24 @@ def _run(traces, query, *args) -> EEATrace:
     return traces[0]
 
 
+def _first_at_most(trace: EEATrace, bound) -> int:
+    """The first row whose remainder has degree <= bound."""
+    return next(j for j in range(trace.N + 2) if trace.r(j).degree <= bound)
+
+
 def test_each_query_computes_the_rows_it_reads(recorded):
     data, n = DATA24, DATA24.n
     complete = half_trace(*data.newton_pair)
-    i = degree_split(complete)[0]
-    assert i + 3 < complete.N + 2  # the stop saves rows here
+    j = _first_at_most(complete, n // 2)
+    assert j + 2 == 14 < complete.N + 2  # the stop saves rows here
     mu2 = n - degree_split(complete)[3]
     for query, *args in [(minimal_basis, data), (minimal_delta_solutions, data),
                          (admissible_delta_set, data), (sample_solution_of_delta, data, mu2 + 1)]:
         trace = _run(recorded, query, *args)
-        assert len(trace.rows) == i + 3, query.__name__
+        assert len(trace.rows) == j + 2, query.__name__
         assert_prefix(trace, complete)
     for d in range(n):
-        k = next(k for k in range(1, complete.N + 2) if complete.r(k).degree <= d)
+        k = _first_at_most(complete, d)
         trace = _run(recorded, hermite_rational, data, d)
         assert len(trace.rows) == min(k + 2, complete.N + 2), d  # row k + 1, if k is not the zero row
         assert_prefix(trace, complete)
@@ -91,29 +104,56 @@ def test_each_query_computes_the_rows_it_reads(recorded):
     assert _run(recorded, yy_form, rf, data).complete
 
     param_complete = half_trace(PARAM24.r0, PARAM24.r1)
-    i = degree_split(param_complete)[0]
-    assert i + 3 < param_complete.N + 2
+    j = _first_at_most(param_complete, PARAM24.n // 2)
+    assert j + 2 == 14 < param_complete.N + 2
     trace = _run(recorded, mu_basis, PARAM24)
-    assert len(trace.rows) == i + 3
+    assert len(trace.rows) == j + 2
     assert_prefix(trace, param_complete)
 
 
-def test_until_stops_one_row_past_the_first_accepted_row():
+def test_bound_stops_one_row_past_the_first_remainder_of_degree_at_most_bound():
     r0, r1 = PARAM24.r0, PARAM24.r1
     complete = extended_euclid(r0, r1)
+    assert complete.complete
     for k in range(complete.N + 1):
-        trace = extended_euclid(r0, r1, until=lambda r, s, k=k: r.degree <= complete.r(k).degree)
+        trace = extended_euclid(r0, r1, bound=complete.r(k).degree)
         assert len(trace.rows) == k + 2
         assert_prefix(trace, complete)
-    # the zero remainder ends the run even if nothing is accepted
-    assert extended_euclid(r0, r1, until=lambda r, s: False) == complete
+    # the zero remainder ends the run even below every degree
+    assert extended_euclid(r0, r1, bound=-1) == complete
+
+
+def _past_split_rows(complete: EEATrace) -> int:
+    """Rows the rule before the degree bound computed: one past the first row with deg s >= deg r."""
+    j = next(j for j in range(complete.N + 2) if complete.s(j).degree >= complete.r(j).degree)
+    return min(j + 2, complete.N + 2)
+
+
+def test_the_split_bound_keeps_what_the_row_rule_kept_in_no_more_rows():
+    saved = 0
+    for n in range(2, 33):
+        rng = random.Random(n)
+        pairs = [data.newton_pair for data in (integer_node_data(rng, n), repeated_node_data(rng, n),
+                                               rational_node_data(rng, n))]
+        param = random_param(rng, max_n=n)
+        for r0, r1 in pairs + [(param.r0, param.r1)]:
+            complete = half_trace(r0, r1)
+            rows = _past_split_rows(complete)
+            old = EEATrace(complete.rows[:rows], complete.quotients[:rows - 2])
+            new = half_trace(r0, r1, bound=split_bound(r0.degree))
+            assert new.rows == old.rows[:len(new.rows)], n
+            assert new.quotients == old.quotients[:new.N], n
+            assert critical_indices(new) == critical_indices(old), n
+            assert degree_split(new) == degree_split(old), n
+            saved += len(new.rows) < len(old.rows)
+    assert saved > 0
 
 
 def test_a_truncated_trace_is_certified_but_refuses_the_readers_of_every_row():
     r0, r1 = PARAM24.r0, PARAM24.r1
     for half in (False, True):
         complete = extended_euclid(r0, r1, half=half)
-        cut = extended_euclid(r0, r1, half=half, until=past_split)
+        cut = extended_euclid(r0, r1, half=half, bound=split_bound(r0.degree))
         assert complete.complete and not cut.complete
         cut.check_invariants()
         dec = Decomposition((ONE,) + (ZERO,) * (complete.N + 1))
@@ -133,7 +173,7 @@ def _answers(data):
             [hermite_rational(data, d) for d in range(n)], sample_solution_of_kappa(data, n))
 
 
-def _untruncated(r0, r1, *, half=False, until=None):
+def _untruncated(r0, r1, *, half=False, bound=None):
     return extended_euclid(r0, r1, half=half)
 
 
@@ -142,7 +182,7 @@ def _untruncated(r0, r1, *, half=False, until=None):
 def test_truncated_interpolation_traces_read_as_the_complete_one(seed):
     data = random_data(random.Random(seed), max_n=14)
     complete = half_trace(*data.newton_pair)
-    split = data.trace(until=past_split)
+    split = data.trace(bound=split_bound(data.n))
     assert_prefix(split, complete)
     assert critical_indices(split) == critical_indices(complete)
     assert degree_split(split) == degree_split(complete)
@@ -162,7 +202,7 @@ def test_truncated_interpolation_traces_read_as_the_complete_one(seed):
 def test_truncated_mu_basis_traces_read_as_the_complete_one(seed):
     param = random_param(random.Random(seed), max_n=14)
     complete = half_trace(param.r0, param.r1)
-    split = half_trace(param.r0, param.r1, until=past_split)
+    split = half_trace(param.r0, param.r1, bound=split_bound(param.n))
     assert_prefix(split, complete)
     split.check_invariants()
     assert critical_indices(split) == critical_indices(complete)
