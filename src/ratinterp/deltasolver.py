@@ -15,11 +15,13 @@ of interpolants:
 * the admissible degrees are exactly {mu1} u {delta >= mu2} in the first
   case and {delta >= mu2} in the second.
 
-Every fraction is built by ``hermite.interpolant`` (the small pair, a
-trace row) or ``hermite.combine`` (a combination u*pair1 + v*pair2),
-where the trace decides coprimality; no generic gcd runs on the basis.
-The family representative and the samples above the minimum are the
-first passing combinations of bounded multipliers (``hermite.first_member``).
+The two rows' leading coefficient vectors are independent (at most one
+row has deg r == deg s), so deg(u*pair1 + v*pair2) = max(deg u + mu1,
+deg v + mu2): every admissible delta >= mu2 is reached by the member for
+p = x**(delta - mu1) + k, k >= 0 least (``_family_member``), which at
+delta = mu2 is the FAMILY representative.  Every fraction comes from
+``hermite.interpolant``, where the trace decides coprimality; no generic
+gcd runs on the basis.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from fractions import Fraction
 
 from .eea import degree_split, split_bound
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
-from .exactpoly import ONE, ZERO, Poly, _rational_str, monomial, value_ratios
-from .hermite import InterpolationData, RationalFunction, combine, first_member, interpolant
+from .exactpoly import Poly, _rational_str, monomial, value_ratios
+from .hermite import InterpolationData, RationalFunction, combine, interpolant
 
 Pair = tuple[Poly, Poly]
 
@@ -168,14 +170,24 @@ def _node_constraints(
     return tuple(zip(data.nodes, value_ratios(-basis.pair2[1], basis.pair1[1], data.nodes)))
 
 
-def _family_member(data: InterpolationData, basis: MinimalBasis) -> tuple[Poly, Poly, RationalFunction]:
-    """(p, 1, (a2 + p*a1)/(b2 + p*b1)) for p = x**e + k, e = mu2 - mu1, k >= 0 least.
+def _family_member(data: InterpolationData, basis: MinimalBasis, delta: int) -> RationalFunction:
+    """(a2 + p*a1)/(b2 + p*b1) for p = x**(delta - mu1) + k, k >= 0 least, delta >= mu2.
 
-    A node forbids at most one k, so one of k = 0..node_count passes.
+    With v = 1 the pair shares only node factors, so ``interpolant``'s node
+    test decides it.  A node forbids at most one k, so one of
+    k = 0..node_count passes, and the predictable-degree property gives
+    every member max-degree delta; either failing certifies a broken basis.
     """
-    e = basis.mu2 - basis.mu1
-    multipliers = ((monomial(e) + k, ONE) for k in range(data.node_count + 1))
-    return first_member(basis.pair1, basis.pair2, multipliers, lambda rf: rf.delta_degree == basis.mu2, data)
+    (a1, b1), (a2, b2) = basis.pair1, basis.pair2
+    shift = monomial(delta - basis.mu1)
+    for p in (shift + k for k in range(data.node_count + 1)):
+        member = interpolant(a2 + p * a1, b2 + p * b1, data)
+        if member is None:
+            continue
+        if member.delta_degree != delta:
+            raise CertificateError(f"a member has max-degree {member.delta_degree}, not {delta}; broken basis")
+        return member
+    raise CertificateError("every k in 0..node_count is forbidden at a node; broken basis")
 
 
 def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
@@ -195,7 +207,7 @@ def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
         kind="FAMILY",
         minimal_delta=basis.mu2,
         basis=basis,
-        representative=_family_member(data, basis)[2],
+        representative=_family_member(data, basis, basis.mu2),
         family_degree=basis.mu2 - basis.mu1,
         node_constraints=_node_constraints(data, basis),
     )
@@ -231,16 +243,6 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
     admissible = _degree_set(basis, unique)
     if delta not in admissible:
         raise DegreeNotAdmissible(f"no interpolant has max-degree {delta}; admissible: {admissible}")
-    u0, v0, minimal = (ONE, ZERO, unique) if unique is not None else _family_member(data, basis)
-    if delta == minimal.delta_degree:
-        return minimal
-    # Climb from the minimal solution c*(u0*pair1 + v0*pair2), with
-    # c = 1/lead(u0*b1 + v0*b2): adding lam * x**m * pair2, m = delta - mu2,
-    # raises the degree to exactly delta for every lam != 0.  Each node
-    # forbids at most one lam and gcd(c*u0, c*v0 + lam*x**m) != 1 at most
-    # deg u0 of them, so one of the first node_count + deg u0 + 1 values
-    # is accepted.
-    c = 1 / (u0 * basis.pair1[1] + v0 * basis.pair2[1]).leading
-    shift = monomial(delta - basis.mu2)
-    multipliers = ((c * u0, c * v0 + lam * shift) for lam in range(1, data.node_count + u0.degree + 2))
-    return first_member(basis.pair1, basis.pair2, multipliers, lambda rf: rf.delta_degree == delta, data)[2]
+    if unique is not None and delta == basis.mu1:
+        return unique
+    return _family_member(data, basis, delta)

@@ -26,7 +26,11 @@ on each call, as the benchmark pins three runs per full CLI ``delta``.
 
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
-addition, b vanishes at no node.
+addition, b vanishes at no node.  ``interpolant`` makes that fraction
+for a pair that can share only node factors (a trace row, or a basis
+combination p*pair1 + pair2), and ``combine`` for any multipliers of
+two basis pairs; both decide coprimality by the node test, never by a
+generic gcd.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .eea import EEATrace, half_trace
-from .errors import CertificateError, ZeroDenominator
+from .errors import ZeroDenominator
 from .exactpoly import NEG_INF, ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
 
 
@@ -262,21 +266,6 @@ def combine(
     if common.degree > 0:
         u, v = u.div_rem(common)[0], v.div_rem(common)[0]
     return interpolant(u * pair1[0] + v * pair2[0], u * pair1[1] + v * pair2[1], data)
-
-
-def first_member(
-    pair1: tuple[Poly, Poly], pair2: tuple[Poly, Poly], multipliers, accept, data: InterpolationData
-) -> tuple[Poly, Poly, RationalFunction]:
-    """The first (u, v, member) over the multipliers whose ``combine`` passes ``accept``.
-
-    Each caller bounds its multipliers so that one must pass (a node forbids
-    at most one); running out certifies a broken basis or trace.
-    """
-    for u, v in multipliers:
-        member = combine(pair1, pair2, u, v, data)
-        if member is not None and accept(member):
-            return u, v, member
-    raise CertificateError("no multiplier in the bound gives an accepted member; broken basis or trace")
 
 
 def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:

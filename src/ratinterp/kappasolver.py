@@ -4,16 +4,15 @@ For a reduced fraction a/b the degree sum is deg a + deg b.  Writing any
 interpolant in the trace-row basis of (f, g) shows the degree sums below
 n are exactly the values n - deg q_k for which s_k vanishes at no node,
 each realized by the reduced row fraction r_k/s_k; every value >= n is
-admissible as well.
+admissible as well, realized by the polynomial (x**(kappa - n) + 1)*f + g.
 
 The prescribed-split problem (numerator degree <= d, denominator degree
 <= n - d - 1) is decided by the single trace row whose remainder degree
 first drops to d or below: it is solvable iff that row's r and s are
 coprime, and then the reduced row fraction is the solution.
 
-Row fractions are built by ``hermite.interpolant`` and the kappa = n
-sample r_k + lam*r_{k+1} over s_k + lam*s_{k+1} by ``hermite.first_member``;
-both read coprimality off the trace, never from a generic gcd.
+Row fractions are built by ``hermite.interpolant``, which reads
+coprimality off the trace, never from a generic gcd.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from dataclasses import dataclass
 from .eea import Decomposition, decompose
 from .errors import KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, Poly, monomial
-from .hermite import (
-    InterpolationData,
-    RationalFunction,
-    first_member,
-    interpolant,
-    nonzero_at_nodes,
-    weak_cofactor,
-)
+from .hermite import InterpolationData, RationalFunction, interpolant, nonzero_at_nodes, weak_cofactor
 
 Pair = tuple[Poly, Poly]
 
@@ -143,31 +135,18 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     n = data.n
-    f, g = data.newton_pair
-    if kappa >= n and g.is_zero:
-        # (x**e + 1) * f over 1 interpolates zero data with degree sum n + e
-        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f, ONE)
-    if kappa > n:
-        # pad the base rows with a multiple of f; the denominator stays
-        # constant, so every target is reachable with no scan
-        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f + f + g, ONE)
-    if kappa < n:
-        report = admissible_kappa(data)
-        for entry in report.isolated:
-            if entry.kappa == kappa:
-                return entry.solution
-        raise KappaNotAdmissible(
-            f"no interpolant has degree sum {kappa}; isolated values "
-            f"{sorted({e.kappa for e in report.isolated})}, tail >= {n}"
-        )
-    # kappa == n: every lam that passes the node test gives degree sum n,
-    # and each node forbids at most one lam, so one of the first
-    # node_count + 1 values is accepted; bound deg g = deg r1 keeps rows 0..2
-    trace = data.trace(bound=g.degree)
-    k = 0 if trace.r(2).is_zero else 1
-    low, high = ((trace.r(j), trace.s(j)) for j in (k, k + 1))
-    multipliers = ((ONE, Poly((lam,))) for lam in range(1, data.node_count + 2))
-    return first_member(low, high, multipliers, lambda rf: kappa_of(rf) == n, data)[2]
+    if kappa >= n:
+        # deg g < n, so the numerator has degree kappa over the denominator 1
+        f, g = data.newton_pair
+        return RationalFunction.coprime((monomial(kappa - n) + ONE) * f + g, ONE)
+    report = admissible_kappa(data)
+    for entry in report.isolated:
+        if entry.kappa == kappa:
+            return entry.solution
+    raise KappaNotAdmissible(
+        f"no interpolant has degree sum {kappa}; isolated values "
+        f"{sorted({e.kappa for e in report.isolated})}, tail >= {n}"
+    )
 
 
 def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None:

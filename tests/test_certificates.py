@@ -63,6 +63,13 @@ def raises(label, fn):
 
 
 raises("MinimalBasis", lambda: MinimalBasis((ZERO, ONE), (f, ZERO), 5, 1, critical_index=0))
+# b1 and b2 vanish at the node 0: every k is forbidden
+raises("every k", lambda: ds._family_member(data, MinimalBasis((ONE, X), (X ** 2, X ** 2 - X), 1, 2, 0), 2))
+# pair2 + x**(mu2 - mu1 + 1)*pair1 has degree mu2 + 1: its row degrees sum past n
+shift = X ** (basis.mu2 - basis.mu1 + 1)
+skew = tuple(q + shift * p for p, q in zip(basis.pair1, basis.pair2))
+raises("member degree", lambda: ds._family_member(
+    data, MinimalBasis(basis.pair1, skew, basis.mu1, basis.mu2, basis.critical_index), basis.mu2))
 raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2], quotients=())))
 raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
 raises("check_invariants", EEATrace(trace.rows, (ONE,) * trace.N).check_invariants)
@@ -102,8 +109,8 @@ def test_guards_raise_under_optimize():
 
 
 def _instances(rng):
-    """Integer, repeated and rational nodes, all-zero data, and a climb whose
-    first candidate shares the factor x + 1 with its multipliers."""
+    """Integer, repeated and rational nodes, all-zero data, and a FAMILY
+    instance whose member for k = 0 is forbidden at every delta >= mu2."""
     rational = sorted({Fraction(k, d) for k in range(-9, 10) for d in (1, 2, 3)})
     for _ in range(8):
         n = rng.randint(2, 8)
@@ -170,14 +177,15 @@ def test_each_query_runs_at_most_one_eea(monkeypatch, tmp_path, capsys):
         query(*args)
         return len(runs)
 
-    assert count(sample_solution_of_kappa, data, data.n) == 1
+    assert count(sample_solution_of_kappa, data, data.n) == 0
     assert count(sample_solution_of_kappa, data, data.n + 1) == 0
     runs.clear()
     with pytest.raises(DegreeNotAdmissible, match="admissible: delta >= 4"):
         sample_solution_of_delta(data, 3)
     assert len(runs) == 1
-    for argv in (["delta", "--solve", "5"], ["delta", "--set"], ["kappa", "--solve", "6"]):
+    for argv in (["delta", "--solve", "5"], ["delta", "--set"]):
         assert count(main, [*argv, str(path)]) == 1, argv
+    assert count(main, ["kappa", "--solve", "6", str(path)]) == 0
     capsys.readouterr()
     rf = minimal_delta_solutions(data).representative
     single = [(minimal_delta_solutions, data), (admissible_delta_set, data), (admissible_kappa, data),

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from ratinterp import (
-    InterpolationData, Poly, RationalFunction, check_interpolates, extended_euclid, kappa_of,
+    InterpolationData, Poly, RationalFunction, X, check_interpolates, extended_euclid, kappa_of,
+    minimal_basis,
 )
 from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, main
 
@@ -234,25 +235,38 @@ class TestInputHandling:
         assert main(["eea", str(zero)]) == 1
 
 
-class TestClimbingScans:
+def _solve(tmp_path, capsys, command, points) -> tuple[InterpolationData, RationalFunction]:
+    """Run ``command`` with --json on single-value points; the data and the printed solution."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"points": [{"x": x, "values": [y]} for x, y in points]}))
+    assert main([*command, str(path), "--json"]) == 0
+    solution = json.loads(capsys.readouterr().out)["solution"]
+    rf = RationalFunction(Poly.from_json(solution["numer"]), Poly.from_json(solution["denom"]))
+    data = InterpolationData.from_pairs([(x, [y]) for x, y in points])
+    assert check_interpolates(rf, data)
+    return data, rf
+
+
+class TestSolveAboveTheMinimum:
     @pytest.mark.parametrize(
-        "command, points",
+        "delta, points",
         [
-            # the first climbing candidate of each scan is rejected here
-            (["delta", "--solve", "3"], [("3", "-1"), ("-2", "1"), ("4", "-2")]),
-            (["kappa", "--solve", "2"], [("-4", "-1"), ("-2", "1")]),
+            (3, [("-1", "0"), ("-3", "2"), ("0", "-1")]),  # UNIQUE
+            (2, [("-4", "-2"), ("2", "1")]),  # FAMILY
         ],
     )
-    def test_rejected_first_candidate(self, tmp_path, capsys, command, points):
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps({"points": [{"x": x, "values": [y]} for x, y in points]}))
-        assert main([*command, str(path), "--json"]) == 0
-        solution = json.loads(capsys.readouterr().out)["solution"]
-        rf = RationalFunction(Poly.from_json(solution["numer"]), Poly.from_json(solution["denom"]))
-        data = InterpolationData.from_pairs([(x, [y]) for x, y in points])
-        assert check_interpolates(rf, data)
-        degree = rf.delta_degree if command[0] == "delta" else kappa_of(rf)
-        assert degree == int(command[2])
+    def test_forbidden_first_candidate(self, tmp_path, capsys, delta, points):
+        data, rf = _solve(tmp_path, capsys, ["delta", "--solve", str(delta)], points)
+        assert rf.delta_degree == delta
+        # the premise: delta > mu2, and the member for k = 0 has a pole at a node
+        basis = minimal_basis(data)
+        first = basis.pair2[1] + X ** (delta - basis.mu1) * basis.pair1[1]
+        assert delta > basis.mu2
+        assert any(first(x) == 0 for x in data.nodes)
+
+    def test_kappa_at_n_is_a_polynomial(self, tmp_path, capsys):
+        _, rf = _solve(tmp_path, capsys, ["kappa", "--solve", "2"], [("-4", "-1"), ("-2", "1")])
+        assert rf.denom == P(1) and kappa_of(rf) == 2
 
 
 @pytest.mark.parametrize(

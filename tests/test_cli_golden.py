@@ -20,9 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
-# problems read from stdin: a UNIQUE instance, all-zero data, two instances
-# whose first climbing candidate is rejected, a FAMILY instance with node
-# constraints, and curves with a constant, a zero and an equal-degree r1
+# problems read from stdin: a UNIQUE instance, all-zero data (its sample
+# above mu2 steps past k = 0), a small UNIQUE instance, a FAMILY instance
+# whose representative steps past k = 0, a FAMILY instance with rational
+# nodes, and curves with a constant, a zero and an equal-degree r1
 INLINE = [
     {"points": [{"x": "0", "values": ["-1/5"]}, {"x": "1", "values": ["-1/4"]},
                 {"x": "2", "values": ["-1/3"]}, {"x": "3", "values": ["-1/2"]}]},

@@ -26,9 +26,8 @@ def _small_values(rng):
     return InterpolationData.from_pairs([(x, [rng.randint(-1, 1)]) for x in nodes])
 
 
-@pytest.fixture(scope="module")
-def family():
-    """300 distinct FAMILY instances with their reports, half of them with small values."""
+def _draw(kind, count):
+    """count distinct instances of the kind with their reports, half of them with small values."""
     rng = random.Random(15)
     makers = (
         lambda r: integer_node_data(r, r.randint(2, 8)),
@@ -36,38 +35,56 @@ def family():
         lambda r: rational_node_data(r, r.randint(2, 8)),
     )
     seen, out = set(), []
-    while len(out) < 300:
+    while len(out) < count:
         data = _small_values(rng) if len(out) % 2 else rng.choice(makers)(rng)
         if data in seen:
             continue
         seen.add(data)
         report = minimal_delta_solutions(data)
-        if report.kind == "FAMILY":
+        if report.kind == kind:
             out.append((data, report))
     return out
 
 
-def _reference_member(data, report):
-    """The member for p = x**e + k, k the least integer >= 0 that no node constraint forbids."""
-    e = report.family_degree
-    banned = {v - x**e for x, v in report.node_constraints if v is not None}
+@pytest.fixture(scope="module")
+def family():
+    """300 distinct FAMILY instances with their reports."""
+    return _draw("FAMILY", 300)
+
+
+@pytest.fixture(scope="module")
+def unique():
+    """150 distinct UNIQUE instances with their reports."""
+    return _draw("UNIQUE", 150)
+
+
+def _reference_member(data, basis, delta):
+    """The member for p = x**(delta - mu1) + k, k the least integer >= 0 that no node constraint forbids."""
+    e = delta - basis.mu1
+    banned = {v - x**e for x, v in ds._node_constraints(data, basis) if v is not None}
     k = 0
     while k in banned:
         k += 1
-    basis = report.basis
     return k, combine(basis.pair1, basis.pair2, monomial(e) + k, ONE, data)
 
 
-def test_representative_is_the_member_of_the_least_free_parameter(family):
-    shifted = 0
-    for data, report in family:
-        k, member = _reference_member(data, report)
-        shifted += k > 0
-        assert member is not None
-        assert report.representative == member
-        assert sample_solution_of_delta(data, report.minimal_delta) == member
-    # the search must step past a forbidden k on some of the instances
-    assert shifted >= 10, shifted
+def test_representative_is_the_member_of_the_least_free_parameter(family, unique):
+    """The delta samples at mu2, mu2 + 1 and n + 1 of either kind, and the FAMILY representative."""
+    targets = {"mu2": lambda data, mu2: mu2, "mu2 + 1": lambda data, mu2: mu2 + 1,
+               "n + 1": lambda data, mu2: data.n + 1}
+    for name, target in targets.items():
+        shifted = 0
+        for data, report in family + unique:
+            basis = report.basis
+            delta = target(data, basis.mu2)
+            k, member = _reference_member(data, basis, delta)
+            shifted += k > 0
+            assert member is not None and member.delta_degree == delta
+            if report.kind == "FAMILY" and delta == basis.mu2:
+                assert report.representative == member
+            assert sample_solution_of_delta(data, delta) == member, (name, data)
+        # the search must step past a forbidden k on some of the instances
+        assert shifted >= 25, (name, shifted)
 
 
 def test_samplers_need_no_exact_node_constraints(family, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratinterp.deltasolver as ds
 from ratinterp import (
     CertificateError,
     InterpolationData,
@@ -26,7 +27,7 @@ from ratinterp import (
     weak_cofactor,
     yy_form,
 )
-from ratinterp.hermite import combine, first_member, nonzero_at_nodes
+from ratinterp.hermite import combine, interpolant, nonzero_at_nodes
 
 from conftest import (
     P,
@@ -345,26 +346,33 @@ class TestNodeTest:
             assert nonzero_at_nodes(b, data) == all(b(x) != 0 for x in data.nodes)
 
 
-class TestFirstMember:
-    def test_returns_the_first_accepted_multipliers(self, data_four):
+class TestFamilyMember:
+    """``deltasolver._family_member``, the one search for members above the minimum."""
+
+    def test_returns_the_member_of_the_least_k_that_passes_the_node_test(self):
+        # UNIQUE, mu1 = 1, mu2 = 2: at delta = 3, p = x**2 and x**2 + 1 vanish at a node
+        data = InterpolationData.from_pairs([(-1, [0]), (-3, [2]), (0, [-1])])
+        basis = minimal_basis(data)
+        (a1, b1), (a2, b2) = basis.pair1, basis.pair2
+        members = [interpolant(a2 + (X**2 + k) * a1, b2 + (X**2 + k) * b1, data) for k in range(3)]
+        assert members[0] is None and members[1] is None and members[2] is not None
+        assert ds._family_member(data, basis, 3) == members[2]
+        assert members[2] == combine(basis.pair1, basis.pair2, X**2 + 2, ONE, data)
+
+    def test_raises_when_every_k_is_forbidden(self, data_four):
+        # b1 and b2 vanish at the node 0, so b2 + p*b1 does for every p
+        basis = ds.MinimalBasis((ONE, X), (X**2, X**2 - X), 1, 2, critical_index=0)
+        with pytest.raises(CertificateError, match="every k"):
+            ds._family_member(data_four, basis, 2)
+
+    def test_raises_on_a_basis_that_is_not_row_reduced(self, data_four):
+        # pair2 + x**(mu2 - mu1 + 1)*pair1 has degree mu2 + 1, declared mu2
         basis = minimal_basis(data_four)
-        tried = []
-
-        def accept(rf):
-            tried.append(rf)
-            return len(tried) == 2
-
-        # p = -2/3 makes the denominator vanish at a node: skipped before accept sees it
-        multipliers = [(Poly((lam,)), ONE) for lam in (Fraction(-2, 3), 1, 2, 3)]
-        u, v, member = first_member(basis.pair1, basis.pair2, multipliers, accept, data_four)
-        assert (u, v) == multipliers[2] and len(tried) == 2
-        assert member == tried[1] == combine(basis.pair1, basis.pair2, u, v, data_four)
-
-    def test_raises_when_the_multipliers_run_out(self, data_four):
-        basis = minimal_basis(data_four)
-        multipliers = [(Poly((lam,)), ONE) for lam in range(3)]
-        with pytest.raises(CertificateError, match="no multiplier in the bound"):
-            first_member(basis.pair1, basis.pair2, multipliers, lambda rf: False, data_four)
+        shift = X ** (basis.mu2 - basis.mu1 + 1)
+        skew = tuple(q + shift * p for p, q in zip(basis.pair1, basis.pair2))
+        bad = ds.MinimalBasis(basis.pair1, skew, basis.mu1, basis.mu2, basis.critical_index)
+        with pytest.raises(CertificateError, match="max-degree 3, not 2"):
+            ds._family_member(data_four, bad, basis.mu2)
 
 
 class TestCheckInterpolates:
