@@ -39,9 +39,10 @@ from .mubasis import PlaneParametrization, mu_basis
 # before any of it runs.
 MAX_DEGREE = 128
 
-# Largest n for ``oracle --kappa-set``, whose candidate grid grows exponentially
-# with n: constant data took 1.1 s at n = 6 and ran past 60 s at n = 7.
-KAPPA_SET_MAX_DEGREE = 6
+# Largest n for ``oracle --kappa-set``, which eliminates one system per split,
+# about n**2 / 2 of them: its worst measured family, constant data, took 5–6 s
+# at n = 24 and 20 s at n = 32 (README).
+KAPPA_SET_MAX_DEGREE = 24
 
 
 def _capped(degree: int, limit: int = MAX_DEGREE, name: str = "the limit") -> int:
@@ -220,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem file, or -")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--kappa-set", action="store_true",
-                      help="exhaustive degree sums below n (default: minimal weak-pair degree)")
+                      help="degree sums below n, one kernel per degree split "
+                      f"(n <= {KAPPA_SET_MAX_DEGREE}; default: minimal weak-pair degree)")
     mode.add_argument("--min-mu", action="store_true", help="minimal moving-line degree")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)

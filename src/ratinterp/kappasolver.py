@@ -72,18 +72,22 @@ class KappaReport:
         }
 
     def text(self, minimum_only: bool = False) -> str:
-        """The report as text; only the minimum and its witnesses if asked."""
-        lines = [
+        """The report as text; only the minimum and its witnesses if asked.
+
+        The full form prints each solution once, in the isolated list, and
+        names the minimal ones by their rows.
+        """
+        if minimum_only:
+            return (f"minimal kappa = {self.minimal_kappa}\n"
+                    "minimal solutions: " + "; ".join(str(rf) for rf in self.minimal_solutions))
+        rows = [str(e.index) for e in self.isolated if e.kappa == self.minimal_kappa]
+        return "\n".join([
+            f"every kappa >= {self.tail_threshold} is admissible",
+            "isolated admissible kappa values:",
+            *(f"  kappa = {e.kappa} via row {e.index}: {e.solution}" for e in self.isolated),
             f"minimal kappa = {self.minimal_kappa}",
-            "minimal solutions: " + "; ".join(str(rf) for rf in self.minimal_solutions),
-        ]
-        if not minimum_only:
-            lines[:0] = [
-                f"every kappa >= {self.tail_threshold} is admissible",
-                "isolated admissible kappa values:",
-                *(f"  kappa = {e.kappa} via row {e.index}: {e.solution}" for e in self.isolated),
-            ]
-        return "\n".join(lines)
+            f"minimal solutions: row{'s' * (len(rows) > 1)} {', '.join(rows)}",
+        ])
 
     def __str__(self) -> str:
         return self.text()

@@ -11,17 +11,22 @@ product-coefficient rows (``_convolution_rows``) for moving lines,
 coprimality and coordinates in a pair basis; and the augmented system
 (A | -b) for ``solve_linear``.
 
-Admissible degree sums below n are decided split by split: the valid
-members of a solution space (exact top degrees, denominator nonzero at
-the nodes, coprime) form the complement of finitely many hypersurfaces,
-so a full scan of a grid larger than the product degree either exhibits
-a member or proves there is none.
+Admissible degree sums below n are decided split by split, each by one
+kernel, because below n a weak pair is unique up to a common factor
+(von zur Gathen & Gerhard, *Modern Computer Algebra*, §5.7): for weak
+pairs (a, b) and (a', b') with deg a, deg a' <= da, deg b, deg b' <= db
+and da + db < n, f divides a*b' - a'*b = (a - b*g)*b' - (a' - b'*g)*b,
+whose degree is below n = deg f, so a*b' = a'*b.  If (a, b) is reduced
+with deg b = db, then b divides b' and deg b' <= db, so (a', b') is a
+scalar multiple of (a, b): the space has dimension one.  The split
+therefore has an interpolant iff the space is one vector that is
+reduced, of exact degrees, with its denominator nonzero at every node.
+The lemma is checked on every basis, not assumed.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from fractions import Fraction
 
@@ -208,49 +213,27 @@ def _coprime(a: Poly, b: Poly) -> bool:
 
 def _split_has_interpolant(data: InterpolationData, da: int, db: int) -> bool:
     """Is there an interpolant with numerator degree exactly da and
-    denominator degree exactly db, in lowest terms?
+    denominator degree exactly db, in lowest terms?  Needs da + db < n.
 
-    The solution space is scanned over a grid large enough that the
-    product of the finitely many disqualifying polynomials (degree
-    drops, node zeros, a common factor) cannot vanish everywhere on it
-    unless one of them vanishes identically.
+    Below n all weak pairs are proportional (module docstring), so a
+    reduced interpolant of the split is the one basis vector, if any.
     """
+    if da + db >= data.n:
+        raise ValueError(f"the split ({da}, {db}) needs da + db < n = {data.n}")
     basis = weak_pairs_upto(data, da, db)
     if not basis:
         return False
-    nodes = data.nodes
-    # identically-failing linear conditions end the search early;
-    # the zero numerator is still a valid reduced fraction when db == 0
-    if (da > 0 or db > 0) and all(a.coeff(da) == 0 for a, _ in basis):
+    (a0, b0), rest = basis[0], basis[1:]
+    if any(a * b0 != a0 * b for a, b in rest):
+        raise CertificateError(f"weak pairs of the split ({da}, {db}) are not proportional")
+    if rest:
         return False
-    if all(b.coeff(db) == 0 for _, b in basis):
-        return False
-    for x in nodes:
-        if all(b(x) == 0 for _, b in basis):
-            return False
-    grid_size = 2 + len(nodes) + da + db + 1
-    for lams in itertools.product(range(grid_size), repeat=len(basis)):
-        if not any(lams):
-            continue
-        a = Poly(())
-        b = Poly(())
-        for lam, (ba, bb) in zip(lams, basis):
-            if lam:
-                a = a + lam * ba
-                b = b + lam * bb
-        if a.is_zero:
-            if da != 0:
-                continue
-        elif a.degree != da:
-            continue
-        if b.is_zero or b.degree != db:
-            continue
-        if any(b(x) == 0 for x in nodes):
-            continue
-        if not _coprime(a, b):
-            continue
-        return True
-    return False
+    return (
+        (a0.degree == da or (a0.is_zero and da == 0))
+        and b0.degree == db
+        and all(b0(x) != 0 for x in data.nodes)
+        and _coprime(a0, b0)
+    )
 
 
 def kappa_values_below_n(data: InterpolationData) -> set[int]:

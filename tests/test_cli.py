@@ -189,16 +189,24 @@ class TestOracleCommand:
         assert capsys.readouterr().err == "input error: --min-mu needs a parametrization problem file\n"
 
     def test_kappa_set_degree_cap(self, tmp_path, capsys):
-        """Seven constant values exit 2 before the exponential scan; the plain oracle still answers."""
-        path = tmp_path / "constant7.json"
-        path.write_text(json.dumps({"points": [{"x": str(x), "values": ["5"]} for x in range(7)]}))
-        assert KAPPA_SET_MAX_DEGREE == 6
+        """Constant values, the slowest measured family, exit 2 above the cap before
+        any elimination, and answer at seven values, where a grid scan once ran for minutes."""
+
+        def constant(n):
+            path = tmp_path / f"constant{n}.json"
+            path.write_text(json.dumps({"points": [{"x": str(x), "values": ["5"]} for x in range(n)]}))
+            return str(path)
+
+        cap = KAPPA_SET_MAX_DEGREE
+        assert cap == 24
         start = time.perf_counter()
-        assert main(["oracle", "--kappa-set", str(path)]) == 2
-        assert capsys.readouterr().err == "input error: degree 7 exceeds the --kappa-set limit 6\n"
+        assert main(["oracle", "--kappa-set", constant(cap + 1)]) == 2
+        assert capsys.readouterr().err == f"input error: degree {cap + 1} exceeds the --kappa-set limit {cap}\n"
         assert time.perf_counter() - start < 0.5
-        assert main(["oracle", str(path)]) == 0
+        assert main(["oracle", constant(cap + 1)]) == 0
         assert capsys.readouterr().out == "min delta = 0\n"
+        assert main(["oracle", "--kappa-set", constant(7)]) == 0
+        assert capsys.readouterr().out == "kappa values below n: [0]\n"
 
 
 class TestInputHandling:

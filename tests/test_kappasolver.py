@@ -22,7 +22,25 @@ from ratinterp import (
 )
 from ratinterp.oracle import _split_has_interpolant, kappa_values_below_n
 
-from conftest import P, coprimality_for_free_check, interp_trace, random_data
+from conftest import (
+    P,
+    coprimality_for_free_check,
+    interp_trace,
+    planted_data,
+    random_data,
+    random_poly,
+    rational_node_data,
+    repeated_node_data,
+)
+
+
+def beyond_the_old_scan(seed):
+    """Instances at n = 8..12, where a grid scan never ran: repeated and rational
+    nodes, and samples of a planted a/b, whose degree sums below n are not all n - 1."""
+    rng = random.Random(seed)
+    instances = [family(rng, rng.randint(8, 12)) for family in (repeated_node_data, rational_node_data) * 2]
+    instances.append(planted_data(rng, rng.randint(8, 12), random_poly(rng, 2), random_poly(rng, 2)))
+    return instances
 
 
 class TestKappaOf:
@@ -237,8 +255,7 @@ class TestHermiteRational:
 
     def test_agreement_with_brute_force_existence(self):
         rng = random.Random(89)
-        for _ in range(15):
-            data = random_data(rng, max_n=5)
+        for data in [random_data(rng, max_n=5) for _ in range(15)] + beyond_the_old_scan(91):
             n = data.n
             for d in range(n):
                 exists = any(
@@ -251,8 +268,7 @@ class TestHermiteRational:
 
 def test_isolated_set_matches_exhaustive_search():
     rng = random.Random(97)
-    for _ in range(12):
-        data = random_data(rng, max_n=6)
+    for data in [random_data(rng, max_n=6) for _ in range(12)] + beyond_the_old_scan(99):
         report = admissible_kappa(data)
         assert {e.kappa for e in report.isolated} == kappa_values_below_n(data)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from ratinterp import (
 from ratinterp import oracle
 from ratinterp.oracle import (
     _convolution_rows,
+    _coprime,
+    _split_has_interpolant,
     kappa_values_below_n,
     min_degree_weak_pair,
     min_mu_oracle,
@@ -31,8 +34,11 @@ from conftest import (
     DATA_RECIPROCAL,
     DATA_SIX_EVEN,
     P,
+    integer_node_data,
     random_data,
     random_poly,
+    rational_node_data,
+    repeated_node_data,
 )
 
 F = Fraction
@@ -178,12 +184,7 @@ class TestKappaSearch:
         assert kappa_values_below_n(DATA_ALL_ZERO) == {0}
 
     def test_elimination_coprimality_matches_gcd(self):
-        import random
-
         from ratinterp import ZERO, gcd
-        from ratinterp.oracle import _coprime
-
-        from conftest import random_poly
 
         rng = random.Random(127)
         for _ in range(150):
@@ -197,6 +198,85 @@ class TestKappaSearch:
             assert _coprime(a, b) == (gcd(a, b).degree == 0)
         assert _coprime(ZERO, P(5))
         assert not _coprime(ZERO, P(0, 5))
+
+
+def constant_data(rng, n, double=False):
+    """One constant value at simple nodes 0..n-1, or at double nodes (derivative 0)."""
+    c = rng.randint(-9, 9)
+    if not double:
+        return InterpolationData.from_pairs([(x, [c]) for x in range(n)])
+    return InterpolationData.from_pairs([(x, [c, 0][: n - 2 * x]) for x in range((n + 1) // 2)])
+
+
+def splits_below_n(n):
+    return [(da, kappa - da) for kappa in range(n) for da in range(kappa + 1)]
+
+
+def grid_scan_reference(data, da, db):
+    """The split decision by scanning a grid of multipliers of the weak-pair basis.
+
+    The valid members of the space (exact top degrees, denominator nonzero
+    at the nodes, coprime) form the complement of finitely many
+    hypersurfaces, so a full scan of a grid larger than the product degree
+    exhibits a member or proves there is none; the grid is exponential in
+    the dimension of the space.
+    """
+    basis = weak_pairs_upto(data, da, db)
+    if not basis:
+        return False
+    # identically-failing linear conditions end the search early;
+    # the zero numerator is still a valid reduced fraction when db == 0
+    if (da > 0 or db > 0) and all(a.coeff(da) == 0 for a, _ in basis):
+        return False
+    if all(b.coeff(db) == 0 for _, b in basis):
+        return False
+    if any(all(b(x) == 0 for _, b in basis) for x in data.nodes):
+        return False
+    grid_size = 2 + len(data.nodes) + da + db + 1
+    for lams in itertools.product(range(grid_size), repeat=len(basis)):
+        if not any(lams):
+            continue
+        a = sum((lam * ba for lam, (ba, _) in zip(lams, basis)), P())
+        b = sum((lam * bb for lam, (_, bb) in zip(lams, basis)), P())
+        if (a.degree == da or (a.is_zero and da == 0)) and b.degree == db \
+                and all(b(x) != 0 for x in data.nodes) and _coprime(a, b):
+            return True
+    return False
+
+
+class TestSplitKernel:
+    """Below n every weak pair of a split is proportional, so one kernel decides it."""
+
+    def test_weak_pairs_of_a_split_are_proportional(self):
+        rng = random.Random(137)
+        families = [integer_node_data, repeated_node_data, rational_node_data,
+                    constant_data, lambda r, n: constant_data(r, n, double=True),
+                    lambda r, n: InterpolationData.from_pairs([(x, [0]) for x in range(n)])]
+        for family in families:
+            for n in (rng.randint(3, 6), rng.randint(7, 10)):
+                data = family(rng, n)
+                for da, db in splits_below_n(data.n):
+                    basis = weak_pairs_upto(data, da, db)
+                    for (a, b), (a2, b2) in itertools.combinations(basis, 2):
+                        assert a * b2 == a2 * b, (data, da, db)
+
+    def test_non_proportional_pairs_are_a_certificate_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "weak_pairs_upto", lambda data, da, db: [(P(1), P(1)), (P(0, 1), P(1))])
+        with pytest.raises(CertificateError, match="not proportional"):
+            _split_has_interpolant(DATA_FOUR, 1, 0)
+
+    def test_split_of_degree_sum_n_is_a_value_error(self):
+        with pytest.raises(ValueError, match="needs da \\+ db < n"):
+            _split_has_interpolant(DATA_FOUR, 2, 2)
+
+    def test_kernel_matches_the_grid_scan(self):
+        rng = random.Random(139)
+        instances = [random_data(rng, max_n=5) for _ in range(12)]
+        instances += [constant_data(rng, n, double) for n in (4, 5) for double in (False, True)]
+        instances.append(DATA_ALL_ZERO)
+        for data in instances:
+            for da, db in splits_below_n(data.n):
+                assert _split_has_interpolant(data, da, db) == grid_scan_reference(data, da, db), (data, da, db)
 
 
 def test_minimum_searches_bisect_the_degree(monkeypatch):
