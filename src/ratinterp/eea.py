@@ -44,6 +44,8 @@ from .exactpoly import NEG_INF, ONE, ZERO, Poly
 
 Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
 
+PAD_WIDTH = 80  # the text table pads no column whose widest cell is wider
+
 
 @dataclass(frozen=True)
 class EEATrace:
@@ -132,14 +134,21 @@ class EEATrace:
         }
 
     def __str__(self) -> str:
-        """The remainder/cofactor table, one row per i, columns padded."""
+        """The remainder/cofactor table, one row per i.
+
+        A column is padded to its widest cell only when that cell has at
+        most ``PAD_WIDTH`` characters; a wider column prints unpadded, as
+        padding it would fill the table with spaces, and its rule under
+        the header is as wide as the header.
+        """
         table = [["i", "deg r_i", "r_i", "s_i", "t_i", "q_i"]]
         for i, (r, s, t) in enumerate(self.full_rows()):
             q = str(self.q(i)) if 1 <= i <= self.N else ""
             table.append([str(i), "-inf" if r.is_zero else str(r.degree), str(r), str(s), str(t), q])
         widths = [max(len(line[c]) for line in table) for c in range(len(table[0]))]
+        widths = [w if w <= PAD_WIDTH else 0 for w in widths]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table]
-        lines.insert(1, "  ".join("-" * w for w in widths))
+        lines.insert(1, "  ".join("-" * (w or len(head)) for w, head in zip(widths, table[0])))
         return "\n".join(lines)
 
 

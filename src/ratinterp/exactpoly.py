@@ -15,7 +15,9 @@ no content pass; sums, differences and remainders take one
 change only the scale; scales multiply by gcd cross-cancellation
 (``_times``), so arithmetic builds no Fraction.  Division is fraction-free
 (``div_rem``), and evaluation runs Horner on the integers and builds one
-Fraction at the end.  ``coeffs``, the reduced Fractions, are derived when read.
+Fraction at the end; the node test (``nonzero_at``) reads the integer
+Horner accumulator alone and builds none.  ``coeffs``, the reduced
+Fractions, are derived when read.
 ``newton_pair`` builds the node polynomial and the interpolant of Hermite
 data directly on integer lists, with no Poly or Fraction per condition.
 
@@ -39,8 +41,6 @@ NEG_INF = float("-inf")
 Scalar = Union[int, str, Fraction]
 
 _INTEGER_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-_P = 2**61 - 1  # a prime; node tests run on residues modulo it
 
 # Fraction(_Reduced(num, den)) copies the pair, as for any numbers.Rational, without the
 # gcd that Fraction(num, den) takes; on scales of thousands of bits it outweighs the read.
@@ -83,12 +83,6 @@ def _rational_str(c: Fraction) -> str:
         return top if c.denominator == 1 else f"{top}/{Decimal(c.denominator)}"
 
 
-def _residue(x: Fraction) -> int | None:
-    """x modulo _P, or None when _P divides its denominator."""
-    den = x.denominator % _P
-    return x.numerator % _P * pow(den, -1, _P) % _P if den else None
-
-
 class Poly:
     """An immutable univariate polynomial with exact rational coefficients."""
 
@@ -129,25 +123,14 @@ class Poly:
         return Fraction(0)
 
     def nonzero_at(self, nodes: Iterable[Fraction]) -> bool:
-        """True iff self vanishes at none of the nodes.
+        """True iff self vanishes at none of the nodes; the zero polynomial vanishes everywhere.
 
-        Horner runs on the integer list modulo the prime P = 2^61 - 1,
-        reduced once per call.  A nonzero residue proves the value
-        nonzero.  A zero residue, or a node whose denominator P divides,
-        falls back to the exact value, so the answer is always exact.
+        At x = p/q the value is the scale times acc/q**deg for the integer
+        Horner accumulator acc (``_horner``), so it is zero exactly when
+        acc is: the test is exact and builds no Fraction.
         """
-        residues = [c % _P for c in reversed(self._ints)]
-        for x in nodes:
-            xm = _residue(x)
-            if xm is not None:
-                acc = 0
-                for c in residues:
-                    acc = (acc * xm + c) % _P
-                if acc:
-                    continue
-            if self(x) == 0:
-                return False
-        return True
+        ints = self._ints
+        return all(ints and _horner(ints, x.numerator, x.denominator)[0] for x in nodes)
 
     # -- equality / hashing ------------------------------------------------
 

@@ -231,7 +231,8 @@ def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
 def nonzero_at_nodes(b: Poly, data: InterpolationData) -> bool:
     """True iff b vanishes at no node: the node test that decides coprimality.
 
-    Exact; residues modulo a prime decide most nodes (``Poly.nonzero_at``).
+    Exact: integer Horner decides each node (``Poly.nonzero_at``); the
+    zero polynomial fails it.
     """
     return b.nonzero_at(data.nodes)
 
@@ -244,7 +245,7 @@ def interpolant(a: Poly, b: Poly, data: InterpolationData) -> RationalFunction |
     pair is reduced exactly when b vanishes at no node.  None when b is
     zero or vanishes at a node; otherwise the pair is only scaled monic.
     """
-    if b.is_zero or not nonzero_at_nodes(b, data):
+    if not nonzero_at_nodes(b, data):
         return None
     return RationalFunction.coprime(a, b)
 

@@ -16,7 +16,7 @@ from ratinterp import (
     recombine,
     syzygy_basis_pair,
 )
-from ratinterp.eea import Decomposition
+from ratinterp.eea import PAD_WIDTH, Decomposition
 
 from conftest import (
     P,
@@ -119,6 +119,20 @@ class TestSmallTraces:
             if r0.degree > r1.degree:
                 assert tr.q(1).degree >= 1
             full_trace_check(tr)
+
+
+class TestTextTable:
+    def test_wide_t_column_prints_unpadded(self):
+        tr = extended_euclid(P(0, 3, 10, 7), P(-6, 4, -6, 9))
+        rows = tr.full_rows()
+        width = [max(len(str(row[c])) for row in rows) for c in range(3)]
+        assert max(width[:2]) <= PAD_WIDTH < width[2]
+        lines = str(tr).splitlines()
+        assert lines[1].split("  ")[4] == "---"  # the rule of t_i is as wide as its header
+        for i, (r, s, t) in enumerate(rows):
+            q = str(tr.q(i)) if 1 <= i <= tr.N else ""
+            cells = [str(i), f"{r.degree:<7}", str(r).ljust(width[0]), str(s).ljust(width[1]), str(t), q]
+            assert lines[i + 2] == "  ".join(cells).rstrip()  # s_i is padded, t_i is not
 
 
 class TestDecompose:

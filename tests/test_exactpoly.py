@@ -13,6 +13,7 @@ from ratinterp import (
     hermite_polynomial, monomial, mu_basis, nodal_poly,
 )
 from ratinterp.exactpoly import _rational_str, as_fraction, value_ratios
+from ratinterp.hermite import nonzero_at_nodes
 
 from conftest import (
     P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly,
@@ -465,6 +466,18 @@ class TestNoFractionInArithmetic:
         built = count_fractions(monkeypatch)
         trace = extended_euclid(f, g)
         assert len(built) == 0 and trace.N >= 10
+
+    def test_node_test_on_every_row_of_a_rational_node_trace(self, monkeypatch):
+        rng = random.Random(6)
+        data = InterpolationData.from_pairs(
+            [(Fraction(k, 3), [Fraction(rng.randint(-9, 9), rng.randint(1, 7))]) for k in range(20)])
+        trace = data.trace()
+        rows = [trace.s(k) for k in range(trace.N + 2)]
+        rows += [s * (X - rng.choice(data.nodes)) for s in rows]  # each has a root at a node
+        built = count_fractions(monkeypatch)
+        answers = [nonzero_at_nodes(s, data) for s in rows]
+        # s_0 = 0, and s_{N+1} is a multiple of f
+        assert len(built) == 0 and answers == [False] + [True] * trace.N + [False] * (trace.N + 3)
 
     def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):
         param = PlaneParametrization(P("1/2", -3, "5/7", 0, 2, "-7/5", "-11/3"),

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -11,7 +12,6 @@ from ratinterp import (
     CertificateError,
     InterpolationData,
     ONE,
-    Poly,
     RationalFunction,
     X,
     ZERO,
@@ -32,6 +32,7 @@ from ratinterp.hermite import combine, interpolant, nonzero_at_nodes
 from conftest import (
     P,
     count_fractions,
+    frac_eval,
     frac_mul,
     integer_node_data,
     planted_data,
@@ -42,7 +43,7 @@ from conftest import (
     repeated_node_data,
 )
 
-MOD_P = 2**61 - 1  # the prime of the modular node test
+BIG_P = 2**61 - 1  # a prime
 BIG = 10 ** sys.get_int_max_str_digits() + 1  # str() refuses integers of this size and up
 
 # inputs that take the Newton pass off its common path
@@ -297,44 +298,41 @@ class TestWeakConditions:
             assert check_weak(trace.r(i) * factor, trace.s(i) * factor, data_four)
 
 
+def vanishes_at_no_node(b, data):
+    """The reference node test: Fraction Horner over b's coefficients, cleared of denominators.
+
+    Clearing them keeps the Fraction products cheap at integer nodes and
+    leaves each value zero exactly when b's is.
+    """
+    m = math.lcm(*(c.denominator for c in b.coeffs))
+    cleared = [c * m for c in b.coeffs]
+    return all(frac_eval(cleared, x) != 0 for x in data.nodes)
+
+
 class TestNodeTest:
-    """nonzero_at_nodes decides on residues modulo P and confirms zeros exactly."""
+    """nonzero_at_nodes decides every node exactly, from integer Horner alone."""
 
-    @pytest.fixture
-    def exact_calls(self, monkeypatch):
-        """The nodes at which a Poly is evaluated exactly, in call order."""
-        calls = []
-        exact = Poly.__call__
-
-        def counted(self, x):
-            calls.append(x)
-            return exact(self, x)
-
-        monkeypatch.setattr(Poly, "__call__", counted)
-        return calls
-
-    def test_zero_residue_falls_back_to_the_exact_value(self, exact_calls):
+    def test_value_divisible_by_a_large_prime(self):
         data = InterpolationData.from_pairs([(0, [1])])
-        assert nonzero_at_nodes(P(-MOD_P, 1), data)  # x - P: residue 0 at 0, value -P
-        assert exact_calls == [0]
+        assert nonzero_at_nodes(P(-BIG_P, 1), data)  # x - p has the value -p at 0
         assert not nonzero_at_nodes(X, data)
 
-    def test_node_with_denominator_p_is_tested_exactly(self, exact_calls):
-        data = InterpolationData.from_pairs([(2, [1]), (Fraction(1, MOD_P), [1])])
+    def test_node_with_a_large_prime_denominator(self):
+        data = InterpolationData.from_pairs([(2, [1]), (Fraction(1, BIG_P), [1])])
         assert nonzero_at_nodes(P(3, 1), data)
-        assert exact_calls == [Fraction(1, MOD_P)]
-        assert not nonzero_at_nodes(P(-1, MOD_P), data)
+        assert not nonzero_at_nodes(P(-1, BIG_P), data)
 
-    def test_coefficient_with_denominator_p_is_tested_exactly(self, exact_calls):
-        # residues come from the integer list (1, P) with scale 1/P, so a
-        # coefficient's denominator never forces the exact path
+    def test_coefficient_with_a_large_prime_denominator(self):
         data = InterpolationData.from_pairs([(1, [1]), (2, [1])])
-        assert nonzero_at_nodes(P(Fraction(1, MOD_P), 1), data)
-        assert exact_calls == []
+        assert nonzero_at_nodes(P(Fraction(1, BIG_P), 1), data)
 
-    def test_nonzero_residue_needs_no_exact_value(self, exact_calls):
+    def test_nonzero_at_every_node(self):
         assert nonzero_at_nodes(P(1, 0, 1), InterpolationData.from_pairs([(0, [1]), (3, [1])]))
-        assert exact_calls == []
+
+    def test_zero_polynomial_vanishes_at_every_node(self):
+        assert not nonzero_at_nodes(ZERO, InterpolationData.from_pairs([(5, [1])]))
+        assert not ZERO.nonzero_at([Fraction(1, 3)])
+        assert ZERO.nonzero_at([]) and X.nonzero_at([])
 
     def test_agrees_with_exact_evaluation(self):
         rng = random.Random(39)
@@ -343,7 +341,19 @@ class TestNodeTest:
             b = random_poly(rng, rng.randint(0, 4))
             if rng.random() < 0.5:  # plant a root at a node
                 b = b * (X - rng.choice(data.nodes))
-            assert nonzero_at_nodes(b, data) == all(b(x) != 0 for x in data.nodes)
+            assert nonzero_at_nodes(b, data) == vanishes_at_no_node(b, data)
+
+    @pytest.mark.parametrize("family, n", [(integer_node_data, 32), (rational_node_data, 28),
+                                           (repeated_node_data, 24)])
+    def test_agrees_on_every_row_of_a_complete_trace(self, family, n):
+        rng = random.Random(f"node-test-{family.__name__}")
+        data = family(rng, n)
+        trace = data.trace()
+        assert trace.complete and trace.N >= n // 2
+        for k in range(trace.N + 2):
+            s = trace.s(k)
+            for b in (s, s * (X - rng.choice(data.nodes))):  # the second has a root at a node
+                assert nonzero_at_nodes(b, data) == vanishes_at_no_node(b, data)
 
 
 class TestFamilyMember:
