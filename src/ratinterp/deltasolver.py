@@ -20,8 +20,8 @@ row has deg r == deg s), so deg(u*pair1 + v*pair2) = max(deg u + mu1,
 deg v + mu2): every admissible delta >= mu2 is reached by the member for
 p = x**(delta - mu1) + k, k >= 0 least (``_family_member``), which at
 delta = mu2 is the FAMILY representative.  Every fraction comes from
-``hermite.interpolant``, where the trace decides coprimality; no generic
-gcd runs on the basis.
+``hermite.interpolant`` or ``evaluate_parametrization``: the trace
+decides coprimality, and no generic gcd runs on the basis.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from .eea import degree_split, split_bound
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
-from .exactpoly import Poly, _rational_str, monomial, value_ratios
-from .hermite import InterpolationData, RationalFunction, combine, interpolant
+from .exactpoly import Poly, _rational_str, gcd, monomial, value_ratios
+from .hermite import InterpolationData, RationalFunction, interpolant
 
 Pair = tuple[Poly, Poly]
 
@@ -222,16 +222,24 @@ def admissible_delta_set(data: InterpolationData) -> DegreeSet:
 def evaluate_parametrization(
     basis: MinimalBasis, p: Poly, q: Poly, data: InterpolationData
 ) -> RationalFunction:
-    """The member (p*a1 + q*a2)/(p*b1 + q*b2), validated at the nodes."""
+    """The member (p*a1 + q*a2)/(p*b1 + q*b2), validated at the nodes.
+
+    The basis pairs' 2x2 minor is +-c*f, so once gcd(p, q) is divided out
+    any common factor left divides f: it is a node factor.  So the member
+    is the reduced combination, or DenominatorVanishesAtNode at the first
+    node, in data order, where gcd(p, q) or that denominator vanishes.
+    """
     if p.is_zero and q.is_zero:
         raise ValueError("(p, q) must not both be zero")
-    member = combine(basis.pair1, basis.pair2, p, q, data)
-    if member is not None:
-        return member
-    denom = p * basis.pair1[1] + q * basis.pair2[1]
+    common = gcd(p, q)
+    u, v = p.div_rem(common)[0], q.div_rem(common)[0]
+    denom = u * basis.pair1[1] + v * basis.pair2[1]
     if denom.is_zero:
         raise ZeroDenominator("the combined denominator is the zero polynomial")
-    raise DenominatorVanishesAtNode(next(x for x in data.nodes if denom(x) == 0))
+    for x in data.nodes:
+        if not (common.nonzero_at((x,)) and denom.nonzero_at((x,))):
+            raise DenominatorVanishesAtNode(x)
+    return RationalFunction.coprime(u * basis.pair1[0] + v * basis.pair2[0], denom)
 
 
 def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFunction:

@@ -28,9 +28,9 @@ A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
 addition, b vanishes at no node.  ``interpolant`` makes that fraction
 for a pair that can share only node factors (a trace row, or a basis
-combination p*pair1 + pair2), and ``combine`` for any multipliers of
-two basis pairs; both decide coprimality by the node test, never by a
-generic gcd.
+combination p*pair1 + pair2), deciding coprimality by the node test,
+never by a generic gcd; ``deltasolver.evaluate_parametrization`` does
+the same for any multipliers of the two basis pairs.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class RationalFunction:
     equal.  The zero function is 0/1.
 
     The solvers build their fractions with ``interpolant`` and
-    ``combine`` instead, which decide coprimality from the trace and
-    then only rescale (``RationalFunction.coprime``).
+    ``deltasolver.evaluate_parametrization`` instead, which decide
+    coprimality from the trace and then only rescale
+    (``RationalFunction.coprime``).
     """
 
     __slots__ = ("numer", "denom")
@@ -248,25 +249,6 @@ def interpolant(a: Poly, b: Poly, data: InterpolationData) -> RationalFunction |
     if not nonzero_at_nodes(b, data):
         return None
     return RationalFunction.coprime(a, b)
-
-
-def combine(
-    pair1: tuple[Poly, Poly], pair2: tuple[Poly, Poly], u: Poly, v: Poly, data: InterpolationData
-) -> RationalFunction | None:
-    """The reduced interpolant u*pair1 + v*pair2 of two weak pairs with 2x2 minor c*f.
-
-    Consecutive trace rows, and so the minimal basis, are such pairs.
-    The combination's common factor divides gcd(u, v) times node
-    factors, so the gcd of the small multipliers is divided out.  None
-    when that gcd vanishes at a node; otherwise ``interpolant`` of the
-    reduced combination.
-    """
-    common = gcd(u, v)
-    if not nonzero_at_nodes(common, data):
-        return None
-    if common.degree > 0:
-        u, v = u.div_rem(common)[0], v.div_rem(common)[0]
-    return interpolant(u * pair1[0] + v * pair2[0], u * pair1[1] + v * pair2[1], data)
 
 
 def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:

@@ -7,9 +7,9 @@ back-substitution over the rationals) is the one routine that finds it.
 Three systems feed it: derivative conditions for weak pairs, stated with
 the prescribed values only, so g never enters and agreement with the
 trace-based solvers is evidence rather than a tautology;
-product-coefficient rows (``_convolution_rows``) for moving lines,
-coprimality and coordinates in a pair basis; and the augmented system
-(A | -b) for ``solve_linear``.
+product-coefficient rows (``_convolution_rows``) for moving lines and
+coordinates in a pair basis; and the augmented system (A | -b) for
+``solve_linear``.
 
 Admissible degree sums below n are decided split by split, each by one
 kernel, because below n a weak pair is unique up to a common factor
@@ -22,6 +22,13 @@ scalar multiple of (a, b): the space has dimension one.  The split
 therefore has an interpolant iff the space is one vector that is
 reduced, of exact degrees, with its denominator nonzero at every node.
 The lemma is checked on every basis, not assumed.
+
+The dimension also decides "reduced": were a, b of that vector to share
+a factor h of degree >= 1, h would divide b, which is nonzero at every
+node, so h would be prime to f and (a/h, b/h)*u a weak pair of the split
+for every u of degree <= deg h: dimension >= 2.  For a = 0, f divides
+b*g with b prime to f, so g = 0, every (0, b') is a weak pair, and
+dimension one forces db = 0.
 """
 
 from __future__ import annotations
@@ -194,29 +201,13 @@ def express_in_pair_basis(
 # -- degree sums below n ------------------------------------------------------
 
 
-def _coprime(a: Poly, b: Poly) -> bool:
-    """Coprimality by elimination, keeping this module free of gcd routines.
-
-    Nonzero a, b share a factor iff some u*a + v*b == 0 with
-    deg u < deg b and deg v < deg a, i.e. iff the Sylvester-style
-    system has a nonzero kernel.
-    """
-    if a.is_zero:
-        return not b.is_zero and b.degree == 0
-    if b.is_zero:
-        return a.degree == 0
-    da, db = a.degree, b.degree
-    if da == 0 or db == 0:
-        return True
-    return not nullspace(_convolution_rows([(a, b)], (db - 1, da - 1)), da + db)
-
-
 def _split_has_interpolant(data: InterpolationData, da: int, db: int) -> bool:
     """Is there an interpolant with numerator degree exactly da and
     denominator degree exactly db, in lowest terms?  Needs da + db < n.
 
     Below n all weak pairs are proportional (module docstring), so a
-    reduced interpolant of the split is the one basis vector, if any.
+    reduced interpolant of the split is the one basis vector, if any,
+    and a one-vector kernel of exact degrees is reduced.
     """
     if da + db >= data.n:
         raise ValueError(f"the split ({da}, {db}) needs da + db < n = {data.n}")
@@ -232,7 +223,6 @@ def _split_has_interpolant(data: InterpolationData, da: int, db: int) -> bool:
         (a0.degree == da or (a0.is_zero and da == 0))
         and b0.degree == db
         and all(b0(x) != 0 for x in data.nodes)
-        and _coprime(a0, b0)
     )
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratinterp import (
-    NEG_INF, ONE, X, ZERO, InterpolationData, PlaneParametrization, Poly, extended_euclid, gcd,
-    hermite_polynomial, monomial, mu_basis, nodal_poly,
+    NEG_INF, ONE, X, ZERO, DenominatorVanishesAtNode, InterpolationData, PlaneParametrization, Poly,
+    evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, minimal_basis, monomial, mu_basis,
+    nodal_poly,
 )
 from ratinterp.exactpoly import _rational_str, as_fraction, value_ratios
 from ratinterp.hermite import nonzero_at_nodes
@@ -265,6 +266,26 @@ class TestRationalGrammar:
         with pytest.raises(ValueError, match="negative polynomial power"):
             P(1, 1) ** -1
 
+    @pytest.mark.parametrize("text", [
+        "-" + "7" * 5000, "7" * 5000, "-3/" + "7" * 5000, "3/" + "7" * 5000, "-" + "7" * 5000 + "/0",
+        "1/0", "-0/0", "007/010", "-12/18",
+    ])
+    def test_matches_the_fraction_string_parser(self, text):
+        """Past the 4,300-digit limit of int(str) too: the same value, or the same ValueError message."""
+        def reference(text):
+            try:
+                return Fraction(text)
+            except ZeroDivisionError as exc:
+                raise ValueError("rational with zero denominator") from exc
+
+        results = []
+        for read in (as_fraction, reference):
+            try:
+                results.append(read(text))
+            except ValueError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+
     def test_zero_denominator_message(self):
         with pytest.raises(ValueError, match="zero denominator"):
             Poly(["1/0"])
@@ -478,6 +499,23 @@ class TestNoFractionInArithmetic:
         answers = [nonzero_at_nodes(s, data) for s in rows]
         # s_0 = 0, and s_{N+1} is a multiple of f
         assert len(built) == 0 and answers == [False] + [True] * trace.N + [False] * (trace.N + 3)
+
+    def test_vanishing_member_is_found_by_the_node_test(self, monkeypatch):
+        rng = random.Random(7)
+        data = InterpolationData.from_pairs(
+            [(Fraction(k, 3), [Fraction(rng.randint(-9, 9), rng.randint(1, 7))]) for k in range(8)])
+        basis = minimal_basis(data)
+        last = data.nodes[-1]
+        b1, b2 = basis.pair1[1], basis.pair2[1]
+        # the reduced denominator, then gcd(p, q), vanishes at the last node and at no other
+        cases = [(P(b2(last)), P(-b1(last))), (X - last, ZERO)]
+        built = count_fractions(monkeypatch)
+        nodes = []
+        for p, q in cases:
+            with pytest.raises(DenominatorVanishesAtNode) as caught:
+                evaluate_parametrization(basis, p, q, data)
+            nodes.append(caught.value.node)
+        assert len(built) == 0 and nodes == [last, last]
 
     def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):
         param = PlaneParametrization(P("1/2", -3, "5/7", 0, 2, "-7/5", "-11/3"),

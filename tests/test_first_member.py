@@ -9,13 +9,13 @@ from ratinterp import (
     ONE,
     InterpolationData,
     check_interpolates,
+    evaluate_parametrization,
     kappa_of,
     minimal_delta_solutions,
     monomial,
     sample_solution_of_delta,
     sample_solution_of_kappa,
 )
-from ratinterp.hermite import combine
 
 from conftest import integer_node_data, rational_node_data, repeated_node_data
 
@@ -65,7 +65,7 @@ def _reference_member(data, basis, delta):
     k = 0
     while k in banned:
         k += 1
-    return k, combine(basis.pair1, basis.pair2, monomial(e) + k, ONE, data)
+    return k, evaluate_parametrization(basis, monomial(e) + k, ONE, data)
 
 
 def test_representative_is_the_member_of_the_least_free_parameter(family, unique):

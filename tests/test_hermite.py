@@ -19,6 +19,7 @@ from ratinterp import (
     admissible_kappa,
     check_interpolates,
     check_weak,
+    evaluate_parametrization,
     hermite_polynomial,
     minimal_basis,
     minimal_delta_solutions,
@@ -27,7 +28,7 @@ from ratinterp import (
     weak_cofactor,
     yy_form,
 )
-from ratinterp.hermite import combine, interpolant, nonzero_at_nodes
+from ratinterp.hermite import interpolant, nonzero_at_nodes
 
 from conftest import (
     P,
@@ -367,7 +368,7 @@ class TestFamilyMember:
         members = [interpolant(a2 + (X**2 + k) * a1, b2 + (X**2 + k) * b1, data) for k in range(3)]
         assert members[0] is None and members[1] is None and members[2] is not None
         assert ds._family_member(data, basis, 3) == members[2]
-        assert members[2] == combine(basis.pair1, basis.pair2, X**2 + 2, ONE, data)
+        assert members[2] == evaluate_parametrization(basis, X**2 + 2, ONE, data)
 
     def test_raises_when_every_k_is_forbidden(self, data_four):
         # b1 and b2 vanish at the node 0, so b2 + p*b1 does for every p

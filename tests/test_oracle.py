@@ -8,7 +8,9 @@ from ratinterp import (
     CertificateError,
     InterpolationData,
     PlaneParametrization,
+    X,
     check_weak,
+    gcd,
     minimal_basis,
     monomial,
     mu_basis,
@@ -16,7 +18,6 @@ from ratinterp import (
 from ratinterp import oracle
 from ratinterp.oracle import (
     _convolution_rows,
-    _coprime,
     _split_has_interpolant,
     kappa_values_below_n,
     min_degree_weak_pair,
@@ -183,22 +184,6 @@ class TestKappaSearch:
         assert kappa_values_below_n(DATA_RECIPROCAL) == {1, 3}
         assert kappa_values_below_n(DATA_ALL_ZERO) == {0}
 
-    def test_elimination_coprimality_matches_gcd(self):
-        from ratinterp import ZERO, gcd
-
-        rng = random.Random(127)
-        for _ in range(150):
-            shared = random_poly(rng, rng.randint(-1, 2))
-            a = random_poly(rng, rng.randint(-1, 4))
-            b = random_poly(rng, rng.randint(-1, 4))
-            if not shared.is_zero:
-                a, b = a * shared, b * shared
-            if a.is_zero and b.is_zero:
-                continue
-            assert _coprime(a, b) == (gcd(a, b).degree == 0)
-        assert _coprime(ZERO, P(5))
-        assert not _coprime(ZERO, P(0, 5))
-
 
 def constant_data(rng, n, double=False):
     """One constant value at simple nodes 0..n-1, or at double nodes (derivative 0)."""
@@ -239,7 +224,7 @@ def grid_scan_reference(data, da, db):
         a = sum((lam * ba for lam, (ba, _) in zip(lams, basis)), P())
         b = sum((lam * bb for lam, (_, bb) in zip(lams, basis)), P())
         if (a.degree == da or (a.is_zero and da == 0)) and b.degree == db \
-                and all(b(x) != 0 for x in data.nodes) and _coprime(a, b):
+                and all(b(x) != 0 for x in data.nodes) and gcd(a, b).degree == 0:
             return True
     return False
 
@@ -259,6 +244,30 @@ class TestSplitKernel:
                     basis = weak_pairs_upto(data, da, db)
                     for (a, b), (a2, b2) in itertools.combinations(basis, 2):
                         assert a * b2 == a2 * b, (data, da, db)
+
+    def test_a_one_vector_kernel_is_reduced(self):
+        """Why the split decision needs no coprimality test of its own.
+
+        Every accepted split's vector is coprime; and a reduced pair times a
+        factor h with no node root spans, with it, a kernel of dimension >= 2.
+        """
+        rng = random.Random(149)
+        families = [integer_node_data, repeated_node_data, rational_node_data, constant_data,
+                    lambda r, n: InterpolationData.from_pairs([(x, [0]) for x in range(n)])]
+        h = X**2 + 1  # no rational root, so prime to every f
+        accepted = 0
+        for family in families:
+            for n in (rng.randint(2, 6), rng.randint(7, 10)):
+                data = family(rng, n)
+                for da, db in splits_below_n(data.n):
+                    if not _split_has_interpolant(data, da, db):
+                        continue
+                    ((a, b),) = weak_pairs_upto(data, da, db)
+                    assert gcd(a, b).degree == 0, (data, da, db)
+                    box = (max((h * a).degree, 0), (h * b).degree)
+                    assert len(weak_pairs_upto(data, *box)) >= 2, (data, da, db)
+                    accepted += 1
+        assert accepted >= 30
 
     def test_non_proportional_pairs_are_a_certificate_error(self, monkeypatch):
         monkeypatch.setattr(oracle, "weak_pairs_upto", lambda data, da, db: [(P(1), P(1)), (P(0, 1), P(1))])
