@@ -15,8 +15,8 @@ machine-readable mirror of the report types, each of which renders
 itself; this module only parses arguments, reads input, dispatches and
 maps errors to exit codes.  Exit status: 0 on success, 1 when a request
 has no valid answer, 2 on malformed input, conflicting mode flags, or a
-problem of degree above ``MAX_DEGREE`` (``KAPPA_SET_MAX_DEGREE`` for
-``oracle --kappa-set``).
+problem of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle``
+on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ from .mubasis import PlaneParametrization, mu_basis
 # the exact arithmetic grows steeply with n, so larger problems are refused
 # before any of it runs.
 MAX_DEGREE = 128
+
+# Largest n for the default ``oracle`` mode, about log2(n) eliminations of n rows: its worst
+# measured family, rational nodes, took 5.8–6.7 s at n = 72 and 10–12 s at n = 80 (README).
+ORACLE_MAX_DEGREE = 72
 
 # Largest n for ``oracle --kappa-set``, which eliminates one system per split,
 # about n**2 / 2 of them: its worst measured family, constant data, took 5–6 s
@@ -166,6 +170,7 @@ def _cmd_oracle(args) -> int:
         _capped(data.n, KAPPA_SET_MAX_DEGREE, "the --kappa-set limit")
         values = sorted(oracle.kappa_values_below_n(data))
         return _emit(args, lambda: {"kappa_below_n": values}, lambda: f"kappa values below n: {values}")
+    _capped(data.n, ORACLE_MAX_DEGREE, "the oracle limit")
     value = oracle.min_degree_weak_pair(data)
     return _emit(args, lambda: {"min_delta": value}, lambda: f"min delta = {value}")
 
@@ -221,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem file, or -")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--kappa-set", action="store_true",
-                      help="degree sums below n, one kernel per degree split "
-                      f"(n <= {KAPPA_SET_MAX_DEGREE}; default: minimal weak-pair degree)")
+                      help=f"degree sums below n, one kernel per degree split (n <= {KAPPA_SET_MAX_DEGREE}; "
+                      f"default: minimal weak-pair degree, n <= {ORACLE_MAX_DEGREE})")
     mode.add_argument("--min-mu", action="store_true", help="minimal moving-line degree")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)

@@ -92,7 +92,11 @@ class EEATrace:
         return self.quotients[i - 1]
 
     def check_invariants(self) -> None:
-        """Check every identity on the rows present, r_N != 0 too; raise CertificateError if one fails."""
+        """Check every identity on the rows present, r_N != 0 too; raise CertificateError if one fails.
+
+        Rows i, i+1, read as moving lines (t, s, -r), must ``cross`` to (-1)^i * (r0, r1, 1): one
+        check holds their (r, s) and (r, t) minors, +-r0 and +-r1, and their unimodular (s, t) minor.
+        """
         N = self.N
         _certify(len(self.rows) == N + 2, "row count does not match the quotients")
         _certify(not self.r(N).is_zero, "trace runs past its first zero remainder")
@@ -112,15 +116,11 @@ class EEATrace:
             qsum += self.q(i).degree
             _certify(self.r(i).degree == r0.degree - qsum, f"r-degree identity fails at {i}")
             _certify(self.s(i + 1).degree == qsum, f"s-degree identity fails at {i + 1}")
-        # consecutive rows are unimodular, and the 2x2 minors reproduce the inputs
+        lines = [(self.t(i), self.s(i), -self.r(i)) for i in range(N + 2)]
         for i in range(N + 1):
             sign = 1 if i % 2 == 0 else -1
-            _certify(self.s(i) * self.t(i + 1) - self.s(i + 1) * self.t(i) == -sign,
-                     f"rows {i}, {i + 1} not unimodular")
-            _certify(self.r(i) * self.s(i + 1) - self.r(i + 1) * self.s(i) == sign * r0,
-                     f"(r, s) minor of rows {i}, {i + 1} is not +-r0")
-            _certify(self.r(i + 1) * self.t(i) - self.r(i) * self.t(i + 1) == sign * r1,
-                     f"(r, t) minor of rows {i}, {i + 1} is not +-r1")
+            _certify(cross(lines[i], lines[i + 1]) == (sign * r0, sign * r1, sign),
+                     f"rows {i}, {i + 1} do not cross to {sign:+d}*(r0, r1, 1)")
 
     def to_json(self) -> dict:
         return {
@@ -150,6 +150,11 @@ class EEATrace:
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table]
         lines.insert(1, "  ".join("-" * (w or len(head)) for w, head in zip(widths, table[0])))
         return "\n".join(lines)
+
+
+def cross(u: Row, v: Row) -> Row:
+    """The cross product u x v of two polynomial triples, such as two moving lines (t, s, -r)."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _certify(ok: bool, message: str) -> None:

@@ -28,9 +28,10 @@ A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
 addition, b vanishes at no node.  ``interpolant`` makes that fraction
 for a pair that can share only node factors (a trace row, or a basis
-combination p*pair1 + pair2), deciding coprimality by the node test,
-never by a generic gcd; ``deltasolver.evaluate_parametrization`` does
-the same for any multipliers of the two basis pairs.
+combination p*pair1 + pair2), deciding coprimality by the node test
+``Poly.nonzero_at``, never by a generic gcd;
+``deltasolver.evaluate_parametrization`` does the same for any
+multipliers of the two basis pairs.
 """
 
 from __future__ import annotations
@@ -229,31 +230,22 @@ def check_weak(a: Poly, b: Poly, data: InterpolationData) -> bool:
     return _weak_division(a, b, data)[1].is_zero
 
 
-def nonzero_at_nodes(b: Poly, data: InterpolationData) -> bool:
-    """True iff b vanishes at no node: the node test that decides coprimality.
-
-    Exact: integer Horner decides each node (``Poly.nonzero_at``); the
-    zero polynomial fails it.
-    """
-    return b.nonzero_at(data.nodes)
-
-
 def interpolant(a: Poly, b: Poly, data: InterpolationData) -> RationalFunction | None:
     """a/b for a weak pair that can share only node factors, such as a trace row.
 
     s_i*t_{i+1} - s_{i+1}*t_i = +-1 and r_i = s_i*g + t_i*f make
     gcd(r_i, s_i) divide f, and r_i = s_i*g at every node, so such a
-    pair is reduced exactly when b vanishes at no node.  None when b is
-    zero or vanishes at a node; otherwise the pair is only scaled monic.
+    pair is reduced exactly when b vanishes at no node (``Poly.nonzero_at``).
+    None when b is zero or vanishes at a node; otherwise it is only scaled monic.
     """
-    if not nonzero_at_nodes(b, data):
+    if not b.nonzero_at(data.nodes):
         return None
     return RationalFunction.coprime(a, b)
 
 
 def check_interpolates(rf: RationalFunction, data: InterpolationData) -> bool:
     """True iff rf matches every prescribed value and is defined at every node."""
-    return check_weak(rf.numer, rf.denom, data) and nonzero_at_nodes(rf.denom, data)
+    return check_weak(rf.numer, rf.denom, data) and rf.denom.nonzero_at(data.nodes)
 
 
 def weak_cofactor(a: Poly, b: Poly, data: InterpolationData) -> Poly:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .eea import Decomposition, decompose
 from .errors import KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, Poly, monomial
-from .hermite import InterpolationData, RationalFunction, interpolant, nonzero_at_nodes, weak_cofactor
+from .hermite import InterpolationData, RationalFunction, interpolant, weak_cofactor
 
 Pair = tuple[Poly, Poly]
 
@@ -102,7 +102,7 @@ def kappa_of(rf: RationalFunction) -> int:
 def yy_form(rf: RationalFunction, data: InterpolationData) -> Decomposition:
     """Trace-row coordinates of the canonical weak pair of an interpolant."""
     # check_interpolates would divide a - b*g by f once more than weak_cofactor
-    if not nonzero_at_nodes(rf.denom, data):
+    if not rf.denom.nonzero_at(data.nodes):
         raise NotAnInterpolant(f"{rf} does not interpolate the data")
     try:
         c = weak_cofactor(rf.numer, rf.denom, data)

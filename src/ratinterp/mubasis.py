@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import EEATrace, degree_split, half_trace, split_bound
+from .eea import EEATrace, cross, degree_split, half_trace, split_bound
 from .exactpoly import ONE, Poly
 
 
@@ -110,18 +110,13 @@ def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:
 def cross_product_certificate(basis: MuBasis, param: PlaneParametrization) -> bool:
     """True iff the cross product of the two coefficient triples is +-(r0, r1, 1).
 
-    This is the determinant identity that makes a row pair a basis; it
+    This is the determinant identity that makes a row pair a basis
+    (``eea.cross``, which ``EEATrace.check_invariants`` also applies); it
     fails for any pair of lines that merely happen to follow the curve.
     """
-    u = (basis.low.ct0, basis.low.ct1, basis.low.c1)
-    v = (basis.high.ct0, basis.high.ct1, basis.high.c1)
-    cross = (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+    product = cross(*((line.ct0, line.ct1, line.c1) for line in (basis.low, basis.high)))
     target = (param.r0, param.r1, ONE)
-    return cross == target or cross == tuple(-p for p in target)
+    return product == target or product == tuple(-p for p in target)
 
 
 # -- display helpers ---------------------------------------------------------

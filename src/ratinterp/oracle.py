@@ -4,12 +4,11 @@ remainder-sequence machinery.
 Each question is the kernel of a linear map on coefficient vectors, and
 ``nullspace`` (fraction-free elimination over the integers, exact
 back-substitution over the rationals) is the one routine that finds it.
-Three systems feed it: derivative conditions for weak pairs, stated with
+Two systems feed it: derivative conditions for weak pairs, stated with
 the prescribed values only, so g never enters and agreement with the
-trace-based solvers is evidence rather than a tautology;
+trace-based solvers is evidence rather than a tautology; and
 product-coefficient rows (``_convolution_rows``) for moving lines and
-coordinates in a pair basis; and the augmented system (A | -b) for
-``solve_linear``.
+coordinates in a pair basis.
 
 Admissible degree sums below n are decided split by split, each by one
 kernel, because below n a weak pair is unique up to a common factor
@@ -47,14 +46,13 @@ from .mubasis import PlaneParametrization
 
 
 def _cleared(row: list[Fraction]) -> list[int]:
-    denom = math.lcm(*(c.denominator for c in row)) if row else 1
+    denom = math.lcm(*(c.denominator for c in row))
     return [int(c * denom) for c in row]
 
 
-def _row_echelon_ff(rows: list[list[int]]):
-    """Bareiss fraction-free echelon form of nonempty rows; pivots in every column."""
+def _row_echelon_ff(rows: list[list[int]], width: int):
+    """Bareiss fraction-free echelon form of rows of this width; pivots in every column."""
     m = [list(r) for r in rows]
-    width = len(m[0])
     piv_cols: list[int] = []
     rank = 0
     prev = 1
@@ -81,12 +79,7 @@ def _row_echelon_ff(rows: list[list[int]]):
 def nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Exact basis of the right nullspace, one vector per free column."""
     rows = [r for r in matrix if any(c != 0 for c in r)]
-    if not rows:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    ech, piv_cols = _row_echelon_ff([_cleared(r) for r in rows])
+    ech, piv_cols = _row_echelon_ff([_cleared(r) for r in rows], ncols)
     pivots = set(piv_cols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
@@ -99,19 +92,6 @@ def nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
             raise CertificateError("nullspace vector does not solve the system")
         basis.append(v)
     return basis
-
-
-def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One exact solution (free unknowns zero), or None when inconsistent.
-
-    It heads the kernel vector of (matrix | -rhs) whose free column is the
-    last one; when that column is a pivot, every kernel vector ends in 0.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    basis = nullspace([list(r) + [-v] for r, v in zip(matrix, rhs)], ncols + 1)
-    if not basis or basis[-1][ncols] == 0:
-        return None
-    return basis[-1][:ncols]
 
 
 def _convolution_rows(blocks: list[tuple[Poly, ...]], degrees: tuple[int, ...]) -> list[list[Fraction]]:
@@ -187,15 +167,18 @@ def express_in_pair_basis(
     dp: int,
     dq: int,
 ) -> tuple[Poly, Poly] | None:
-    """Solve pair == p*basis1 + q*basis2 with deg p <= dp, deg q <= dq."""
-    rows = _convolution_rows(
-        [(basis1[0], basis2[0], pair[0]), (basis1[1], basis2[1], pair[1])], (dp, dq, 0)
-    )
-    solution = solve_linear([r[:-1] for r in rows], [r[-1] for r in rows])
-    if solution is None:
-        return None
+    """Solve pair == p*basis1 + q*basis2 with deg p <= dp, deg q <= dq (free unknowns zero).
+
+    In the kernel of (p, q, w) -> p*basis1 + q*basis2 + w*pair, (p, q) heads -v for the v
+    whose free column is w, the last; if w is a pivot column, every v has w = 0: no answer.
+    """
+    rows = _convolution_rows(list(zip(basis1, basis2, pair)), (dp, dq, 0))
     np_ = max(dp + 1, 0)
-    return Poly(solution[:np_]), Poly(solution[np_:])
+    basis = nullspace(rows, np_ + max(dq + 1, 0) + 1)
+    if not basis or basis[-1][-1] == 0:
+        return None
+    head = [-c for c in basis[-1][:-1]]
+    return Poly(head[:np_]), Poly(head[np_:])
 
 
 # -- degree sums below n ------------------------------------------------------

@@ -9,7 +9,7 @@ from ratinterp import (
     InterpolationData, Poly, RationalFunction, X, check_interpolates, extended_euclid, kappa_of,
     minimal_basis,
 )
-from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, main
+from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, ORACLE_MAX_DEGREE, main
 
 from conftest import P
 
@@ -207,6 +207,22 @@ class TestOracleCommand:
         assert capsys.readouterr().out == "min delta = 0\n"
         assert main(["oracle", "--kappa-set", constant(7)]) == 0
         assert capsys.readouterr().out == "kappa values below n: [0]\n"
+
+    def test_oracle_degree_cap(self, tmp_path, capsys):
+        """Rational nodes, the slowest measured family of the default mode, exit 2 above
+        the cap before any elimination; --min-mu keeps the general cap."""
+        cap = ORACLE_MAX_DEGREE
+        assert cap == 72
+        data = tmp_path / "rational.json"
+        data.write_text(json.dumps({"points": [{"x": f"{x}/3", "values": ["5"]} for x in range(cap + 1)]}))
+        start = time.perf_counter()
+        assert main(["oracle", str(data)]) == 2
+        assert capsys.readouterr().err == f"input error: degree {cap + 1} exceeds the oracle limit {cap}\n"
+        assert time.perf_counter() - start < 0.5
+        curve = tmp_path / "curve.json"
+        curve.write_text(json.dumps({"r0": ["0"] * (cap + 1) + ["1"], "r1": ["0", "1"]}))
+        assert main(["oracle", "--min-mu", str(curve)]) == 0
+        assert capsys.readouterr().out == "min mu = 1\n"
 
 
 class TestInputHandling:

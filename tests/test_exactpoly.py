@@ -14,7 +14,6 @@ from ratinterp import (
     nodal_poly,
 )
 from ratinterp.exactpoly import _rational_str, as_fraction, value_ratios
-from ratinterp.hermite import nonzero_at_nodes
 
 from conftest import (
     P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly,
@@ -496,7 +495,7 @@ class TestNoFractionInArithmetic:
         rows = [trace.s(k) for k in range(trace.N + 2)]
         rows += [s * (X - rng.choice(data.nodes)) for s in rows]  # each has a root at a node
         built = count_fractions(monkeypatch)
-        answers = [nonzero_at_nodes(s, data) for s in rows]
+        answers = [s.nonzero_at(data.nodes) for s in rows]
         # s_0 = 0, and s_{N+1} is a multiple of f
         assert len(built) == 0 and answers == [False] + [True] * trace.N + [False] * (trace.N + 3)
 

@@ -28,7 +28,7 @@ from ratinterp import (
     weak_cofactor,
     yy_form,
 )
-from ratinterp.hermite import interpolant, nonzero_at_nodes
+from ratinterp.hermite import interpolant
 
 from conftest import (
     P,
@@ -311,27 +311,27 @@ def vanishes_at_no_node(b, data):
 
 
 class TestNodeTest:
-    """nonzero_at_nodes decides every node exactly, from integer Horner alone."""
+    """Poly.nonzero_at decides every node exactly, from integer Horner alone."""
 
     def test_value_divisible_by_a_large_prime(self):
         data = InterpolationData.from_pairs([(0, [1])])
-        assert nonzero_at_nodes(P(-BIG_P, 1), data)  # x - p has the value -p at 0
-        assert not nonzero_at_nodes(X, data)
+        assert P(-BIG_P, 1).nonzero_at(data.nodes)  # x - p has the value -p at 0
+        assert not X.nonzero_at(data.nodes)
 
     def test_node_with_a_large_prime_denominator(self):
         data = InterpolationData.from_pairs([(2, [1]), (Fraction(1, BIG_P), [1])])
-        assert nonzero_at_nodes(P(3, 1), data)
-        assert not nonzero_at_nodes(P(-1, BIG_P), data)
+        assert P(3, 1).nonzero_at(data.nodes)
+        assert not P(-1, BIG_P).nonzero_at(data.nodes)
 
     def test_coefficient_with_a_large_prime_denominator(self):
         data = InterpolationData.from_pairs([(1, [1]), (2, [1])])
-        assert nonzero_at_nodes(P(Fraction(1, BIG_P), 1), data)
+        assert P(Fraction(1, BIG_P), 1).nonzero_at(data.nodes)
 
     def test_nonzero_at_every_node(self):
-        assert nonzero_at_nodes(P(1, 0, 1), InterpolationData.from_pairs([(0, [1]), (3, [1])]))
+        assert P(1, 0, 1).nonzero_at(InterpolationData.from_pairs([(0, [1]), (3, [1])]).nodes)
 
     def test_zero_polynomial_vanishes_at_every_node(self):
-        assert not nonzero_at_nodes(ZERO, InterpolationData.from_pairs([(5, [1])]))
+        assert not ZERO.nonzero_at(InterpolationData.from_pairs([(5, [1])]).nodes)
         assert not ZERO.nonzero_at([Fraction(1, 3)])
         assert ZERO.nonzero_at([]) and X.nonzero_at([])
 
@@ -342,7 +342,7 @@ class TestNodeTest:
             b = random_poly(rng, rng.randint(0, 4))
             if rng.random() < 0.5:  # plant a root at a node
                 b = b * (X - rng.choice(data.nodes))
-            assert nonzero_at_nodes(b, data) == vanishes_at_no_node(b, data)
+            assert b.nonzero_at(data.nodes) == vanishes_at_no_node(b, data)
 
     @pytest.mark.parametrize("family, n", [(integer_node_data, 32), (rational_node_data, 28),
                                            (repeated_node_data, 24)])
@@ -354,7 +354,7 @@ class TestNodeTest:
         for k in range(trace.N + 2):
             s = trace.s(k)
             for b in (s, s * (X - rng.choice(data.nodes))):  # the second has a root at a node
-                assert nonzero_at_nodes(b, data) == vanishes_at_no_node(b, data)
+                assert b.nonzero_at(data.nodes) == vanishes_at_no_node(b, data)
 
 
 class TestFamilyMember:

@@ -16,6 +16,7 @@ from ratinterp import (
     hermite_rational,
     kappa_of,
     minimal_basis,
+    minimal_delta_solutions,
     sample_solution_of_kappa,
     weak_cofactor,
     yy_form,
@@ -25,6 +26,7 @@ from ratinterp.oracle import _split_has_interpolant, kappa_values_below_n
 from conftest import (
     P,
     coprimality_for_free_check,
+    integer_node_data,
     interp_trace,
     planted_data,
     random_data,
@@ -279,6 +281,28 @@ def test_kappa_and_delta_minimums_are_consistent():
     for _ in range(25):
         data = random_data(rng, max_n=6)
         assert admissible_kappa(data).minimal_kappa >= minimal_basis(data).mu1
+
+
+def test_minimal_delta_is_a_trace_row_answer():
+    """The three solvers read one trace: a UNIQUE minimal-delta solution is the
+    prescribed-split interpolant at d = mu1 and an isolated kappa witness, and a
+    FAMILY with mu1 < mu2 has no interpolant of numerator degree <= mu1."""
+    rng = random.Random(151)
+    kinds = {"UNIQUE": 0, "FAMILY": 0}
+    for _ in range(200):
+        for family in (integer_node_data, repeated_node_data, rational_node_data):
+            data = family(rng, rng.randint(1, 12))
+            report = minimal_delta_solutions(data)
+            mu1, mu2 = report.basis.mu1, report.basis.mu2
+            if report.kind == "UNIQUE":
+                assert hermite_rational(data, mu1) == report.representative
+                assert report.representative in {e.solution for e in admissible_kappa(data).isolated}
+            elif mu1 < mu2:
+                assert hermite_rational(data, mu1) is None
+            else:
+                continue
+            kinds[report.kind] += 1
+    assert min(kinds.values()) >= 1
 
 
 def test_weak_cofactor_feeds_yy_form(data_four):

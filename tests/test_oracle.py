@@ -19,11 +19,11 @@ from ratinterp import oracle
 from ratinterp.oracle import (
     _convolution_rows,
     _split_has_interpolant,
+    express_in_pair_basis,
     kappa_values_below_n,
     min_degree_weak_pair,
     min_mu_oracle,
     nullspace,
-    solve_linear,
     weak_pairs_upto,
     weak_system,
 )
@@ -56,8 +56,9 @@ class TestElimination:
         assert nullspace([[F(1), F(0)], [F(1), F(1)]], 2) == []
 
     def test_nullspace_of_zero_matrix(self):
-        basis = nullspace([[F(0), F(0)]], 2)
-        assert len(basis) == 2
+        # an all-zero system, or no rows at all, leaves every column free
+        for rows in ([[F(0), F(0)]], [[F(0), F(0)], [F(0), F(0)]], []):
+            assert nullspace(rows, 2) == [[F(1), F(0)], [F(0), F(1)]]
 
     def test_nullspace_with_fractions(self):
         rows = [[F(1, 3), F(1, 6), F(0)], [F(0), F(1, 2), F(1, 7)]]
@@ -65,20 +66,9 @@ class TestElimination:
             for row in rows:
                 assert sum(c * x for c, x in zip(row, v)) == 0
 
-    def test_solve_linear(self):
-        x = solve_linear([[F(2), F(0)], [F(1), F(1)]], [F(4), F(5)])
-        assert x == [F(2), F(3)]
-
-    def test_solve_inconsistent(self):
-        assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
-
-    def test_solve_underdetermined(self):
-        x = solve_linear([[F(1), F(1)]], [F(3)])
-        assert x is not None and x[0] + x[1] == 3
-
     def test_nullspace_checks_its_vectors(self, monkeypatch):
         # an elimination that loses the second column yields (0, 1), which fails x + y = 0
-        monkeypatch.setattr(oracle, "_row_echelon_ff", lambda rows: ([[1, 0]], [0]))
+        monkeypatch.setattr(oracle, "_row_echelon_ff", lambda rows, width: ([[1, 0]], [0]))
         with pytest.raises(CertificateError, match="does not solve"):
             nullspace([[F(1), F(1)]], 2)
 
@@ -136,11 +126,26 @@ class TestWeakPairs:
         # both degree-2 trace pairs must be combinations of the basis
         pairs = weak_pairs_upto(DATA_FOUR, 2, 2)
         targets = [(P(0, 0, -3), P(0, -1)), (P(-2), P(1, 0, "-1/3"))]
-        for ta, tb in targets:
-            cols = [[pa.coeff(k) for pa, _ in pairs] for k in range(3)]
-            cols += [[pb.coeff(k) for _, pb in pairs] for k in range(3)]
-            rhs = [ta.coeff(k) for k in range(3)] + [tb.coeff(k) for k in range(3)]
-            assert solve_linear(cols, rhs) is not None
+        for target in targets:
+            assert express_in_pair_basis(target, pairs[0], pairs[1], 0, 0) is not None
+
+    def test_pair_outside_the_span_has_no_coordinates(self):
+        # (1, 0) is no combination of (x, 0) and (0, 1), at any degree bounds
+        for dp, dq in ((0, 0), (2, 3), (-1, 1)):
+            assert express_in_pair_basis((P(1), P()), (X, P()), (P(), P(1)), dp, dq) is None
+
+    def test_surplus_degree_bounds_reproduce_the_pair(self):
+        rng = random.Random(137)
+        for _ in range(30):
+            basis1 = (random_poly(rng, rng.randint(0, 3)), random_poly(rng, rng.randint(0, 3)))
+            basis2 = (random_poly(rng, rng.randint(0, 3)), random_poly(rng, rng.randint(0, 3)))
+            u, v = random_poly(rng, rng.randint(-1, 2)), random_poly(rng, rng.randint(-1, 2))
+            pair = (u * basis1[0] + v * basis2[0], u * basis1[1] + v * basis2[1])
+            combo = express_in_pair_basis(pair, basis1, basis2, 3, 3)
+            assert combo is not None
+            p, q = combo
+            assert p.degree <= 3 and q.degree <= 3
+            assert (p * basis1[0] + q * basis2[0], p * basis1[1] + q * basis2[1]) == pair
 
     def test_min_degree_examples(self):
         assert min_degree_weak_pair(DATA_FOUR) == 2
