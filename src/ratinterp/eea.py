@@ -9,6 +9,8 @@ runs, while the cofactor rows evolve by the same recurrence from
 
     r_i = s_i * r1 + t_i * r0      for every i.
 
+Division is unique, so that identity follows from the start rows and
+the recurrence, the only things ``EEATrace.check_invariants`` checks.
 A *complete* trace runs to r_{N+1} = 0.  A *truncated* one stops one
 row past the first remainder of degree <= ``bound``, as rational
 function reconstruction stops at a degree bound (von zur Gathen &
@@ -92,35 +94,25 @@ class EEATrace:
         return self.quotients[i - 1]
 
     def check_invariants(self) -> None:
-        """Check every identity on the rows present, r_N != 0 too; raise CertificateError if one fails.
+        """Check what defines the trace, and so every identity; raise CertificateError if one fails.
 
-        Rows i, i+1, read as moving lines (t, s, -r), must ``cross`` to (-1)^i * (r0, r1, 1): one
-        check holds their (r, s) and (r, t) minors, +-r0 and +-r1, and their unimodular (s, t) minor.
+        Euclidean division is unique, so the start rows, the strict degree drop and the recurrence
+        c_{i+1} = c_{i-1} - q_i*c_i in every stored column make this the trace of (r0, r1).  That
+        recurrence is linear, so rows read as moving lines (t, s, -r) have cross(row_i, row_{i+1})
+        = -cross(row_{i-1}, row_i) = ... = (-1)^i*(r0, r1, 1), orthogonal to both factors: that is
+        the row identity r_i = s_i*r1 + t_i*r0.  A strict drop with deg r0 >= deg r1 forces q_i != 0,
+        so deg r_{i-1} = deg q_i + deg r_i, deg q_i >= 1 for i >= 2, and deg s_{i+1} = deg q_1 +
+        ... + deg q_i.
         """
-        N = self.N
-        _certify(len(self.rows) == N + 2, "row count does not match the quotients")
-        _certify(not self.r(N).is_zero, "trace runs past its first zero remainder")
-        r0, r1 = self.r(0), self.r(1)
-        # dropping degrees, the defining recurrence and quotient degrees
-        for i in range(1, N + 1):
-            _certify(self.r(i).degree > self.r(i + 1).degree, f"degree not dropping at {i}")
-            _certify(self.r(i - 1) == self.q(i) * self.r(i) + self.r(i + 1), f"recurrence fails at {i}")
-            if i >= 2 or r0.degree > r1.degree:
-                _certify(self.q(i).degree >= 1, f"constant quotient q_{i}")
-        # row identity r_i = s_i*r1 + t_i*r0
-        for i in range(N + 2):
-            _certify(self.r(i) == self.s(i) * r1 + self.t(i) * r0, f"row identity fails at {i}")
-        # cumulative degree identities: deg q_1 + ... + deg q_i = n - deg r_i = deg s_{i+1}
-        qsum = 0
-        for i in range(1, N + 1):
-            qsum += self.q(i).degree
-            _certify(self.r(i).degree == r0.degree - qsum, f"r-degree identity fails at {i}")
-            _certify(self.s(i + 1).degree == qsum, f"s-degree identity fails at {i + 1}")
-        lines = [(self.t(i), self.s(i), -self.r(i)) for i in range(N + 2)]
-        for i in range(N + 1):
-            sign = 1 if i % 2 == 0 else -1
-            _certify(cross(lines[i], lines[i + 1]) == (sign * r0, sign * r1, sign),
-                     f"rows {i}, {i + 1} do not cross to {sign:+d}*(r0, r1, 1)")
+        N, rows = self.N, self.rows
+        _certify(len(rows) == N + 2, "row count does not match the quotients")
+        _certify((rows[0][1:], rows[1][1:]) in (((ZERO, ONE), (ONE, ZERO)), ((ZERO,), (ONE,))),
+                 "start rows are not (s, t) = (0, 1), (1, 0)")
+        _certify(self.r(0).degree >= self.r(1).degree and not self.r(N).is_zero, "deg r0 < deg r1, or r_N = 0")
+        for i, q in enumerate(self.quotients, 1):
+            _certify(self.r(i + 1).degree < self.r(i).degree, f"degree not dropping at {i}")
+            _certify(rows[i + 1] == tuple(p - q * c for p, c in zip(rows[i - 1], rows[i])),
+                     f"recurrence fails at {i}")
 
     def to_json(self) -> dict:
         return {
@@ -150,11 +142,6 @@ class EEATrace:
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table]
         lines.insert(1, "  ".join("-" * (w or len(head)) for w, head in zip(widths, table[0])))
         return "\n".join(lines)
-
-
-def cross(u: Row, v: Row) -> Row:
-    """The cross product u x v of two polynomial triples, such as two moving lines (t, s, -r)."""
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _certify(ok: bool, message: str) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import EEATrace, cross, degree_split, half_trace, split_bound
+from .eea import EEATrace, degree_split, half_trace, split_bound
 from .exactpoly import ONE, Poly
 
 
@@ -110,11 +110,12 @@ def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:
 def cross_product_certificate(basis: MuBasis, param: PlaneParametrization) -> bool:
     """True iff the cross product of the two coefficient triples is +-(r0, r1, 1).
 
-    This is the determinant identity that makes a row pair a basis
-    (``eea.cross``, which ``EEATrace.check_invariants`` also applies); it
+    This is the determinant identity that makes a pair of moving lines a basis (Cox, Sederberg
+    & Chen, 1998), which trace rows satisfy by definition (``EEATrace.check_invariants``); it
     fails for any pair of lines that merely happen to follow the curve.
     """
-    product = cross(*((line.ct0, line.ct1, line.c1) for line in (basis.low, basis.high)))
+    (u0, u1, u2), (v0, v1, v2) = ((line.ct0, line.ct1, line.c1) for line in (basis.low, basis.high))
+    product = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
     target = (param.r0, param.r1, ONE)
     return product == target or product == tuple(-p for p in target)
 

@@ -148,10 +148,10 @@ def weak_pairs_upto(
 
 
 def _least_degree(holds, n: int, what: str) -> int:
-    """The least d in 0..n with holds(d), bisected: holds is monotone in d."""
-    d = bisect.bisect_left(range(n + 1), True, key=holds)
-    if d > n:
-        raise CertificateError(f"no {what} up to degree n")
+    """The least d with holds(d), monotone in d, bisected over 0..n // 2, where 2(d + 1) unknowns > n."""
+    d = bisect.bisect_left(range(n // 2 + 1), True, key=holds)
+    if d > n // 2:
+        raise CertificateError(f"no {what} up to degree n // 2 = {n // 2}: 2(d + 1) unknowns > n conditions")
     return d
 
 

@@ -269,14 +269,39 @@ def interp_trace(data):
     return extended_euclid(nodal_poly(data), hermite_polynomial(data))
 
 
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def derived_identities_check(trace):
+    """The identities that follow from what check_invariants checks, on every row present:
+    the row identity, rows i, i+1 crossing to (-1)^i*(r0, r1, 1) as moving lines (t, s, -r),
+    deg q_i >= 1 for i >= 2, and both degree sums."""
+    N, r0, r1 = trace.N, trace.r(0), trace.r(1)
+    lines = [(trace.t(i), trace.s(i), -trace.r(i)) for i in range(N + 2)]
+    for i, (t, s, _) in enumerate(lines):
+        assert trace.r(i) == s * r1 + t * r0, i
+    for i in range(N + 1):
+        sign = (-1) ** i
+        assert cross(lines[i], lines[i + 1]) == (sign * r0, sign * r1, sign), i
+    qsum = 0
+    for i in range(1, N + 1):
+        qsum += trace.q(i).degree
+        assert trace.q(i).degree >= (1 if i >= 2 else 0), i
+        assert trace.r(i).degree == r0.degree - qsum, i
+        assert trace.s(i + 1).degree == qsum, i
+
+
 def full_trace_check(trace, data=None, rng=None):
     """The whole invariant battery for one trace.
 
-    Structural identities (check_invariants), weak-pair rows when the
-    trace comes from an interpolation instance, and uniqueness of the
-    trace-row decomposition via a random bounded round-trip.
+    Structural identities (check_invariants and the identities that
+    follow), weak-pair rows when the trace comes from an interpolation
+    instance, and uniqueness of the trace-row decomposition via a random
+    bounded round-trip.
     """
     trace.check_invariants()
+    derived_identities_check(trace)
     if data is not None:
         for i in range(trace.N + 2):
             assert check_weak(trace.r(i), trace.s(i), data)

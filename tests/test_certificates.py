@@ -74,6 +74,9 @@ raises("critical_indices", lambda: critical_indices(EEATrace(rows=trace.rows[:2]
 raises("decompose", lambda: decompose(X * g, X, ZERO, EEATrace(trace.rows, (ONE,) * trace.N)))
 raises("check_invariants", EEATrace(trace.rows, (ONE,) * trace.N).check_invariants)
 raises("check_invariants", EEATrace(trace.rows[:-1], trace.quotients).check_invariants)
+# s_0 = 1 is no start row of the EEA, though these rows of (f, 0) satisfy the row identity and cross to (f, 0, 1)
+raises("start rows", EEATrace(((f, ONE), (ZERO, ONE)), ()).check_invariants)
+raises("start rows", EEATrace(((f, ONE, ONE), (ZERO, ONE, ZERO)), ()).check_invariants)
 cut = extended_euclid(X ** 8 + ONE, Poly([1, 2, 3, 4, 5, 6, 7]), half=True, bound=ea.split_bound(8))
 cut.check_invariants()
 if cut.complete:

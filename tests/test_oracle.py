@@ -180,6 +180,19 @@ class TestMovingLineOracle:
         with pytest.raises(CertificateError, match="no moving line up to degree n"):
             min_mu_oracle(PlaneParametrization(monomial(2), monomial(1)))
 
+    def test_search_stops_at_the_dimension_count(self, monkeypatch):
+        # degree <= d has 2(d + 1) unknowns for n = 74 conditions, so a kernel exists at
+        # d = 37 and the bisection covers 0..37 only: for mu = 1 it starts at d = 19
+        degrees = []
+
+        def recording(matrix, ncols):
+            degrees.append(ncols // 2 - 1)
+            return nullspace(matrix, ncols)
+
+        monkeypatch.setattr(oracle, "nullspace", recording)
+        assert min_mu_oracle(PlaneParametrization(monomial(74), monomial(1))) == 1
+        assert degrees and max(degrees) <= 19, degrees
+
 
 class TestKappaSearch:
     def test_standard_instances(self):
