@@ -17,7 +17,9 @@ change only the scale; scales multiply by gcd cross-cancellation
 (``div_rem``), and evaluation runs Horner on the integers and builds one
 Fraction at the end; the node test (``nonzero_at``) reads the integer
 Horner accumulator alone and builds none.  ``coeffs``, the reduced
-Fractions, are derived when read.
+Fractions, are derived when read; printing (``format``, ``to_json``) reads
+the integers instead, one gcd per coefficient against the scale's
+denominator, and builds no Fraction.
 ``newton_pair`` builds the node polynomial and the interpolant of Hermite
 data directly on integer lists, with no Poly or Fraction per condition.
 
@@ -32,7 +34,7 @@ import math
 import numbers
 import re
 from collections import namedtuple
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -70,17 +72,63 @@ def as_fraction(value: Scalar) -> Fraction:
 
 
 def _rational_str(c: Fraction) -> str:
-    """str(c) at any length; every rational the library prints goes through here.
+    """str(c) at any length: ``_ratio_str`` of its numerator and denominator."""
+    return _ratio_str(c.numerator, c.denominator)
 
-    str() of an int refuses more digits than sys.get_int_max_str_digits()
-    (4,300 by default).  That limit stays in force for parsing input;
-    output past it takes its digits from Decimal, which has no such limit.
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den as str(Fraction) prints it, for a reduced pair with den > 0, at any length.
+
+    Every rational the library prints goes through here.  str() of an
+    int refuses more digits than sys.get_int_max_str_digits() (4,300 by
+    default).  That limit stays in force for parsing input; output past
+    it takes its digits from ``_decimal_digits``.
     """
     try:
-        return str(c)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        top = str(Decimal(c.numerator))
-        return top if c.denominator == 1 else f"{top}/{Decimal(c.denominator)}"
+        top = _decimal_digits(num)
+        return top if den == 1 else f"{top}/{_decimal_digits(den)}"
+
+
+# pieces of at most this many bits take Decimal(int) directly; at 135,000-bit
+# integers 1,024 converts about 15 % faster than 128, and 4,096 no faster
+_DIRECT_BITS = 1024
+
+
+def _decimal_digits(n: int) -> str:
+    """str(n) with no digit limit, in subquadratic time.
+
+    Divide and conquer on decimal, as CPython 3.12's _pylong does it
+    (Brent & Zimmermann, Modern Computer Arithmetic, section 1.7): split
+    m = hi * 2**w + lo at half its bits w, convert hi and lo, and rebuild
+    m in Decimal with one product by 2**w and one sum.  libmpdec
+    multiplies large operands in subquadratic time (Karatsuba, then
+    number-theoretic transform), where str() and Decimal(int) of one
+    large int take quadratic time.  Each level of the recursion splits
+    at one or two widths, so the powers of 2 are kept.  Precision and
+    exponent are lifted so that no result is rounded, and Inexact is
+    trapped so that none can be.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        if w not in powers:
+            powers[w] = Decimal(1 << w) if w <= _DIRECT_BITS else power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def convert(m: int, w: int) -> Decimal:
+        if w <= _DIRECT_BITS:
+            return Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return digits if n >= 0 else f"-{digits}"
 
 
 class Poly:
@@ -309,19 +357,19 @@ class Poly:
         With ``homogenize=d`` each term x^k also carries z^(d - k).
         """
         parts: list[str] = []
-        coeffs = self.coeffs
-        for k in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[k]
-            if c == 0:
+        pairs = self._reduced_pairs()
+        for k in range(len(pairs) - 1, -1, -1):
+            top, bottom = pairs[k]
+            if not top:
                 continue
             z = 0 if homogenize is None else homogenize - k
             powers = [v if e == 1 else f"{v}^{e}" for v, e in (("x", k), ("z", z)) if e]
-            mag = abs(c)
-            body = "*".join(powers if mag == 1 and powers else [_rational_str(mag), *powers])
+            unit = bottom == 1 and abs(top) == 1
+            body = "*".join(powers if unit and powers else [_ratio_str(abs(top), bottom), *powers])
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if top > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if top > 0 else f"- {body}")
         return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
@@ -329,7 +377,20 @@ class Poly:
 
     def to_json(self) -> list[str]:
         """Ascending coefficient list; index k holds the coefficient of x**k."""
-        return [_rational_str(c) for c in self.coeffs]
+        return [_ratio_str(top, bottom) for top, bottom in self._reduced_pairs()]
+
+    def _reduced_pairs(self) -> list[tuple[int, int]]:
+        """Each coefficient as a reduced (numerator, denominator), ascending; no Fraction.
+
+        Coefficient k is num * ints[k] / den with num/den reduced, so
+        g = gcd(ints[k], den) reduces it: (num * (ints[k] // g), den // g).
+        """
+        num, den = self._num, self._den
+        out = []
+        for c in self._ints:
+            g = math.gcd(c, den)
+            out.append((num * (c // g), den // g))
+        return out
 
     @classmethod
     def from_json(cls, data) -> "Poly":

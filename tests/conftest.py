@@ -178,6 +178,21 @@ def frac_eval(a, x):
     return acc
 
 
+def frac_format(coeffs, homogenize=None):
+    """Poly.format's text for Fraction coefficients, each magnitude printed by str()."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        z = 0 if homogenize is None else homogenize - k
+        powers = [v if e == 1 else f"{v}^{e}" for v, e in (("x", k), ("z", z)) if e]
+        body = "*".join(powers if abs(c) == 1 and powers else [str(abs(c)), *powers])
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
 def reference_euclid(r0, r1):
     """The extended Euclidean algorithm on Fraction coefficient tuples: (rows, quotients).
 

@@ -13,13 +13,24 @@ from ratinterp import (
     evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, minimal_basis, monomial, mu_basis,
     nodal_poly,
 )
-from ratinterp.exactpoly import _rational_str, as_fraction, value_ratios
+from ratinterp.exactpoly import _decimal_digits, _ratio_str, _rational_str, as_fraction, value_ratios
 
 from conftest import (
-    P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_mul, frac_neg, frac_trim, random_poly,
+    P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
+    integer_node_data, interp_trace, random_poly, rational_node_data, repeated_node_data,
 )
 
 CONSTANTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+def past_the_limit(make):
+    """make() run with the int-to-str digit limit lifted, so str() prints at any length."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return make()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestArithmetic:
@@ -213,6 +224,38 @@ class TestFormatting:
         assert p.format() == f"3/7*x^3 - {expected[2][1:]}*x^2 + {expected[1]}*x - {expected[0][1:]}"
         with pytest.raises(ValueError):
             Poly.from_json([expected[0]])
+
+    def test_digits_match_str(self):
+        """The digit routine, the pair printer and _rational_str against str() at any length."""
+        digits = sys.get_int_max_str_digits()
+        rng = random.Random(26)
+        ints = [0, 1, -1]
+        ints += [s * (10**k + e) for k in range(digits - 2, digits + 3) for e in (-1, 1) for s in (1, -1)]
+        ints += [rng.choice((1, -1)) * rng.getrandbits(bits)
+                 for bits in (64, 1023, 1024, 1025, 14_300, 100_000, 400_000)]
+        big = 10**digits + 1
+        fractions = [Fraction(v, d) for v in ints[:-1] for d in (1, 7, big)] + [Fraction(ints[-1], 7)]
+        expected = past_the_limit(lambda: ([str(v) for v in ints], [str(c) for c in fractions]))
+        assert [_decimal_digits(v) for v in ints] == expected[0]
+        assert [_ratio_str(c.numerator, c.denominator) for c in fractions] == expected[1]
+        assert [_rational_str(c) for c in fractions] == expected[1]
+        # a million digits: past the exponent limit of decimal's default context
+        assert _decimal_digits(-(10**1_000_000 + 1)) == "-1" + "0" * 999_999 + "1"
+
+    def test_printing_matches_the_fraction_reference(self):
+        """to_json() and format() on trace rows, one of them past 4,300 digits, read off coeffs."""
+        rng = random.Random(27)
+        traces = [interp_trace(make(rng, n)) for make in (integer_node_data, repeated_node_data,
+                                                           rational_node_data) for n in (3, 6, 9)]
+        traces.append(extended_euclid(P(1, 1, 0, 1), P(1, 0, 7**3500)))
+        polys = [p for trace in traces for row in trace.rows for p in row]
+        polys += [-p * Fraction(3, 14) for p in polys]
+        homs = [None if p.is_zero else p.degree + rng.randint(0, 2) for p in polys]
+        expected = past_the_limit(lambda: [
+            ([str(c) for c in p.coeffs], frac_format(p.coeffs), frac_format(p.coeffs, hom))
+            for p, hom in zip(polys, homs)])
+        assert max(len(text) for texts, _, _ in expected for text in texts) > sys.get_int_max_str_digits()
+        assert [(p.to_json(), p.format(), p.format(hom)) for p, hom in zip(polys, homs)] == expected
 
     def test_hash_and_eq(self):
         assert hash(P(1, 2)) == hash(P(1, 2, 0))
@@ -515,6 +558,16 @@ class TestNoFractionInArithmetic:
                 evaluate_parametrization(basis, p, q, data)
             nodes.append(caught.value.node)
         assert len(built) == 0 and nodes == [last, last]
+
+    def test_printing_every_row_of_a_rational_node_trace(self, monkeypatch):
+        rng = random.Random(8)
+        data = InterpolationData.from_pairs(
+            [(Fraction(k, 3), [Fraction(rng.randint(-9, 9), rng.randint(1, 7))]) for k in range(20)])
+        trace = extended_euclid(nodal_poly(data), hermite_polynomial(data))
+        polys = [p for row in trace.rows for p in row]
+        built = count_fractions(monkeypatch)
+        printed = [(p.to_json(), p.format(), p.format(len(data.nodes))) for p in polys]
+        assert len(built) == 0 and len(printed) == 3 * (trace.N + 2)
 
     def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):
         param = PlaneParametrization(P("1/2", -3, "5/7", 0, 2, "-7/5", "-11/3"),
