@@ -21,7 +21,9 @@ rescaling), since downstream consumers depend on the raw values.  A
 *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
 row identity by exact division by r0, a checked certificate.  Queries
 take half traces from ``half_trace``, which maps r1 = 0, refused by
-``extended_euclid``, to the trivial trace: rows (r0, 0), (0, 1), N = 0.
+``extended_euclid``, to the trivial trace: rows (r0, 0), (0, 1), N = 0,
+and returns the start rows alone as well where the bound lets no
+division run (deg r0 <= bound).
 
 ``decompose`` inverts the trace: any triple (a, b, c) with
 a = r1*b + r0*c has a unique expansion a, b, c = sum m_i * (r_i, s_i, t_i)
@@ -232,9 +234,13 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
 
 
 def half_trace(r0: Poly, r1: Poly, bound: int | float = NEG_INF) -> EEATrace:
-    """The half trace of (r0, r1), truncated at ``bound``; for r1 = 0 the trivial one, N = 0."""
-    if r1.is_zero:
-        return EEATrace(rows=((r0, ZERO), (ZERO, ONE)), quotients=())
+    """The half trace of (r0, r1), truncated at ``bound``.
+
+    Where no division runs, for r1 = 0 or deg r0 <= bound, it is the start
+    rows alone, N = 0, and the algorithm is not run.
+    """
+    if r1.is_zero or r0.degree <= bound:
+        return EEATrace(rows=((r0, ZERO), (r1, ONE)), quotients=())
     return extended_euclid(r0, r1, half=True, bound=bound)
 
 

@@ -13,13 +13,15 @@ product of primitive lists is primitive (Gauss's lemma), so products take
 no content pass; sums, differences and remainders take one
 (``math.gcd`` over the list).  Negation, scalar products and ``monic``
 change only the scale; scales multiply by gcd cross-cancellation
-(``_times``), so arithmetic builds no Fraction.  Division is fraction-free
-(``div_rem``), and evaluation runs Horner on the integers and builds one
-Fraction at the end; the node test (``nonzero_at``) reads the integer
-Horner accumulator alone and builds none.  ``coeffs``, the reduced
-Fractions, are derived when read; printing (``format``, ``to_json``) reads
-the integers instead, one gcd per coefficient against the scale's
-denominator, and builds no Fraction.
+(``_times``), so arithmetic builds no Fraction; nor does ``over_lead_of``,
+the division by another polynomial's leading coefficient that scales a
+fraction monic.  Division is fraction-free (``div_rem``), and evaluation
+runs Horner on the integers and builds one Fraction at the end; the
+node test (``nonzero_at``) reads the integer Horner accumulator alone
+and builds none.  ``coeffs``, the reduced Fractions, are derived when
+read; printing (``format``, ``to_json``) reads the integers instead,
+one gcd per coefficient against the scale's denominator, and builds no
+Fraction.
 ``newton_pair`` builds the node polynomial and the interpolant of Hermite
 data directly on integer lists, with no Poly or Fraction per condition.
 
@@ -57,18 +59,22 @@ def as_fraction(value: Scalar) -> Fraction:
     Python), floats, decimal and exponent strings such as "1e3000",
     padded strings, and a zero denominator.
     """
-    if isinstance(value, Fraction):
+    # strings first: they are most of the input, and isinstance(value, Fraction) pays ABCMeta
+    if isinstance(value, str):
+        match = _INTEGER_RATIO.fullmatch(value)
+        if match is not None:
+            num, den = match.groups()
+            if den is None:
+                return Fraction(int(num))
+            try:
+                return Fraction(int(num), int(den))
+            except ZeroDivisionError as exc:
+                raise ValueError("rational with zero denominator") from exc
+    elif isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    elif isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    match = _INTEGER_RATIO.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
-        raise ValueError(f"expected an integer or a \"p/q\" string, got {value!r}")
-    num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError as exc:
-        raise ValueError("rational with zero denominator") from exc
+    raise ValueError(f"expected an integer or a \"p/q\" string, got {value!r}")
 
 
 def _rational_str(c: Fraction) -> str:
@@ -345,6 +351,18 @@ class Poly:
         if self.is_zero or (self._num == 1 and self._den == self._ints[-1]):
             return self
         return _make(1, self._ints[-1], self._ints)
+
+    def over_lead_of(self, other: "Poly") -> "Poly":
+        """self divided by the leading coefficient of the nonzero ``other``; builds no Fraction.
+
+        other's leading coefficient is num * ints[-1] / den; g = gcd(ints[-1], den)
+        reduces it, so self's scale takes one reduced-pair product (``_times``).
+        """
+        g = math.gcd(other._ints[-1], other._den)
+        top, bottom = other._den // g, other._num * (other._ints[-1] // g)
+        if bottom < 0:
+            top, bottom = -top, -bottom
+        return _make(*_times(self._num, self._den, top, bottom), self._ints)
 
     # -- formatting / serialization -----------------------------------------
 

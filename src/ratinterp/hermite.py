@@ -19,10 +19,10 @@ the instance.
 remainder trace of (f, g), which every solver query reads its answer
 from.  All-zero data has the trivial trace, rows (f, 0), (0, 1) and
 N = 0 (``eea.half_trace``).  The trace is a half one, rows (r_i, s_i):
-every answer is a weak pair, and none prints t.  A query that reads no
-row past the first remainder of degree <= some bound passes ``bound``,
-and the trace stops one row past that remainder.  It runs the EEA anew
-on each call, as the benchmark pins three runs per full CLI ``delta``.
+every answer is a weak pair, and none prints t.  A query that reads
+only early rows passes ``bound``, and the trace stops one row past the
+first remainder of degree <= bound.  It runs the EEA anew on each call,
+as the benchmark pins three runs per full CLI ``delta``.
 
 A pair (a, b) satisfies the *weak* conditions when f divides a - b*g;
 it yields an actual interpolating fraction a/b exactly when, in
@@ -164,13 +164,13 @@ class RationalFunction:
         return rf
 
     def _scale_monic(self, numer: Poly, denom: Poly) -> None:
+        """Store numer/denom scaled so that denom is monic, and 0 as 0/1; builds no Fraction."""
         if numer.is_zero:
             self.numer: Poly = ZERO
             self.denom: Poly = ONE
             return
-        scale = 1 / denom.leading
-        self.numer = numer * scale
-        self.denom = denom * scale
+        self.numer = numer.over_lead_of(denom)
+        self.denom = denom.monic()
 
     @property
     def delta_degree(self) -> int:

@@ -158,8 +158,10 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     n = data.n
     if not 0 <= d <= n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
-    trace = data.trace(bound=d)
-    # the trace stops one row past the first row with deg r <= d, unless that is
-    # the zero row N + 1: 0/1 for all-zero data, else None (its s vanishes at a node)
+    # the answer is row k, the first with deg r_k <= d.  Degrees drop strictly from row 1
+    # on, so the first remainder of degree <= d + 1 is row k - 1 or row k, and the trace,
+    # which stops one row past it, ends at row k or k + 1.  k may be the zero row N + 1:
+    # 0/1 for all-zero data, else None (its s vanishes at a node)
+    trace = data.trace(bound=d + 1)
     k = next(k for k in range(1, trace.N + 2) if trace.r(k).degree <= d)
     return interpolant(trace.r(k), trace.s(k), data)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from ratinterp import (
     NEG_INF, ONE, X, ZERO, DenominatorVanishesAtNode, InterpolationData, PlaneParametrization, Poly,
-    evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, minimal_basis, monomial, mu_basis,
-    nodal_poly,
+    admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, hermite_rational,
+    minimal_basis, monomial, mu_basis, nodal_poly,
 )
 from ratinterp.exactpoly import _decimal_digits, _ratio_str, _rational_str, as_fraction, value_ratios
 
@@ -373,6 +373,7 @@ def check_division_and_evaluation(a, b, c):
     if ref_b:
         q, r = pa.div_rem(pb)
         assert (q.coeffs, r.coeffs) == frac_div_rem(ref_a, ref_b)
+        assert pa.over_lead_of(pb).coeffs == tuple(v / ref_b[-1] for v in ref_a)
     else:
         with pytest.raises(ZeroDivisionError):
             pa.div_rem(pb)
@@ -568,6 +569,18 @@ class TestNoFractionInArithmetic:
         built = count_fractions(monkeypatch)
         printed = [(p.to_json(), p.format(), p.format(len(data.nodes))) for p in polys]
         assert len(built) == 0 and len(printed) == 3 * (trace.N + 2)
+
+    def test_answers_scaled_monic_on_a_rational_node_instance(self, monkeypatch):
+        rng = random.Random(9)
+        data = InterpolationData.from_pairs(
+            [(Fraction(k, 3), [Fraction(rng.randint(-9, 9), rng.randint(1, 7))]) for k in range(12)])
+        data.newton_pair  # built once per instance, from the input Fractions
+        built = count_fractions(monkeypatch)
+        splits = [hermite_rational(data, d) for d in range(data.n)]
+        report = admissible_kappa(data)
+        answers = [rf for rf in splits if rf is not None] + [e.solution for e in report.isolated]
+        assert len(built) == 0 and len(answers) == 2 * data.n  # a normal trace: every split is solvable
+        assert all(rf.denom.leading == 1 for rf in answers)
 
     def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):
         param = PlaneParametrization(P("1/2", -3, "5/7", 0, 2, "-7/5", "-11/3"),

@@ -13,8 +13,10 @@ from ratinterp import (
     ZERO,
     CertificateError,
     EEATrace,
+    InterpolationData,
     MovingLine,
     PlaneParametrization,
+    RationalFunction,
     admissible_delta_set,
     admissible_kappa,
     critical_indices,
@@ -31,9 +33,13 @@ from ratinterp import (
     yy_form,
 )
 from ratinterp.eea import Decomposition, half_trace, split_bound
+from ratinterp.hermite import interpolant
 
 from conftest import (
+    DATA_ALL_ZERO,
+    P,
     integer_node_data,
+    planted_data,
     random_data,
     random_param,
     random_poly,
@@ -93,12 +99,21 @@ def test_each_query_computes_the_rows_it_reads(recorded):
         trace = _run(recorded, query, *args)
         assert len(trace.rows) == j + 2, query.__name__
         assert_prefix(trace, complete)
-    for d in range(n):
+    saved = 0
+    for d in range(n - 1):
         k = _first_at_most(complete, d)
         trace = _run(recorded, hermite_rational, data, d)
-        assert len(trace.rows) == min(k + 2, complete.N + 2), d  # row k + 1, if k is not the zero row
+        # one row past the first remainder of degree <= d + 1, which is row k - 1 or row k
+        rows = min(_first_at_most(complete, d + 1) + 2, complete.N + 2)
+        assert len(trace.rows) == rows and k < rows <= min(k + 2, complete.N + 2), d
         assert_prefix(trace, complete)
+        saved += rows < min(k + 2, complete.N + 2)
+    # each step drops one degree, to deg r_21 = 3 and then to r_22 = 0: row k is the last row
+    # for every d >= 3; below, row k is the zero row
+    assert complete.N == 21 and saved == n - 4
     recorded.clear()
+    hermite_rational(data, n - 1)
+    assert recorded == []  # the bound n lets no division run: row 1 = (g, 1) and no EEA
     sample_solution_of_kappa(data, n)
     assert recorded == []  # a polynomial from f and g: no trace
     assert _run(recorded, admissible_kappa, data).complete
@@ -123,6 +138,8 @@ def test_bound_stops_one_row_past_the_first_remainder_of_degree_at_most_bound():
         assert_prefix(trace, complete)
     # the zero remainder ends the run even below every degree
     assert extended_euclid(r0, r1, bound=-1) == complete
+    # where no division runs, half_trace returns the start rows without running the algorithm
+    assert half_trace(r0, r1, bound=r0.degree) == extended_euclid(r0, r1, half=True, bound=r0.degree)
 
 
 def _past_split_rows(complete: EEATrace) -> int:
@@ -213,3 +230,56 @@ def test_truncated_mu_basis_traces_read_as_the_complete_one(seed):
     basis = mu_basis(param)
     assert (basis.mu, basis.low, basis.high) == (
         mu, MovingLine.from_row(complete, low), MovingLine.from_row(complete, high))
+
+
+def _check_hermite_rational(data) -> int:
+    """hermite_rational(data, d) at every d against the complete trace's row k, the first with deg r_k <= d.
+
+    Each query's trace must hold row k, and at d = n - 1 it runs no division.  Returns the
+    number of d whose trace ends one row past row k, as it does where r_{k-1} drops to r_k
+    by more than one degree.
+    """
+    complete = half_trace(*data.newton_pair)
+    door, traces = InterpolationData.trace, []
+    past = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(InterpolationData, "trace", lambda self, **kw: traces.append(door(self, **kw)) or traces[-1])
+        for d in range(data.n):
+            k = _first_at_most(complete, d)
+            traces.clear()
+            answer = hermite_rational(data, d)
+            (trace,) = traces
+            assert answer == interpolant(complete.r(k), complete.s(k), data), d
+            assert_prefix(trace, complete)
+            assert k < len(trace.rows) <= k + 2, d
+            past += len(trace.rows) == k + 2
+    assert trace.N == 0  # d = n - 1
+    return past
+
+
+@settings(database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hermite_rational_reads_the_row_of_the_complete_trace(seed):
+    rng = random.Random(seed)
+    for data in (random_data(rng, max_n=14), repeated_node_data(rng, rng.randint(1, 14)),
+                 rational_node_data(rng, rng.randint(1, 12))):
+        _check_hermite_rational(data)
+
+
+def test_hermite_rational_on_planted_data_stops_one_row_past_the_abnormal_quotient():
+    rng = random.Random(27)
+    past = 0
+    for n in (8, 12, 16):
+        data = planted_data(rng, n, random_poly(rng, 2), P(1, 0, 1))
+        assert max(q.degree for q in data.trace().quotients) > 1
+        past += _check_hermite_rational(data)
+    assert past > 0
+
+
+def test_hermite_rational_on_all_zero_and_constant_data():
+    constant = InterpolationData.from_pairs([(0, [5]), (1, [5, 0]), (3, [5, 0, 0])])
+    # all-zero data has the trivial trace, N = 0; constant data drops from deg f = n to row 1
+    # at once, so every d < n - 1 stops one row past it, at the zero row 2
+    for data, value, past in ((DATA_ALL_ZERO, 0, 0), (constant, 5, 5)):
+        assert _check_hermite_rational(data) == past
+        assert [hermite_rational(data, d) for d in range(data.n)] == [RationalFunction(P(value), ONE)] * data.n
