@@ -21,7 +21,10 @@ deg v + mu2): every admissible delta >= mu2 is reached by the member for
 p = x**(delta - mu1) + k, k >= 0 least (``_family_member``), which at
 delta = mu2 is the FAMILY representative.  Every fraction comes from
 ``hermite.interpolant`` or ``evaluate_parametrization``: the trace
-decides coprimality, and no generic gcd runs on the basis.
+decides coprimality, and no generic gcd runs on the basis.  The basis
+pairs are the raw trace rows; ``admissible_delta_set`` reads only the
+split and the unique test, which do not depend on a row's scale, so it
+rebuilds no raw row.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eea import degree_split, split_bound
+from .eea import EEATrace, degree_split, split_bound
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
 from .exactpoly import Poly, _rational_str, gcd, monomial, value_ratios
 from .hermite import InterpolationData, RationalFunction, interpolant
@@ -146,21 +149,26 @@ class DeltaSolutionReport:
         return "\n".join(lines)
 
 
+def _split(data: InterpolationData) -> tuple[EEATrace, int, int, int, int]:
+    """The trace truncated at the split, and its ``degree_split`` (i, low, high, mu1)."""
+    trace = data.trace(bound=split_bound(data.n))
+    return (trace, *degree_split(trace))
+
+
 def minimal_basis(data: InterpolationData) -> MinimalBasis:
     """A minimal basis of the weak pairs, from the smallest critical index; no later row is run."""
-    trace = data.trace(bound=split_bound(data.n))
-    i, low, high, mu = degree_split(trace)
+    trace, i, low, high, mu = _split(data)
     pair1, pair2 = ((trace.r(j), trace.s(j)) for j in (low, high))
     return MinimalBasis(pair1=pair1, pair2=pair2, mu1=mu, mu2=data.n - mu, critical_index=i)
 
 
-def _unique_solution(basis: MinimalBasis, data: InterpolationData) -> RationalFunction | None:
-    """a1/b1 when mu1 < mu2 and the small pair, a trace row, is reduced; else None."""
-    return interpolant(*basis.pair1, data) if basis.mu1 < basis.mu2 else None
+def _unique_solution(pair1: Pair, mu1: int, mu2: int, data: InterpolationData) -> RationalFunction | None:
+    """a1/b1 when mu1 < mu2 and the small pair, a trace row up to a constant, is reduced; else None."""
+    return interpolant(*pair1, data) if mu1 < mu2 else None
 
 
-def _degree_set(basis: MinimalBasis, unique: RationalFunction | None) -> DegreeSet:
-    return DegreeSet(isolated=None if unique is None else basis.mu1, threshold=basis.mu2)
+def _degree_set(mu1: int, mu2: int, unique: RationalFunction | None) -> DegreeSet:
+    return DegreeSet(isolated=None if unique is None else mu1, threshold=mu2)
 
 
 def _node_constraints(
@@ -193,7 +201,7 @@ def _family_member(data: InterpolationData, basis: MinimalBasis, delta: int) -> 
 def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
     """Classify the minimal max-degree solutions for the instance."""
     basis = minimal_basis(data)
-    unique = _unique_solution(basis, data)
+    unique = _unique_solution(basis.pair1, basis.mu1, basis.mu2, data)
     if unique is not None:
         return DeltaSolutionReport(
             kind="UNIQUE",
@@ -214,9 +222,10 @@ def minimal_delta_solutions(data: InterpolationData) -> DeltaSolutionReport:
 
 
 def admissible_delta_set(data: InterpolationData) -> DegreeSet:
-    """The exact set of max-degrees realized by interpolants."""
-    basis = minimal_basis(data)
-    return _degree_set(basis, _unique_solution(basis, data))
+    """The exact set of max-degrees realized by interpolants; it reads no raw row, as no scale matters here."""
+    trace, _, low, _, mu = _split(data)
+    mu2 = data.n - mu
+    return _degree_set(mu, mu2, _unique_solution(trace.unit_pair(low), mu, mu2, data))
 
 
 def evaluate_parametrization(
@@ -247,8 +256,8 @@ def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFun
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     basis = minimal_basis(data)
-    unique = _unique_solution(basis, data)
-    admissible = _degree_set(basis, unique)
+    unique = _unique_solution(basis.pair1, basis.mu1, basis.mu2, data)
+    admissible = _degree_set(basis.mu1, basis.mu2, unique)
     if delta not in admissible:
         raise DegreeNotAdmissible(f"no interpolant has max-degree {delta}; admissible: {admissible}")
     if unique is not None and delta == basis.mu1:

@@ -16,8 +16,16 @@ row past the first remainder of degree <= ``bound``, as rational
 function reconstruction stops at a degree bound (von zur Gathen &
 Gerhard, 5.7); the readers of every row (``full_rows``, ``decompose``,
 ``recombine``) refuse it.  A trace keeps every row it computes and
-every quotient; remainders are stored exactly as produced (no monic
-rescaling), since downstream consumers depend on the raw values.  A
+every quotient.  The raw rows carry scales that grow along the trace,
+to about 136,000 bits at deg r0 = 96, while the integer lists stay
+near the subresultant size, about 2,400 bits there (von zur Gathen &
+Gerhard, ch. 6).  So the loop runs on *unit rows*: from row 2 on, each
+remainder's own integer list at scale 1, with its cofactors divided by
+that same scale c_i.  A raw row is c_i times its unit row, and is
+rebuilt from it, exactly, when it is read: the printed rows, the
+basis pairs and the kappa witnesses are raw.  Readers that do not
+depend on a row's scale (its degrees, the reduced fraction r_i/s_i
+scaled monic) read the unit rows through ``unit_pair``.  A
 *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
 row identity by exact division by r0, a checked certificate.  Queries
 take half traces from ``half_trace``, which maps r1 = 0, refused by
@@ -51,35 +59,102 @@ Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
 PAD_WIDTH = 80  # the text table pads no column whose widest cell is wider
 
 
-@dataclass(frozen=True)
 class EEATrace:
-    """Rows (r_i, s_i, t_i), or (r_i, s_i) if half, for i = 0..N+1 and quotients q_1..q_N."""
+    """Rows (r_i, s_i, t_i), or (r_i, s_i) if half, for i = 0..N+1 and quotients q_1..q_N.
 
-    rows: tuple[Row, ...]
-    quotients: tuple[Poly, ...]
+    Row i is kept as c_i times its *unit row*, and q_i as its unit quotient over u_i, for
+    nonzero constants c_i and u_i.  The raw readers (``rows``, ``quotients``, ``r``, ``s``,
+    ``t``, ``q``) rebuild a raw row on its first read and keep it.  The degrees and
+    ``unit_pair`` read the unit rows, for readers that do not depend on a row's scale.
+    """
+
+    def __init__(self, rows: tuple[Row, ...], quotients: tuple[Poly, ...],
+                 steps: tuple[Poly, ...] = ()) -> None:
+        """The trace with these rows and quotients, or, given ``steps``, these unit rows and quotients.
+
+        Without steps every c_i and u_i is 1.  With them, steps[k] is rho_{k+2} of
+        ``extended_euclid``: c_0 = c_1 = u_1 = 1, c_i = steps[i-2]*c_{i-2} and
+        u_{i+1} = steps[i-1]/u_i, so that u_i = c_i/c_{i-1}.  Raw rows and raw quotients are
+        rebuilt on first read and kept.
+        """
+        self.unit_rows, self.unit_quotients, self._steps = rows, quotients, steps
+        self._raw: list[Row | None] | None = None if steps else list(rows)
+        self._quotients = None if steps else quotients
+        self._scales: list[Poly] = []
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EEATrace):
+            return NotImplemented
+        return self.rows == other.rows and self.quotients == other.quotients
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.quotients))
+
+    def __repr__(self) -> str:
+        return f"EEATrace(rows={self.rows!r}, quotients={self.quotients!r})"
 
     @property
     def N(self) -> int:
-        return len(self.quotients)
+        return len(self.unit_quotients)
 
     @property
     def n(self) -> int:
-        return self.rows[0][0].degree
+        return self.unit_rows[0][0].degree
 
     @property
     def complete(self) -> bool:
         """True iff r_{N+1} = 0, i.e. the run was not truncated."""
-        return self.r(self.N + 1).is_zero
+        return self.unit_rows[self.N + 1][0].is_zero
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        return tuple(self._row(i) for i in range(len(self.unit_rows)))
+
+    @property
+    def quotients(self) -> tuple[Poly, ...]:
+        if self._quotients is None:
+            self._quotients = self._raw_quotients()
+        return self._quotients
+
+    def _raw_quotients(self) -> tuple[Poly, ...]:
+        """Every q_i = Q_i/u_i, with u_1 = 1 and u_{i+1} = steps[i-1]/u_i: two scale quotients a row."""
+        quotients, u = [self.unit_quotients[0]], ONE
+        for step, unit in zip(self._steps, self.unit_quotients[1:]):
+            u = step.div_rem(u)[0]
+            quotients.append(unit.div_rem(u)[0])
+        return tuple(quotients)
+
+    def _row(self, i: int) -> Row:
+        if self._raw is None:  # the first raw read: c_0..c_{N+1}, one product by a small step per row
+            self._scales = [ONE, ONE, *self._steps[:2]]
+            for step in self._steps[2:]:
+                self._scales.append(step * self._scales[-2])
+            self._raw = [*self.unit_rows[:2], *[None] * len(self._steps)]
+        row = self._raw[i]
+        if row is None:
+            unit = self.unit_rows[i]
+            row = self._raw[i] = _rescale(self._scales[i], unit)
+        return row
+
+    def _rebuild(self) -> None:
+        """Build every raw row and quotient now, for readers that read them all."""
+        for i in range(len(self.unit_rows)):
+            self._row(i)
+        self._quotients = self.quotients
+
+    def unit_pair(self, i: int) -> tuple[Poly, Poly]:
+        """(r_i, s_i)/c_i: the pair up to a constant, for readers that do not depend on its scale."""
+        return self.unit_rows[i][:2]
 
     def r(self, i: int) -> Poly:
-        return self.rows[i][0]
+        return self._row(i)[0]
 
     def s(self, i: int) -> Poly:
-        return self.rows[i][1]
+        return self._row(i)[1]
 
     def t(self, i: int) -> Poly:
         """t_i; on a half trace (r_i - s_i*r1) / r0, which must divide exactly."""
-        row = self.rows[i]
+        row = self._row(i)
         if len(row) == 3:
             return row[2]
         t, rem = (row[0] - row[1] * self.r(1)).div_rem(self.r(0))
@@ -89,7 +164,7 @@ class EEATrace:
     def full_rows(self) -> tuple[Row, ...]:
         """Every row as (r_i, s_i, t_i), t read through ``t(i)``; a complete trace only."""
         _require_complete(self)
-        return tuple((self.r(i), self.s(i), self.t(i)) for i in range(len(self.rows)))
+        return tuple((self.r(i), self.s(i), self.t(i)) for i in range(len(self.unit_rows)))
 
     def q(self, i: int) -> Poly:
         """Quotient q_i, 1-indexed: r_{i-1} = q_i * r_i + r_{i+1}."""
@@ -163,10 +238,11 @@ def critical_indices(trace: EEATrace) -> tuple[int, ...]:
     which by the cumulative degree identities is the straddle condition on
     the quotient degree sums.
     """
+    rows = trace.unit_rows  # a row's degrees are those of its unit row
     out = tuple(
         i for i in range(trace.N + 1)
-        if trace.r(i).degree >= trace.s(i).degree
-        and trace.s(i + 1).degree >= trace.r(i + 1).degree
+        if rows[i][0].degree >= rows[i][1].degree
+        and rows[i + 1][1].degree >= rows[i + 1][0].degree
     )
     _certify(1 <= len(out) <= 2, f"critical index count {len(out)}; broken remainder sequence")
     return out
@@ -183,7 +259,7 @@ def degree_split(trace: EEATrace) -> tuple[int, int, int, int]:
     """
     i = critical_indices(trace)[0]
     low, high = i, i + 1
-    d_low, d_high = (int(max(trace.r(j).degree, trace.s(j).degree)) for j in (low, high))
+    d_low, d_high = (int(max(r.degree, s.degree)) for r, s in map(trace.unit_pair, (low, high)))
     if d_high < d_low:
         low, high, d_low, d_high = high, low, d_high, d_low
     _certify(d_low + d_high == trace.n, f"row degrees {d_low} + {d_high} do not split n = {trace.n}")
@@ -218,19 +294,40 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     first remainder of degree <= ``bound`` (by default none), or at
     r_{N+1} = 0 if that comes first.  Keywords, not more functions, so
     that every run of the algorithm is a call of this one.
+
+    The loop runs on unit rows.  Rows 0 and 1 are the raw start rows.  Dividing the unit
+    remainders r_{i-1} and r_i gives the unit quotient Q_i and a remainder rho_{i+1} times an
+    integer list at scale 1 (``Poly.scale_split``; rho = 1 on the zero row).  That list is unit
+    remainder i+1, and each unit cofactor follows as (s_{i-1} - Q_i*s_i)/rho_{i+1}, so no gcd
+    in the loop meets a raw scale.  The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from
+    c_0 = c_1 = 1, and the raw quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and
+    u_{i+1} = rho_{i+1}/u_i: one product or quotient of a large number by a small one per row.
+    A half trace rebuilds a raw row when it is first read.  A full trace, whose readers (the
+    ``eea`` table, ``full_rows``) read every row, is returned with its raw rows and quotients
+    built.
     """
     if r1.is_zero:
         raise ZeroSecondInput("the second input polynomial is zero")
     if r0.is_zero or r0.degree < r1.degree:
         raise ValueError("inputs must satisfy deg r0 >= deg r1 >= 0, both nonzero")
     rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
-    quotients = []
+    steps, quotients = [], []
     while not rows[-1][0].is_zero and rows[-2][0].degree > bound:
         prev, cur = rows[-2], rows[-1]
         q, r = prev[0].div_rem(cur[0])
+        rho, r = r.scale_split()
         quotients.append(q)
-        rows.append((r, *(p - q * c for p, c in zip(prev[1:], cur[1:]))))
-    return EEATrace(rows=tuple(rows), quotients=tuple(quotients))
+        steps.append(rho)
+        rows.append((r, *[(p - q * c).div_rem(rho)[0] for p, c in zip(prev[1:], cur[1:])]))
+    trace = EEATrace(tuple(rows), tuple(quotients), tuple(steps))
+    if not half:
+        trace._rebuild()
+    return trace
+
+
+def _rescale(c: Poly, unit: Row) -> Row:
+    """c times each polynomial of a unit row: the one rebuild of a raw row."""
+    return tuple([c * p for p in unit])
 
 
 def half_trace(r0: Poly, r1: Poly, bound: int | float = NEG_INF) -> EEATrace:

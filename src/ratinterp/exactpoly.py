@@ -15,7 +15,9 @@ no content pass; sums, differences and remainders take one
 change only the scale; scales multiply by gcd cross-cancellation
 (``_times``), so arithmetic builds no Fraction; nor does ``over_lead_of``,
 the division by another polynomial's leading coefficient that scales a
-fraction monic.  Division is fraction-free (``div_rem``), and evaluation
+fraction monic, nor ``scale_split``, which returns the scale and the
+integer list at scale 1 as two polynomials.  Division is fraction-free
+(``div_rem``); by a constant it changes only the scale.  Evaluation
 runs Horner on the integers and builds one Fraction at the end; the
 node test (``nonzero_at``) reads the integer Horner accumulator alone
 and builds none.  ``coeffs``, the reduced Fractions, are derived when
@@ -290,6 +292,9 @@ class Poly:
         over divisor's: cross-cancellation needs reduced pairs, not one (den, num*D).
         """
         b = divisor._ints
+        bn, bd = divisor._num, divisor._den
+        if len(b) == 1 and self._ints:  # a constant divisor changes only the scale
+            return _make(*_over(self._num, self._den, bn, bd), self._ints), ZERO
         if not b:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
         dd = len(b) - 1
@@ -323,9 +328,7 @@ class Poly:
             quot[k] *= run
             run *= mults[k]
         num, den = _times(self._num, self._den, 1, D)
-        bn, bd = divisor._num, divisor._den
-        qnum, qden = _times(num, den, bd, bn) if bn > 0 else _times(num, den, -bd, -bn)
-        return _make(*_normal_form(qnum, qden, quot)), _make(*_normal_form(num, den, rem[:dd]))
+        return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem[:dd]))
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at x = p/q by Horner's rule on the integers: one Fraction at the end."""
@@ -356,13 +359,21 @@ class Poly:
         """self divided by the leading coefficient of the nonzero ``other``; builds no Fraction.
 
         other's leading coefficient is num * ints[-1] / den; g = gcd(ints[-1], den)
-        reduces it, so self's scale takes one reduced-pair product (``_times``).
+        reduces it, so self's scale takes one reduced-pair quotient (``_over``).
         """
         g = math.gcd(other._ints[-1], other._den)
-        top, bottom = other._den // g, other._num * (other._ints[-1] // g)
-        if bottom < 0:
-            top, bottom = -top, -bottom
-        return _make(*_times(self._num, self._den, top, bottom), self._ints)
+        return _make(*_over(self._num, self._den, other._num * (other._ints[-1] // g), other._den // g),
+                     self._ints)
+
+    def scale_split(self) -> tuple["Poly", "Poly"]:
+        """(c, u) with self == c*u: c the scale as a constant, u the integer list at scale 1.
+
+        u is primitive with a positive lead, so self is known up to a constant from u alone; the
+        zero polynomial splits as (1, 0), so that c is never zero.  Builds no Fraction and takes no gcd.
+        """
+        if not self._ints:
+            return ONE, ZERO
+        return _make(self._num, self._den, (1,)), _make(1, 1, self._ints)
 
     # -- formatting / serialization -----------------------------------------
 
@@ -421,6 +432,11 @@ def _times(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     """(n1/d1) * (n2/d2) as a reduced pair, for reduced pairs with d1, d2 > 0."""
     g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
     return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _over(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) / (n2/d2) as a reduced pair, for reduced pairs with d1, d2 > 0 and n2 != 0."""
+    return _times(n1, d1, d2, n2) if n2 > 0 else _times(n1, d1, -d2, -n2)
 
 
 def _horner(ints, p: int, q: int) -> tuple[int, int]:
@@ -488,8 +504,7 @@ def value_ratios(top: Poly, bottom: Poly, nodes: Iterable[Fraction]) -> tuple[Fr
     by the reduced ratio of the two integer Horner values, so the large
     scales meet no division per node.
     """
-    bn, bd = bottom._num, bottom._den
-    num, den = _times(top._num, top._den, bd, bn) if bn > 0 else _times(top._num, top._den, -bd, -bn)
+    num, den = _over(top._num, top._den, bottom._num, bottom._den)
     out = []
     for x in nodes:
         p, q = x.numerator, x.denominator

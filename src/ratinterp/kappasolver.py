@@ -12,7 +12,11 @@ first drops to d or below: it is solvable iff that row's r and s are
 coprime, and then the reduced row fraction is the solution.
 
 Row fractions are built by ``hermite.interpolant``, which reads
-coprimality off the trace, never from a generic gcd.
+coprimality off the trace, never from a generic gcd.  It reads each row
+as its unit pair (``EEATrace.unit_pair``): the fraction r_k/s_k scaled
+monic does not depend on the row's scale, so ``hermite_rational``
+rebuilds no raw row, and ``admissible_kappa`` rebuilds only the rows it
+reports as ``raw_pair``.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ def admissible_kappa(data: InterpolationData) -> KappaReport:
     entries = []
     # rows 1..N; the zero row N + 1 only when it is row 1 (all-zero data, 0/1)
     for k in range(1, max(trace.N, 1) + 1):
-        solution = interpolant(trace.r(k), trace.s(k), data)
+        solution = interpolant(*trace.unit_pair(k), data)  # r_k/s_k scaled monic: c_k cancels
         if solution is not None:
             # kappa_of(r_k/s_k) = n - deg q_k by the degree identities
             entries.append(KappaIsolated(
@@ -163,5 +167,5 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     # which stops one row past it, ends at row k or k + 1.  k may be the zero row N + 1:
     # 0/1 for all-zero data, else None (its s vanishes at a node)
     trace = data.trace(bound=d + 1)
-    k = next(k for k in range(1, trace.N + 2) if trace.r(k).degree <= d)
-    return interpolant(trace.r(k), trace.s(k), data)
+    k = next(k for k in range(1, trace.N + 2) if trace.unit_pair(k)[0].degree <= d)
+    return interpolant(*trace.unit_pair(k), data)

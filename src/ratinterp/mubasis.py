@@ -8,8 +8,9 @@ index, where consecutive row degrees split n = deg r0, the two rows
 form a basis of all moving lines with degrees mu and n - mu, mu
 minimal.  It is the split that also gives the minimal basis of the
 interpolation problem (``eea.degree_split``).  The trace is a half one
-truncated at ``eea.split_bound``, which keeps both split rows, and t is
-derived, with its certificate, at those two rows only.  A constant or
+truncated at ``eea.split_bound``, which keeps both split rows; those
+two are the only raw rows it rebuilds, and t is derived, with its
+certificate, at those two rows only.  A constant or
 zero r1 needs no case of its own: index 0 is then critical, and row 1
 gives the degree-0 line T1 - r1.
 """

@@ -87,7 +87,7 @@ def test_admissible_kappa_tests_rows_1_to_n_only(monkeypatch, data):
     admissible_kappa(data)
     trace = data.trace()
     rows = range(1, max(trace.N, 1) + 1)
-    assert tested == [(trace.r(k), trace.s(k)) for k in rows]
+    assert tested == [trace.unit_pair(k) for k in rows]  # each row over its scale, which cancels
 
 
 def test_yy_form_divides_by_f_once_for_the_weak_residue(monkeypatch):

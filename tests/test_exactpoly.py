@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 import sys
 from fractions import Fraction
@@ -82,6 +83,11 @@ class TestDivision:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             P(1, 1).div_rem(ZERO)
+
+    @given(st.lists(CONSTANTS, max_size=6), CONSTANTS.filter(bool))
+    def test_division_by_a_constant_scales_each_coefficient(self, cs, k):
+        q, r = P(*cs).div_rem(P(k))
+        assert q.coeffs == frac_trim(Fraction(c) / Fraction(k) for c in cs) and r == ZERO
 
     def test_reconstruction_property(self):
         rng = random.Random(7)
@@ -172,6 +178,16 @@ class TestDegreeConventions:
     def test_monic(self):
         assert P(2, 4).monic() == P("1/2", 1)
         assert ZERO.monic() == ZERO
+
+    @given(st.lists(CONSTANTS, max_size=6))
+    def test_scale_split(self, cs):
+        p = P(*cs)
+        scale, unit = p.scale_split()
+        assert scale.degree == 0 and scale * unit == p
+        # unit is the integer list at scale 1: integer, content 1, positive lead
+        ints = [int(c) for c in unit.coeffs]
+        assert unit.coeffs == tuple(ints) and (not ints or (ints[-1] > 0 and math.gcd(*ints) == 1))
+        assert (scale, unit) == ((ONE, ZERO) if p.is_zero else (P(p.leading / ints[-1]), unit))
 
     def test_monomial(self):
         assert monomial(3) == P(0, 0, 0, 1)
@@ -581,6 +597,13 @@ class TestNoFractionInArithmetic:
         answers = [rf for rf in splits if rf is not None] + [e.solution for e in report.isolated]
         assert len(built) == 0 and len(answers) == 2 * data.n  # a normal trace: every split is solvable
         assert all(rf.denom.leading == 1 for rf in answers)
+
+    def test_scale_split_and_division_by_a_constant(self, monkeypatch):
+        p = P("3/7", -5, "22/9", "-5/3")
+        built = count_fractions(monkeypatch)
+        scale, unit = p.scale_split()
+        assert scale * unit == p and unit.div_rem(scale)[0] * scale == unit
+        assert len(built) == 0
 
     def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):
         param = PlaneParametrization(P("1/2", -3, "5/7", 0, 2, "-7/5", "-11/3"),

@@ -1,0 +1,228 @@
+"""The EEA runs on unit rows: each remainder's own integer list at scale 1, with its
+cofactors over the same scale.  Raw rows and quotients are rebuilt from them, equal
+to the Fraction reference row by row; the unit rows stay near the subresultant size;
+and a half trace rebuilds a raw row only where one is read."""
+
+import math
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+import ratinterp.eea as eea
+from ratinterp import (
+    ONE,
+    ZERO,
+    InterpolationData,
+    Poly,
+    admissible_delta_set,
+    critical_indices,
+    degree_split,
+    extended_euclid,
+    hermite_polynomial,
+    hermite_rational,
+    nodal_poly,
+)
+from ratinterp.eea import half_trace, split_bound
+
+from conftest import (
+    DATA_ALL_ZERO,
+    P,
+    count_fractions,
+    integer_node_data,
+    planted_data,
+    random_param,
+    random_poly,
+    rational_node_data,
+    reference_euclid,
+    repeated_node_data,
+)
+
+
+def coeffs(p):
+    return tuple(p.coeffs)
+
+
+def assert_equals_reference(r0, r1):
+    """Full and half traces at three bounds equal the reference, row by row and quotient by quotient."""
+    ref_rows, ref_quotients = reference_euclid(coeffs(r0), coeffs(r1))
+    degrees = [len(row[0]) - 1 if row[0] else -math.inf for row in ref_rows]
+    n = int(r0.degree)
+    for bound in (-math.inf, split_bound(n), n - 2):
+        for half in (False, True):
+            trace = extended_euclid(r0, r1, half=half, bound=bound)
+            # the run stops one row past the first remainder of degree <= bound
+            N = min(next(j for j, d in enumerate(degrees) if d <= bound), len(ref_quotients))
+            assert trace.N == N, (bound, half)
+            width = 2 if half else 3
+            assert [tuple(coeffs(p) for p in row) for row in trace.rows] == \
+                [row[:width] for row in ref_rows[:N + 2]], (bound, half)
+            assert [coeffs(q) for q in trace.quotients] == ref_quotients[:N], (bound, half)
+            # rows 0 and 1 are raw; each later nonzero remainder is its raw one's integer list at
+            # scale 1, with the cofactors over the same scale
+            assert trace.unit_rows[:2] == trace.rows[:2]
+            for i in range(2, N + 2):
+                c, unit = trace.r(i).scale_split()
+                if not unit.is_zero:
+                    assert trace.unit_rows[i][0] == unit, (bound, half, i)
+                    assert tuple(c * p for p in trace.unit_rows[i]) == trace.rows[i], (bound, half, i)
+            trace.check_invariants()
+
+
+def interpolation_pair(data):
+    return nodal_poly(data), hermite_polynomial(data)
+
+
+@pytest.mark.parametrize("family", [integer_node_data, repeated_node_data, rational_node_data])
+def test_seeded_data_equals_the_reference(family):
+    rng = random.Random(f"unit-{family.__name__}")
+    for _ in range(12):
+        r0, r1 = interpolation_pair(family(rng, rng.randint(2, 14)))
+        if not r1.is_zero:
+            assert_equals_reference(r0, r1)
+
+
+def test_planted_data_equals_the_reference():
+    rng = random.Random(81)
+    for n in (12, 20, 26):
+        data = planted_data(rng, n, random_poly(rng, 2), P(rng.randint(1, 5), 0, 1))
+        assert_equals_reference(*interpolation_pair(data))
+
+
+def test_parametrizations_equal_the_reference():
+    rng = random.Random(82)
+    for _ in range(25):
+        param = random_param(rng, max_n=12)
+        if not param.r1.is_zero:
+            assert_equals_reference(param.r0, param.r1)
+
+
+def test_all_zero_data_has_the_trivial_trace_at_every_bound():
+    f, g = interpolation_pair(DATA_ALL_ZERO)
+    for bound in (-math.inf, split_bound(DATA_ALL_ZERO.n), DATA_ALL_ZERO.n - 2):
+        trace = half_trace(f, g, bound)
+        assert trace.rows == ((f, ZERO), (ZERO, ONE)) and trace.quotients == ()
+        assert trace.unit_pair(1) == (ZERO, ONE)
+
+
+@pytest.mark.parametrize("r0, r1", [
+    (P(3, -1, 4, "2/3"), P("-5/7", 2, 1, 9)),                # deg r0 = deg r1
+    (P(3, -1, 0, "2/3", 5), P("-5/7")),                      # constant r1
+    (P(1, 2, "-3/4") * P(-2, 0, 5, 1), P(1, 2, "-3/4")),     # r1 divides r0
+    (P(1, 0, 0, 0, -2, 0, "-7/3"), P(2, 5, 0, "-4/9", -6)),  # negative and rational leads
+    (P(-1, 0, 0, 0, 1) * P(3, 0, 1), P(-1, 0, 0, 0, 1) * P(2, 1)),  # a common factor
+    (P(0, 0, 0, 0, 0, 1), P(0, 0, 0, 1)),                    # the last row before zero is a monomial
+])
+def test_edge_cases_equal_the_reference(r0, r1):
+    assert_equals_reference(r0, r1)
+
+
+@pytest.mark.parametrize("r0, r1", [(P(-1, 0, 0, 0, 0, "2/3"), P(4, 0, 1, "-5/2")),  # r_N a constant
+                                     (P(1, 0, 0, 0, 0, 1), P(2, -1, 0, 3))])         # r_N of degree 1
+def test_the_zero_last_row(r0, r1):
+    trace = extended_euclid(r0, r1)
+    assert trace.complete and trace.r(trace.N + 1).is_zero and trace.unit_pair(trace.N + 1)[0].is_zero
+    assert_equals_reference(r0, r1)
+
+
+def test_a_coefficient_past_the_int_to_str_limit():
+    huge = 10 ** sys.get_int_max_str_digits() + 7
+    assert_equals_reference(P(huge, 1, 0, -huge), P(Fraction(1, huge), huge))
+
+
+# -- size: the unit rows stay near the subresultant bound ------------------------------
+
+
+def hadamard_bits(r0: Poly, r1: Poly) -> float:
+    """log2 of the Hadamard bound on the Sylvester determinant of the two integer lists.
+
+    Every subresultant coefficient and its cofactor coefficients are minors of that
+    matrix, each at most |r0|^deg r1 * |r1|^deg r0 in absolute value.
+    """
+    def norm_bits(p):
+        ints = p.scale_split()[1]
+        return math.log2(math.sqrt(sum(int(c) ** 2 for c in ints.coeffs)))
+    return r1.degree * norm_bits(r0) + r0.degree * norm_bits(r1)
+
+
+def coefficient_bits(p: Poly) -> int:
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.coeffs), default=0)
+
+
+@pytest.mark.parametrize("seed", [48, 49])
+def test_unit_rows_stay_within_twice_the_hadamard_bound_at_n_48(seed):
+    # a parametrization with entries of a few bits: there the bound is tight enough to bite
+    rng = random.Random(seed)
+    r0 = Poly([rng.randint(-9, 9) for _ in range(48)] + [rng.choice((1, 2, 3))])
+    r1 = Poly([rng.randint(-9, 9) for _ in range(47)] + [rng.choice((-3, -2, -1, 1, 2, 3))])
+    limit = 2 * hadamard_bits(r0, r1)
+    trace = extended_euclid(r0, r1)
+    assert trace.complete and trace.N >= 40
+    unit = max(coefficient_bits(p) for row in trace.unit_rows for p in row)
+    assert unit <= limit
+    # the raw rows, what a loop that does not normalize stores, are far past it
+    raw = max(coefficient_bits(p) for row in trace.rows for p in row)
+    assert raw > 4 * limit
+
+
+# -- laziness: a half trace rebuilds a raw row only where one is read ----------------
+
+
+@pytest.fixture
+def no_rebuild(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a raw row or quotient was rebuilt")
+    monkeypatch.setattr(eea, "_rescale", refuse)
+    monkeypatch.setattr(eea.EEATrace, "_raw_quotients", refuse)
+
+
+@pytest.mark.parametrize("family", [integer_node_data, repeated_node_data, rational_node_data])
+def test_hermite_rational_and_the_split_build_no_raw_row(no_rebuild, family):
+    rng = random.Random(f"lazy-{family.__name__}")
+    for n in (5, 9, 16):
+        data = family(rng, n)
+        for d in range(n):
+            hermite_rational(data, d)
+        admissible_delta_set(data)
+        for bound in (-math.inf, split_bound(n)):
+            trace = data.trace(bound)
+            degree_split(trace)
+            critical_indices(trace)
+            assert trace.complete or bound > -math.inf
+
+
+def test_a_half_trace_rebuilds_only_the_rows_read(monkeypatch):
+    built = []
+    rescale = eea._rescale
+
+    def counting(c, unit):
+        built.append(len(unit))
+        return rescale(c, unit)
+
+    monkeypatch.setattr(eea, "_rescale", counting)
+    trace = integer_node_data(random.Random(90), 12).trace()
+    assert trace.N >= 8 and built == []
+    trace.r(5), trace.s(5), trace.r(5)
+    assert built == [2]
+    trace.rows
+    assert built == [2] + [2] * (trace.N - 1)  # rows 0 and 1 are raw from the start
+
+
+def test_a_full_trace_is_built_inside_the_run(monkeypatch):
+    data = integer_node_data(random.Random(91), 12)
+    trace = extended_euclid(*interpolation_pair(data))
+    monkeypatch.setattr(eea, "_rescale", lambda c, unit: pytest.fail("a row rebuilt after the run"))
+    monkeypatch.setattr(eea.EEATrace, "_raw_quotients", lambda self: pytest.fail("rebuilt after the run"))
+    assert len(trace.rows) == trace.N + 2 and len(trace.quotients) == trace.N
+    str(trace), trace.to_json(), trace.check_invariants()
+
+
+def test_the_loop_builds_no_fraction(monkeypatch):
+    data = InterpolationData.from_pairs(
+        [(Fraction(k, 3), [Fraction(k % 5 - 2, k % 4 + 1)]) for k in range(16)])
+    f, g = interpolation_pair(data)
+    built = count_fractions(monkeypatch)
+    half = half_trace(f, g)
+    half.rows, half.quotients
+    assert len(built) == 0 and half.N >= 8
