@@ -30,8 +30,6 @@ from .eea import (
     decompose,
     degree_split,
     extended_euclid,
-    recombine,
-    syzygy_basis_pair,
 )
 from .errors import (
     CertificateError,
@@ -71,7 +69,6 @@ from .mubasis import (
     cross_product_certificate,
     mu_basis,
     projective_form,
-    verify_moving_line,
 )
 
 __version__ = "0.1.0"
@@ -80,15 +77,15 @@ __all__ = [
     "NEG_INF", "ONE", "X", "ZERO", "Poly", "gcd", "monomial",
     "InterpolationData", "RationalFunction", "check_interpolates", "check_weak",
     "hermite_polynomial", "nodal_poly", "weak_cofactor",
-    "EEATrace", "Decomposition", "extended_euclid", "decompose", "recombine",
-    "syzygy_basis_pair", "critical_indices", "degree_split",
+    "EEATrace", "Decomposition", "extended_euclid", "decompose",
+    "critical_indices", "degree_split",
     "MinimalBasis", "DegreeSet", "DeltaSolutionReport",
     "minimal_basis", "minimal_delta_solutions", "admissible_delta_set",
     "evaluate_parametrization", "sample_solution_of_delta",
     "KappaIsolated", "KappaReport", "kappa_of", "yy_form", "admissible_kappa",
     "sample_solution_of_kappa", "hermite_rational",
     "PlaneParametrization", "MovingLine", "MuBasis", "mu_basis",
-    "verify_moving_line", "cross_product_certificate", "projective_form",
+    "cross_product_certificate", "projective_form",
     "DomainError", "ZeroSecondInput", "DegreeTie", "NotASyzygy",
     "NotAnInterpolant", "ZeroDenominator", "DenominatorVanishesAtNode",
     "DegreeNotAdmissible", "KappaNotAdmissible", "CertificateError",

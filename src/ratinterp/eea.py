@@ -14,18 +14,20 @@ the recurrence, the only things ``EEATrace.check_invariants`` checks.
 A *complete* trace runs to r_{N+1} = 0.  A *truncated* one stops one
 row past the first remainder of degree <= ``bound``, as rational
 function reconstruction stops at a degree bound (von zur Gathen &
-Gerhard, 5.7); the readers of every row (``full_rows``, ``decompose``,
-``recombine``) refuse it.  A trace keeps every row it computes and
-every quotient.  The raw rows carry scales that grow along the trace,
-to about 136,000 bits at deg r0 = 96, while the integer lists stay
-near the subresultant size, about 2,400 bits there (von zur Gathen &
-Gerhard, ch. 6).  So the loop runs on *unit rows*: from row 2 on, each
-remainder's own integer list at scale 1, with its cofactors divided by
-that same scale c_i.  A raw row is c_i times its unit row, and is
-rebuilt from it, exactly, when it is read: the printed rows, the
-basis pairs and the kappa witnesses are raw.  Readers that do not
-depend on a row's scale (its degrees, the reduced fraction r_i/s_i
-scaled monic) read the unit rows through ``unit_pair``.  A
+Gerhard, 5.7); the readers of every row (``full_rows``, ``decompose``)
+refuse it.  A trace keeps every row it computes and every quotient.
+The raw rows carry scales that grow along the trace, to about 136,000
+bits at deg r0 = 96, while the integer lists stay near the subresultant
+size, about 2,400 bits there (von zur Gathen & Gerhard, ch. 6).  So the
+loop runs on *unit rows*: from row 2 on, each remainder's own integer
+list at scale 1, with its cofactors divided by that same scale c_i.  A
+raw row is c_i times its unit row, and is rebuilt from it, exactly,
+when it is read: the printed rows, the basis pairs and the kappa
+witnesses are raw.  Readers that do not depend on a row's scale (its
+degrees, the reduced fraction r_i/s_i scaled monic) read the unit rows
+through ``unit_pair``.  Every trace is built one way, from unit rows,
+unit quotients and the loop's scale steps; without steps every step is
+1, so the rows given are raw, as in the trivial trace below.  A
 *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
 row identity by exact division by r0, a checked certificate.  Queries
 take half traces from ``half_trace``, which maps r1 = 0, refused by
@@ -69,17 +71,17 @@ class EEATrace:
     """
 
     def __init__(self, rows: tuple[Row, ...], quotients: tuple[Poly, ...],
-                 steps: tuple[Poly, ...] = ()) -> None:
-        """The trace with these rows and quotients, or, given ``steps``, these unit rows and quotients.
+                 steps: tuple[Poly, ...] | None = None) -> None:
+        """The trace with these unit rows, unit quotients and steps; every step 1 if none are given.
 
-        Without steps every c_i and u_i is 1.  With them, steps[k] is rho_{k+2} of
-        ``extended_euclid``: c_0 = c_1 = u_1 = 1, c_i = steps[i-2]*c_{i-2} and
-        u_{i+1} = steps[i-1]/u_i, so that u_i = c_i/c_{i-1}.  Raw rows and raw quotients are
-        rebuilt on first read and kept.
+        steps[k] is rho_{k+2} of ``extended_euclid``: c_0 = c_1 = u_1 = 1, c_i = steps[i-2]*c_{i-2}
+        and u_{i+1} = steps[i-1]/u_i, so that u_i = c_i/c_{i-1}.  With every step 1, every c_i and
+        u_i is 1: the rows and quotients given are the raw ones.
         """
-        self.unit_rows, self.unit_quotients, self._steps = rows, quotients, steps
-        self._raw: list[Row | None] | None = None if steps else list(rows)
-        self._quotients = None if steps else quotients
+        self.unit_rows, self.unit_quotients = rows, quotients
+        self._steps = steps or (ONE,) * (len(rows) - 2)
+        self._raw: list[Row | None] = [*rows[:2], *[None] * (len(rows) - 2)]
+        self._quotients: tuple[Poly, ...] | None = None
         self._scales: list[Poly] = []
 
     def __eq__(self, other: object) -> bool:
@@ -112,35 +114,24 @@ class EEATrace:
 
     @property
     def quotients(self) -> tuple[Poly, ...]:
+        """Every q_i = Q_i/u_i, with u_1 = 1 and u_{i+1} = steps[i-1]/u_i: two scale quotients a row."""
         if self._quotients is None:
-            self._quotients = self._raw_quotients()
+            quotients, u = list(self.unit_quotients[:1]), ONE
+            for step, unit in zip(self._steps, self.unit_quotients[1:]):
+                u = step.div_rem(u)[0]
+                quotients.append(unit.div_rem(u)[0])
+            self._quotients = tuple(quotients)
         return self._quotients
 
-    def _raw_quotients(self) -> tuple[Poly, ...]:
-        """Every q_i = Q_i/u_i, with u_1 = 1 and u_{i+1} = steps[i-1]/u_i: two scale quotients a row."""
-        quotients, u = [self.unit_quotients[0]], ONE
-        for step, unit in zip(self._steps, self.unit_quotients[1:]):
-            u = step.div_rem(u)[0]
-            quotients.append(unit.div_rem(u)[0])
-        return tuple(quotients)
-
     def _row(self, i: int) -> Row:
-        if self._raw is None:  # the first raw read: c_0..c_{N+1}, one product by a small step per row
-            self._scales = [ONE, ONE, *self._steps[:2]]
-            for step in self._steps[2:]:
-                self._scales.append(step * self._scales[-2])
-            self._raw = [*self.unit_rows[:2], *[None] * len(self._steps)]
         row = self._raw[i]
         if row is None:
-            unit = self.unit_rows[i]
-            row = self._raw[i] = _rescale(self._scales[i], unit)
+            if not self._scales:  # the first rebuild: c_0..c_{N+1}, one product by a small step per row
+                self._scales = [ONE, ONE, *self._steps[:2]]
+                for step in self._steps[2:]:
+                    self._scales.append(step * self._scales[-2])
+            row = self._raw[i] = _rescale(self._scales[i], self.unit_rows[i])
         return row
-
-    def _rebuild(self) -> None:
-        """Build every raw row and quotient now, for readers that read them all."""
-        for i in range(len(self.unit_rows)):
-            self._row(i)
-        self._quotients = self.quotients
 
     def unit_pair(self, i: int) -> tuple[Poly, Poly]:
         """(r_i, s_i)/c_i: the pair up to a constant, for readers that do not depend on its scale."""
@@ -238,11 +229,11 @@ def critical_indices(trace: EEATrace) -> tuple[int, ...]:
     which by the cumulative degree identities is the straddle condition on
     the quotient degree sums.
     """
-    rows = trace.unit_rows  # a row's degrees are those of its unit row
+    pairs = [trace.unit_pair(i) for i in range(trace.N + 2)]  # a row's degrees are its unit row's
     out = tuple(
         i for i in range(trace.N + 1)
-        if rows[i][0].degree >= rows[i][1].degree
-        and rows[i + 1][1].degree >= rows[i + 1][0].degree
+        if pairs[i][0].degree >= pairs[i][1].degree
+        and pairs[i + 1][1].degree >= pairs[i + 1][0].degree
     )
     _certify(1 <= len(out) <= 2, f"critical index count {len(out)}; broken remainder sequence")
     return out
@@ -321,7 +312,7 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
         rows.append((r, *[(p - q * c).div_rem(rho)[0] for p, c in zip(prev[1:], cur[1:])]))
     trace = EEATrace(tuple(rows), tuple(quotients), tuple(steps))
     if not half:
-        trace._rebuild()
+        trace.rows, trace.quotients  # built here: a full trace's readers read every row
     return trace
 
 
@@ -365,23 +356,3 @@ def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
         if m[i].degree >= trace.q(i).degree:
             raise CertificateError(f"coordinate m_{i} too large for q_{i}; broken trace")
     return Decomposition(tuple(m))
-
-
-def recombine(dec: Decomposition, trace: EEATrace) -> tuple[Poly, Poly, Poly]:
-    """Sum m_i * (r_i, s_i, t_i) back into a triple; a complete trace only."""
-    _require_complete(trace)
-    if len(dec.m) != trace.N + 2:
-        raise ValueError("decomposition length does not match the trace")
-    a = b = c = ZERO
-    for m_i, (r_i, s_i, t_i) in zip(dec.m, trace.full_rows()):
-        a = a + m_i * r_i
-        b = b + m_i * s_i
-        c = c + m_i * t_i
-    return a, b, c
-
-
-def syzygy_basis_pair(trace: EEATrace, i: int) -> tuple[Row, Row]:
-    """Rows i and i+1 as (r, s, t), a module basis of the relations among (1, -r1, -r0)."""
-    if not 0 <= i <= trace.N - 1:
-        raise IndexError(f"row pair index {i} outside 0..{trace.N - 1}")
-    return tuple((trace.r(j), trace.s(j), trace.t(j)) for j in (i, i + 1))

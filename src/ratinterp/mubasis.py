@@ -12,7 +12,9 @@ truncated at ``eea.split_bound``, which keeps both split rows; those
 two are the only raw rows it rebuilds, and t is derived, with its
 certificate, at those two rows only.  A constant or
 zero r1 needs no case of its own: index 0 is then critical, and row 1
-gives the degree-0 line T1 - r1.
+gives the degree-0 line T1 - r1.  ``cross_product_certificate`` checks
+what makes two lines a basis and not just two lines on the curve: their
+cross product is +-(r0, r1, 1).
 """
 
 from __future__ import annotations
@@ -101,11 +103,6 @@ def mu_basis(param: PlaneParametrization) -> MuBasis:
     trace = half_trace(param.r0, param.r1, bound=split_bound(param.n))
     _, low, high, mu = degree_split(trace)
     return MuBasis(mu=mu, low=MovingLine.from_row(trace, low), high=MovingLine.from_row(trace, high))
-
-
-def verify_moving_line(line: MovingLine, param: PlaneParametrization) -> bool:
-    """True iff the line vanishes identically along the parametrization."""
-    return (line.ct0 * param.r0 + line.ct1 * param.r1 + line.c1).is_zero
 
 
 def cross_product_certificate(basis: MuBasis, param: PlaneParametrization) -> bool:

@@ -15,7 +15,6 @@ from ratinterp import (
     hermite_polynomial,
     minimal_basis,
     nodal_poly,
-    recombine,
 )
 from ratinterp.eea import Decomposition
 
@@ -280,6 +279,16 @@ def planted_data(rng, n, num, den):
     return InterpolationData.from_pairs(pairs)
 
 
+def row_sum(m, trace):
+    """Sum m_i * (r_i, s_i, t_i) over the rows of a complete trace."""
+    return tuple(sum((m_i * p for m_i, p in zip(m, column)), ZERO) for column in zip(*trace.full_rows()))
+
+
+def on_curve(line, param):
+    """True iff the moving line vanishes identically along the parametrization."""
+    return (line.ct0 * param.r0 + line.ct1 * param.r1 + line.c1).is_zero
+
+
 def interp_trace(data):
     return extended_euclid(nodal_poly(data), hermite_polynomial(data))
 
@@ -329,7 +338,7 @@ def full_trace_check(trace, data=None, rng=None):
             m.append(random_poly(rng, rng.randint(-1, trace.q(i).degree - 1)))
         m.append(random_poly(rng, rng.randint(-1, 2)))
         dec = Decomposition(tuple(m))
-        a, b, c = recombine(dec, trace)
+        a, b, c = row_sum(dec.m, trace)
         assert decompose(a, b, c, trace) == dec
 
 

@@ -33,7 +33,6 @@ from ratinterp import (
     minimal_basis,
     monomial,
     mu_basis,
-    recombine,
     weak_cofactor,
 )
 from ratinterp.oracle import (
@@ -53,6 +52,7 @@ from conftest import (
     interp_trace,
     random_data,
     random_param,
+    row_sum,
 )
 from fractions import Fraction as F
 
@@ -243,7 +243,7 @@ def test_criterion_8_invariant_batteries():
         # uniqueness round trip on one more targeted decomposition
         c = weak_cofactor(trace.r(1), trace.s(1), data)
         dec = decompose(trace.r(1), trace.s(1), c, trace)
-        assert recombine(dec, trace) == (trace.r(1), trace.s(1), c)
+        assert row_sum(dec.m, trace) == (trace.r(1), trace.s(1), c)
         checked += 1
     for _ in range(25):
         param = random_param(rng, max_n=7)

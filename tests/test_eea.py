@@ -13,8 +13,6 @@ from ratinterp import (
     ZeroSecondInput,
     decompose,
     extended_euclid,
-    recombine,
-    syzygy_basis_pair,
 )
 from ratinterp.eea import PAD_WIDTH, Decomposition
 
@@ -30,6 +28,7 @@ from conftest import (
     rational_node_data,
     reference_euclid,
     repeated_node_data,
+    row_sum,
 )
 from ratinterp import Poly, hermite_polynomial, nodal_poly
 
@@ -153,7 +152,7 @@ class TestDecompose:
                 m.append(random_poly(rng, rng.randint(-1, tr.q(i).degree - 1)))
             m.append(random_poly(rng, rng.randint(-1, 2)))
             dec = Decomposition(tuple(m))
-            a, b, c = recombine(dec, tr)
+            a, b, c = row_sum(dec.m, tr)
             assert decompose(a, b, c, tr) == dec
 
     def test_rejects_non_syzygy(self, data_four):
@@ -166,38 +165,26 @@ class TestDecompose:
         with pytest.raises(DegreeTie):
             decompose(tr.r(0), tr.s(0), tr.t(0), tr)
 
-    def test_length_mismatch(self, data_four):
-        tr = interp_trace(data_four)
-        with pytest.raises(ValueError):
-            recombine(Decomposition((ONE,)), tr)
-
 
 class TestBasisPairs:
     def test_initial_rows(self, data_four):
         tr = interp_trace(data_four)
-        first, second = syzygy_basis_pair(tr, 0)
+        first, second = tr.full_rows()[0:2]
         assert first == (tr.r(0), ZERO, ONE)
         assert second == (tr.r(1), ONE, ZERO)
 
     def test_four_point_pair_two(self, data_four):
         tr = interp_trace(data_four)
-        first, second = syzygy_basis_pair(tr, 2)
+        first, second = tr.full_rows()[2:4]
         assert first == (P(0, 0, -3), P(0, -1), ONE)
         assert second == (P(-2), P(1, 0, "-1/3"), P(0, "1/3"))
 
     def test_returned_pair_is_unimodular(self, data_four):
         tr = interp_trace(data_four)
         for i in range(tr.N):
-            (_, s0, t0), (_, s1, t1) = syzygy_basis_pair(tr, i)
+            (_, s0, t0), (_, s1, t1) = tr.full_rows()[i:i + 2]
             det = s0 * t1 - s1 * t0
             assert det == ONE or det == P(-1)
-
-    def test_index_bounds(self, data_four):
-        tr = interp_trace(data_four)
-        with pytest.raises(IndexError):
-            syzygy_basis_pair(tr, tr.N)
-        with pytest.raises(IndexError):
-            syzygy_basis_pair(tr, -1)
 
 
 def assert_matches_reference(r0, r1):

@@ -15,11 +15,10 @@ from ratinterp import (
     monomial,
     mu_basis,
     projective_form,
-    verify_moving_line,
 )
 from ratinterp.oracle import min_mu_oracle
 
-from conftest import P, full_trace_check, random_param
+from conftest import P, full_trace_check, on_curve, random_param
 
 QUARTIC_CURVE = PlaneParametrization(P(0, 0, 6, 0, -4), P(0, 4, 0, -4))
 
@@ -48,8 +47,8 @@ class TestQuarticCurve:
 
     def test_certificates(self):
         basis = mu_basis(QUARTIC_CURVE)
-        assert verify_moving_line(basis.low, QUARTIC_CURVE)
-        assert verify_moving_line(basis.high, QUARTIC_CURVE)
+        assert on_curve(basis.low, QUARTIC_CURVE)
+        assert on_curve(basis.high, QUARTIC_CURVE)
         assert cross_product_certificate(basis, QUARTIC_CURVE)
         assert min_mu_oracle(QUARTIC_CURVE) == 2
 
@@ -87,8 +86,8 @@ class TestEdgeCases:
         assert basis.mu == 0
         assert basis.low == MovingLine(ZERO, ONE, ZERO)
         assert basis.high == MovingLine(ONE, ZERO, P(0, 0, 4))
-        assert verify_moving_line(basis.low, param)
-        assert verify_moving_line(basis.high, param)
+        assert on_curve(basis.low, param)
+        assert on_curve(basis.high, param)
         assert cross_product_certificate(basis, param)
         assert min_mu_oracle(param) == 0
 
@@ -98,7 +97,7 @@ class TestEdgeCases:
         assert basis.mu == 0
         assert basis.low == MovingLine(ONE, P(-1), P(-1))  # T0 - T1 - 1
         assert basis.high == MovingLine(ZERO, ONE, P(0, 0, -1))  # T1 - x^2
-        assert verify_moving_line(basis.low, param)
+        assert on_curve(basis.low, param)
         assert cross_product_certificate(basis, param)
         assert min_mu_oracle(param) == 0
 
@@ -108,8 +107,8 @@ class TestEdgeCases:
         assert basis.mu == 0
         assert basis.low == MovingLine(ZERO, ONE, P(-5))  # T1 - 5
         assert basis.high == MovingLine(ONE, ZERO, P(0, 0, 0, -1))  # T0 - x^3
-        assert verify_moving_line(basis.low, param)
-        assert verify_moving_line(basis.high, param)
+        assert on_curve(basis.low, param)
+        assert on_curve(basis.high, param)
         assert min_mu_oracle(param) == 0
 
     def test_validation(self):
@@ -119,7 +118,7 @@ class TestEdgeCases:
             PlaneParametrization(X, P(0, 0, 1))
 
     def test_degenerate_line_rejected(self):
-        assert not verify_moving_line(MovingLine(ONE, ZERO, ZERO), QUARTIC_CURVE)
+        assert not on_curve(MovingLine(ONE, ZERO, ZERO), QUARTIC_CURVE)
 
 
 class TestRandomParametrizations:
@@ -131,8 +130,8 @@ class TestRandomParametrizations:
             assert 0 <= basis.mu <= param.n - basis.mu
             assert int(basis.low.degree) == basis.mu
             assert int(basis.high.degree) == param.n - basis.mu
-            assert verify_moving_line(basis.low, param)
-            assert verify_moving_line(basis.high, param)
+            assert on_curve(basis.low, param)
+            assert on_curve(basis.high, param)
             assert cross_product_certificate(basis, param)
             assert min_mu_oracle(param) == basis.mu
 

@@ -27,7 +27,6 @@ from ratinterp import (
     minimal_basis,
     minimal_delta_solutions,
     mu_basis,
-    recombine,
     sample_solution_of_delta,
     sample_solution_of_kappa,
     yy_form,
@@ -45,6 +44,7 @@ from conftest import (
     random_poly,
     rational_node_data,
     repeated_node_data,
+    row_sum,
 )
 
 DATA24 = integer_node_data(random.Random(24), 24)
@@ -176,9 +176,9 @@ def test_a_truncated_trace_is_certified_but_refuses_the_readers_of_every_row():
         assert complete.complete and not cut.complete
         cut.check_invariants()
         dec = Decomposition((ONE,) + (ZERO,) * (complete.N + 1))
-        triple = recombine(dec, complete)  # row 0
+        triple = row_sum(dec.m, complete)  # row 0
         for read in (cut.full_rows, cut.to_json, lambda: str(cut),
-                     lambda: decompose(*triple, cut), lambda: recombine(dec, cut)):
+                     lambda: decompose(*triple, cut), lambda: row_sum(dec.m, cut)):
             with pytest.raises(ValueError, match="truncated"):
                 read()
         last = (cut.r(cut.N + 1) + r1,) + cut.rows[-1][1:]

@@ -14,6 +14,7 @@ import ratinterp.eea as eea
 from ratinterp import (
     ONE,
     ZERO,
+    EEATrace,
     InterpolationData,
     Poly,
     admissible_delta_set,
@@ -171,10 +172,11 @@ def test_unit_rows_stay_within_twice_the_hadamard_bound_at_n_48(seed):
 
 @pytest.fixture
 def no_rebuild(monkeypatch):
+    # a half trace rebuilds its raw quotients on the first read of ``quotients``
     def refuse(*args):
         raise AssertionError("a raw row or quotient was rebuilt")
     monkeypatch.setattr(eea, "_rescale", refuse)
-    monkeypatch.setattr(eea.EEATrace, "_raw_quotients", refuse)
+    monkeypatch.setattr(eea.EEATrace, "quotients", property(refuse))
 
 
 @pytest.mark.parametrize("family", [integer_node_data, repeated_node_data, rational_node_data])
@@ -212,10 +214,30 @@ def test_a_half_trace_rebuilds_only_the_rows_read(monkeypatch):
 def test_a_full_trace_is_built_inside_the_run(monkeypatch):
     data = integer_node_data(random.Random(91), 12)
     trace = extended_euclid(*interpolation_pair(data))
+    # no reader of a full trace divides, so a division now could only rebuild a raw quotient
     monkeypatch.setattr(eea, "_rescale", lambda c, unit: pytest.fail("a row rebuilt after the run"))
-    monkeypatch.setattr(eea.EEATrace, "_raw_quotients", lambda self: pytest.fail("rebuilt after the run"))
+    monkeypatch.setattr(Poly, "div_rem", lambda self, divisor: pytest.fail("a quotient rebuilt after the run"))
     assert len(trace.rows) == trace.N + 2 and len(trace.quotients) == trace.N
     str(trace), trace.to_json(), trace.check_invariants()
+
+
+@pytest.mark.parametrize("family", [integer_node_data, repeated_node_data])
+def test_a_trace_built_from_raw_rows_reads_as_the_loops(family):
+    # every step 1: the same trace from the raw rows and quotients, at N >= 1 and at N = 0
+    f, g = interpolation_pair(family(random.Random(f"raw-{family.__name__}"), 12))
+    n = int(f.degree)
+    loops = [extended_euclid(f, g), extended_euclid(f, g, half=True), half_trace(f, g, split_bound(n)),
+             extended_euclid(f, g, bound=split_bound(n)), extended_euclid(f, g, bound=n), half_trace(f, ZERO)]
+    assert {loop.N >= 1 for loop in loops} == {True, False}
+    for loop in loops:
+        raw = EEATrace(loop.rows, loop.quotients)
+        assert raw.rows == loop.rows and raw.quotients == loop.quotients and raw.N == loop.N
+        assert [raw.t(i) for i in range(raw.N + 2)] == [loop.t(i) for i in range(loop.N + 2)]
+        assert raw.complete == loop.complete
+        if loop.complete:
+            assert str(raw) == str(loop) and raw.to_json() == loop.to_json()
+        raw.check_invariants()
+        loop.check_invariants()
 
 
 def test_the_loop_builds_no_fraction(monkeypatch):
