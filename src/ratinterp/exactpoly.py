@@ -19,13 +19,16 @@ fraction monic, nor ``scale_split``, which returns the scale and the
 integer list at scale 1 as two polynomials.  Division is fraction-free
 (``div_rem``); by a constant it changes only the scale.  Evaluation
 runs Horner on the integers and builds one Fraction at the end; the
-node test (``nonzero_at``) reads the integer Horner accumulator alone
-and builds none.  ``coeffs``, the reduced Fractions, are derived when
-read; printing (``format``, ``to_json``) reads the integers instead,
-one gcd per coefficient against the scale's denominator, and builds no
-Fraction.
+node test (``nonzero_at``, ``roots_among``) reads the integer Horner
+accumulator alone and builds none.  At an integer point (denominator
+q == 1) Horner takes no power of q.  ``coeffs``, the reduced Fractions,
+are derived when read; printing (``format``, ``to_json``) reads the
+integers instead, one gcd per coefficient against the scale's
+denominator, and builds no Fraction.
 ``newton_pair`` builds the node polynomial and the interpolant of Hermite
-data directly on integer lists, with no Poly or Fraction per condition.
+data directly on integer lists, with no Poly or Fraction per condition;
+it takes a content pass only where a denominator of a node can bring a
+common prime in (Gauss's lemma), so never at integer nodes.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which
 compares below every integer and absorbs addition, so degree bookkeeping
@@ -183,10 +186,19 @@ class Poly:
 
         At x = p/q the value is the scale times acc/q**deg for the integer
         Horner accumulator acc (``_horner``), so it is zero exactly when
-        acc is: the test is exact and builds no Fraction.
+        acc is: the test is exact and builds no Fraction.  At an integer
+        node (q == 1) the accumulator takes no power of q.
         """
         ints = self._ints
         return all(ints and _horner(ints, x.numerator, x.denominator)[0] for x in nodes)
+
+    def roots_among(self, nodes: Iterable[Fraction]) -> tuple[Fraction, ...]:
+        """The nodes at which self vanishes, in order; every node for the zero polynomial.
+
+        The same exact test as ``nonzero_at``, one Horner pass per node.
+        """
+        ints = self._ints
+        return tuple([x for x in nodes if not (ints and _horner(ints, x.numerator, x.denominator)[0])])
 
     # -- equality / hashing ------------------------------------------------
 
@@ -440,11 +452,19 @@ def _over(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
 
 
 def _horner(ints, p: int, q: int) -> tuple[int, int]:
-    """(acc, qpow) with qpow = q**(len(ints) - 1): the nonempty list ints is acc/qpow at p/q."""
-    acc, qpow = ints[-1], 1
-    for k in range(len(ints) - 2, -1, -1):
+    """(acc, qpow) with qpow = q**(len(ints) - 1): the nonempty list ints is acc/qpow at p/q.
+
+    At an integer node (q == 1) every power of q is 1, so the loop is plain Horner.
+    """
+    acc = ints[-1]
+    if q == 1:
+        for c in ints[-2::-1]:
+            acc = acc * p + c
+        return acc, 1
+    qpow = 1
+    for c in ints[-2::-1]:
         qpow *= q
-        acc = acc * p + ints[k] * qpow
+        acc = acc * p + c * qpow
     return acc, qpow
 
 
@@ -540,17 +560,20 @@ def newton_pair(points) -> tuple[Poly, Poly]:
     so g + (y - g^(j)(x)) / F^(j)(x) * F meets condition y and keeps the
     others.  F^(j)(x) comes from the factored form of F, g^(j)(x) from one
     Horner pass; seen from G the multiplier is a ratio v/u reduced by one
-    gcd, and G <- u*G + v*F, dG <- u*dG take one content pass, none when
-    v is 0.  At the end f = F/lead(F): lead(F) = prod q is not 1 at a
-    rational node.
+    gcd, and G <- u*G + v*F, dG <- u*dG; nothing when v is 0.  A content
+    pass over G follows only when gcd(dG, lead F) != 1: by Gauss's lemma
+    (ch. 6) no other prime can divide the new content, so at integer nodes,
+    where lead F = 1, the pass never runs.  At an integer node (q == 1) the
+    product by (X - p) and the Horner pass (``_horner``) take no power of q.
+    At the end f = F/lead(F): lead(F) = prod q is not 1 at a rational node.
     """
     F, G, dG = [1], [], 1
-    done = []  # (p, q, multiplicity) of the nodes already added
+    roots = []  # (p, q) of each condition already added
     for x, values in points:
         p, q = x.numerator, x.denominator
-        # F = (q*X - p)**j * prod (q_i*X - p_i)**m_i over the earlier nodes, so
+        # F = (q*X - p)**j * prod (q_i*X - p_i) over the earlier conditions, so
         # F^(j)(x) = j! * q**j * base / qF, where base and qF are fixed for the node
-        base, qF = math.prod([(b * p - a * q) ** m for a, b, m in done]), q ** (len(F) - 1)
+        base, qF = math.prod([b * p - a * q for a, b in roots]), q ** (len(F) - 1)
         for j, y in enumerate(values):
             # g^(j)(x) = aG / (qG * dG), and qG divides qF since deg G < deg F
             aG, qG = (_horner([c * math.perm(k, j) for k, c in enumerate(G[j:], j)] if j else G, p, q)
@@ -563,10 +586,21 @@ def newton_pair(points) -> tuple[Poly, Poly]:
                 u, v = u // h, v // h
                 G.extend([0] * (len(F) - len(G)))
                 G = [u * a + v * b for a, b in zip(G, F)]
+                # Content enters only through lead(F).  Before the update gcd(u, v) = 1,
+                # gcd(dG, G) = 1, F is primitive and G's top entry is 0.  A prime that
+                # divides u*dG and the new G cannot divide u (it would divide v*F, so F's
+                # content), so it divides dG; then not v (it would divide u*G, so G's
+                # content); then, through the top entry v*lead(F), lead(F) = prod q_i.
+                # So the pass runs only when gcd(dG, lead F) != 1: never at integer nodes.
+                shared = math.gcd(dG, F[-1])
                 dG *= u
-                h = math.gcd(dG, *G)
-                if h != 1:
-                    dG, G = dG // h, [a // h for a in G]
-            F = [q * a - p * b for a, b in zip([0, *F], [*F, 0])]
-        done.append((p, q, len(values)))
+                if shared != 1:
+                    h = math.gcd(dG, *G)
+                    if h != 1:
+                        dG, G = dG // h, [a // h for a in G]
+            if q == 1:
+                F = [a - p * b for a, b in zip([0, *F], [*F, 0])]
+            else:
+                F = [q * a - p * b for a, b in zip([0, *F], [*F, 0])]
+        roots.extend([(p, q)] * len(values))
     return _make(*_normal_form(1, F[-1], F)), _make(*_normal_form(1, dG, G))

@@ -13,7 +13,7 @@ Both come from one incremental Newton pass on integer lists
 node once per unit of its multiplicity.  The instance builds the pair on
 first use and keeps it (``InterpolationData.newton_pair``), so every
 query on one instance shares one build, and nothing is cached beyond
-the instance.
+the instance; ``n`` and ``nodes`` are kept the same way.
 
 ``InterpolationData.trace()`` is the one door from an instance to the
 remainder trace of (f, g), which every solver query reads its answer
@@ -29,7 +29,9 @@ it yields an actual interpolating fraction a/b exactly when, in
 addition, b vanishes at no node.  ``interpolant`` makes that fraction
 for a pair that can share only node factors (a trace row, or a basis
 combination p*pair1 + pair2), deciding coprimality by the node test
-``Poly.nonzero_at``, never by a generic gcd;
+``Poly.nonzero_at``, never by a generic gcd.  As a(x) = b(x)*g(x) at
+every node, b can vanish only where a does, so when a has the lower
+degree b is tested only at a's roots among the nodes;
 ``deltasolver.evaluate_parametrization`` does the same for any
 multipliers of the two basis pairs.
 """
@@ -84,17 +86,18 @@ class InterpolationData:
         )
         return cls(points)
 
-    @property
+    @cached_property
     def n(self) -> int:
-        """Total number of conditions (the sum of the multiplicities)."""
+        """Total number of conditions (the sum of the multiplicities), summed on first use."""
         return sum(len(values) for _, values in self.points)
 
     @property
     def node_count(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[Fraction, ...]:
+        """The nodes x_i in data order, built on first use."""
         return tuple(x for x, _ in self.points)
 
     # -- JSON schema: {"points": [{"x": "...", "values": ["...", ...]}]} ----
@@ -237,8 +240,15 @@ def interpolant(a: Poly, b: Poly, data: InterpolationData) -> RationalFunction |
     gcd(r_i, s_i) divide f, and r_i = s_i*g at every node, so such a
     pair is reduced exactly when b vanishes at no node (``Poly.nonzero_at``).
     None when b is zero or vanishes at a node; otherwise it is only scaled monic.
+
+    f | a - b*g gives a(x) = b(x)*g(x) at every node, so b can vanish only
+    where a does.  When 0 <= deg a < deg b, a is evaluated at every node
+    (``Poly.roots_among``) and b only where a vanishes; otherwise b at every node.
     """
-    if not b.nonzero_at(data.nodes):
+    nodes = data.nodes
+    if 0 <= a.degree < b.degree:
+        nodes = a.roots_among(nodes)
+    if not b.nonzero_at(nodes):
         return None
     return RationalFunction.coprime(a, b)
 

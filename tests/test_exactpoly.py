@@ -14,7 +14,7 @@ from ratinterp import (
     admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, hermite_rational,
     minimal_basis, monomial, mu_basis, nodal_poly,
 )
-from ratinterp.exactpoly import _decimal_digits, _ratio_str, _rational_str, as_fraction, value_ratios
+from ratinterp.exactpoly import _decimal_digits, _horner, _ratio_str, _rational_str, as_fraction, value_ratios
 
 from conftest import (
     P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
@@ -105,6 +105,17 @@ class TestEvalAndDerivative:
         assert cubic(0) == -2
         assert cubic(2) == 6
         assert ZERO(Fraction(22, 7)) == 0
+
+    def test_horner_at_an_integer_node_matches_the_general_path(self):
+        """_horner's q == 1 loop against the general loop at the same point written p*k/k."""
+        rng = random.Random(17)
+        for _ in range(200):
+            ints = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 12))]
+            p, k = rng.randint(-50, 50), rng.randint(2, 9)
+            d = len(ints) - 1
+            acc, qpow = _horner(ints, p, 1)
+            assert qpow == 1 and acc == frac_eval(ints, Fraction(p))
+            assert _horner(ints, p * k, k) == (acc * k**d, k**d)
 
     def test_derivative_power_rule(self):
         assert P(-2, 0, 0, 1).derivative() == P(0, 0, 3)

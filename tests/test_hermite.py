@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratinterp.deltasolver as ds
+import ratinterp.exactpoly as exactpoly
 from ratinterp import (
     CertificateError,
     InterpolationData,
     ONE,
+    Poly,
     RationalFunction,
     X,
     ZERO,
@@ -31,6 +34,7 @@ from ratinterp import (
 from ratinterp.hermite import interpolant
 
 from conftest import (
+    DATA_ALL_ZERO,
     P,
     count_fractions,
     frac_eval,
@@ -93,6 +97,14 @@ class TestInterpolationData:
         assert data_four.node_count == 3
         assert data_four.nodes == (0, 2, -1)
 
+    def test_n_and_nodes_are_built_once_and_stay_out_of_equality(self):
+        pairs = [(1, [2, 0]), ("1/2", [3]), (-4, [0, 1, 5])]
+        data, twin = InterpolationData.from_pairs(pairs), InterpolationData.from_pairs(pairs)
+        assert (data.n, data.nodes) == (6, (1, Fraction(1, 2), -4))
+        assert {"n", "nodes"} <= vars(data).keys() and data.nodes is data.nodes
+        assert data == twin and hash(data) == hash(twin)  # twin has read neither
+        assert {data: 1}[twin] == 1
+
     def test_json_round_trip(self, data_four):
         again = InterpolationData.from_json_dict(data_four.to_json_dict())
         assert again == data_four
@@ -122,6 +134,35 @@ def reference_nodal_poly(data):
         for _ in values:
             f = frac_mul(f, (-x, Fraction(1)))
     return f
+
+
+def wide_rational_node_data(rng, n):
+    """n simple rational nodes p/q, q <= 7, among them integer ones, with rational values."""
+    pool = sorted({Fraction(p, q) for q in (1, 2, 3, 5, 7) for p in range(-4 * q, 4 * q + 1)})
+    return InterpolationData.from_pairs(
+        [(x, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))]) for x in rng.sample(pool, n)])
+
+
+def content_passes(monkeypatch):
+    """The results of newton_pair's content passes, ``math.gcd(dG, *G)``, in call order.
+
+    exactpoly's ``math`` is replaced by a copy whose gcd records every call
+    made from newton_pair with three or more arguments: only the content
+    pass has that many, as F and G have two or more entries by then.
+    """
+    passes = []
+    gcd = math.gcd
+
+    def recording(*args):
+        result = gcd(*args)
+        if len(args) > 2 and sys._getframe(1).f_code.co_name == "newton_pair":
+            passes.append(result)
+        return result
+
+    proxy = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if not name.startswith("_")})
+    proxy.gcd = recording
+    monkeypatch.setattr(exactpoly, "math", proxy)
+    return passes
 
 
 class TestNewtonPair:
@@ -156,12 +197,13 @@ class TestNewtonPair:
         assert twin == data and nodal_poly(twin) == nodal_poly(data)
         assert len(builds) == 2 and builds[1] is twin
 
-    @settings(database=None, deadline=None, max_examples=100)
+    @settings(database=None, deadline=None, max_examples=150)
     @given(points=st.lists(
-        st.tuples(st.fractions(-4, 4, max_denominator=6),
+        st.tuples(st.one_of(st.integers(-6, 6).map(Fraction), st.fractions(-4, 4, max_denominator=6)),
                   st.lists(st.fractions(-20, 20, max_denominator=9), min_size=1, max_size=6)),
-        min_size=1, max_size=4, unique_by=lambda point: point[0]))
+        min_size=1, max_size=6, unique_by=lambda point: point[0]))
     def test_matches_the_fraction_reference(self, points):
+        """Integer and rational nodes mixed in any order: the q == 1 paths meet the general ones."""
         data = InterpolationData(tuple((x, tuple(values)) for x, values in points))
         assert hermite_polynomial(data).coeffs == reference_hermite_polynomial(data)
         assert nodal_poly(data).coeffs == reference_nodal_poly(data)
@@ -186,6 +228,39 @@ class TestNewtonPair:
         for x, values in data.points:
             for j, y in enumerate(values):
                 assert g.derivative(j)(x) == y and f.derivative(j)(x) == 0
+
+    @pytest.mark.parametrize("n", [48, 56, 64])
+    @pytest.mark.parametrize("family", ["int", "rep", "rat", "planted"])
+    def test_at_size_matches_the_fraction_reference(self, family, n):
+        rng = random.Random(f"newton-pair-{family}-{n}")
+        data = {
+            "int": lambda: integer_node_data(rng, n),
+            "rep": lambda: repeated_node_data(rng, n),
+            "rat": lambda: wide_rational_node_data(rng, n),
+            "planted": lambda: planted_data(rng, n, random_poly(rng, 3), P(rng.randint(1, 5), 0, 1)),
+        }[family]()
+        f, g = data.newton_pair
+        assert f.coeffs == reference_nodal_poly(data)
+        assert g.coeffs == reference_hermite_polynomial(data)
+
+    def test_content_pass_runs_only_where_lead_f_shares_a_prime(self, monkeypatch):
+        """The pass over G runs only when gcd(dG, lead F) != 1, and there it can find content.
+
+        At (5/3, [-1, 1]), (-3, [-2]) the third condition leaves content 3 in
+        G and dG, through lead(F) = 9; at integer nodes lead(F) = 1, and the
+        pass never runs.
+        """
+        passes = content_passes(monkeypatch)
+        for family in (integer_node_data, repeated_node_data):
+            family(random.Random(12), 40).newton_pair
+        planted_data(random.Random(12), 40, P(1, -2, 3), P(2, 0, 1)).newton_pair
+        assert passes == []
+
+        data = InterpolationData.from_pairs([(Fraction(5, 3), [-1, 1]), (-3, [-2])])
+        f, g = data.newton_pair
+        assert passes == [3]
+        assert f.coeffs == reference_nodal_poly(data)
+        assert g.coeffs == reference_hermite_polynomial(data)
 
     def test_builds_no_fraction(self, monkeypatch):
         """The pass runs on integer lists: no Fraction for any condition, on any kind of node."""
@@ -334,6 +409,15 @@ class TestNodeTest:
         assert not ZERO.nonzero_at(InterpolationData.from_pairs([(5, [1])]).nodes)
         assert not ZERO.nonzero_at([Fraction(1, 3)])
         assert ZERO.nonzero_at([]) and X.nonzero_at([])
+        nodes = (Fraction(1, 3), Fraction(0), Fraction(-4))
+        assert ZERO.roots_among(nodes) == nodes and X.roots_among(()) == ()
+
+    def test_roots_among_are_the_nodes_that_fail_the_node_test(self):
+        rng = random.Random(40)
+        for _ in range(100):
+            data = random_data(rng, max_n=6)
+            b = random_poly(rng, rng.randint(0, 3)) * (X - rng.choice(data.nodes))
+            assert b.roots_among(data.nodes) == tuple(x for x in data.nodes if not b.nonzero_at((x,)))
 
     def test_agrees_with_exact_evaluation(self):
         rng = random.Random(39)
@@ -355,6 +439,74 @@ class TestNodeTest:
             s = trace.s(k)
             for b in (s, s * (X - rng.choice(data.nodes))):  # the second has a root at a node
                 assert b.nonzero_at(data.nodes) == vanishes_at_no_node(b, data)
+
+
+def weak_pairs(data):
+    """Every trace row raw and as a unit row, each also times a node factor, and family members."""
+    trace = data.trace()
+    nodes = data.nodes
+    for k in range(trace.N + 2):  # row N + 1 is the zero row
+        for a, b in ((trace.r(k), trace.s(k)), trace.unit_pair(k)):
+            shared = X - nodes[k % len(nodes)]
+            yield from ((a, b), (a * shared, b * shared))
+    basis = minimal_basis(data)
+    (a1, b1), (a2, b2) = basis.pair1, basis.pair2
+    for e in range(basis.mu2 - basis.mu1, basis.mu2 - basis.mu1 + 2):
+        for k in range(len(nodes) + 1):
+            p = X**e + k
+            yield a2 + p * a1, b2 + p * b1
+
+
+class TestWeakPairNodeTest:
+    """interpolant tests b only where a vanishes when 0 <= deg a < deg b, and answers as if it tested b everywhere."""
+
+    def test_none_exactly_when_b_vanishes_at_a_node(self, data_four, data_six_even):
+        rng = random.Random(41)
+        cases = [DATA_ALL_ZERO, data_four, data_six_even,
+                 planted_data(rng, 24, P(1, -2, 3), P(-6, 1, 1))]  # b = (x - 2)(x + 3) vanishes at no node
+        for family in (integer_node_data, repeated_node_data, rational_node_data):
+            cases += [family(rng, n) for n in (6, 9, 12)]
+        seen = {"low a": 0, "low a, None": 0, "zero b": 0}
+        for data in cases:
+            for a, b in weak_pairs(data):
+                answer = interpolant(a, b, data)
+                assert (answer is None) == (not b.nonzero_at(data.nodes))
+                if answer is not None:
+                    assert answer == RationalFunction(a, b)
+                low = 0 <= a.degree < b.degree
+                seen["low a"] += low
+                seen["low a, None"] += low and answer is None
+                seen["zero b"] += b.is_zero
+        assert all(seen.values()), seen
+
+    def test_b_is_evaluated_only_where_a_vanishes(self, monkeypatch):
+        data = integer_node_data(random.Random(5), 12)
+        trace = data.trace()
+        k = next(k for k in range(1, trace.N + 1) if trace.r(k).degree < trace.s(k).degree)
+        x0, x1 = data.nodes[3], data.nodes[7]
+        shared = (X - x0) * (X - x1)
+        a, b = trace.r(k) * shared, trace.s(k) * shared
+        assert a.degree < b.degree
+        where_a_vanishes = [x for x in data.nodes if a(x) == 0]
+        assert x0 in where_a_vanishes and x1 in where_a_vanishes
+        evaluated = []
+        horner = exactpoly._horner
+
+        def recording(ints, p, q):
+            evaluated.append((Poly(ints), Fraction(p, q)))
+            return horner(ints, p, q)
+
+        monkeypatch.setattr(exactpoly, "_horner", recording)
+        unit_a, unit_b = a.scale_split()[1], b.scale_split()[1]
+        assert interpolant(a, b, data) is None
+        assert [x for poly, x in evaluated if poly == unit_a] == list(data.nodes)
+        # b first vanishes at x0, so the test stops there
+        assert [x for poly, x in evaluated if poly == unit_b] == where_a_vanishes[:where_a_vanishes.index(x0) + 1]
+        assert len(evaluated) == len(data.nodes) + where_a_vanishes.index(x0) + 1
+
+        evaluated.clear()  # with deg a >= deg b, b at every node, a at none
+        assert interpolant(trace.r(1), trace.s(1), data) is not None
+        assert [x for _, x in evaluated] == list(data.nodes)
 
 
 class TestFamilyMember:
