@@ -12,8 +12,9 @@ or a plane parametrization
 with rationals as strings "p/q" or integers and polynomial arrays in
 ascending degree.  ``--json`` switches every subcommand to a
 machine-readable mirror of the report types, each of which renders
-itself; this module only parses arguments, reads input, dispatches and
-maps errors to exit codes.  Exit status: 0 on success, 1 when a request
+itself; this module parses arguments, reads input, dispatches, writes
+the JSON text (byte for byte what ``json.dumps(payload, indent=2)`` gives)
+and maps errors to exit codes.  Exit status: 0 on success, 1 when a request
 has no valid answer, 2 on malformed input, conflicting mode flags, or a
 problem of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle``
 on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``).
@@ -90,9 +91,51 @@ def _interpolation(problem) -> InterpolationData:
     return problem
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` without its pure-Python encoder.
+
+    ``obj`` is a tree of dict (str keys), list, tuple, str, int, bool and None;
+    any other type raises TypeError.  ``indent`` is the newline and indent of
+    the enclosing level.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    separator = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:  # a list of strings, such as every coefficient array, in one join
+            body = separator.join(map(_encode_str, obj))
+        except TypeError:
+            body = separator.join([_json_text(item, inner) for item in obj])
+        return "[" + inner + body + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_encode_str(key) + ": " + _json_text(value, inner))
+        return "{" + inner + separator.join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, payload, text) -> int:
     """Print payload() as JSON with --json, else text(); the other form is never built."""
-    print(json.dumps(payload(), indent=2) if args.json else text())
+    print(_json_text(payload()) if args.json else text())
     return 0
 
 
@@ -185,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mu-bases of polynomial plane curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for ``main``'s dispatch
 
     p = sub.add_parser("eea", help="print the remainder/cofactor table")
     p.add_argument("problem", help="problem file, or - for stdin")
@@ -242,7 +286,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:  # no subcommand word: usage, help and errors come from the top level
+        args = parser.parse_args(argv)
+    else:  # what the top level does with a subcommand word, without its own parse
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except DomainError as exc:

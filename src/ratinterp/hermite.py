@@ -64,9 +64,12 @@ class InterpolationData:
         for x, values in self.points:
             if not values:
                 raise ValueError(f"node {x} has no prescribed values")
-            if x in seen:
+            # a reduced fraction is its (numerator, denominator) pair, which hashes
+            # without the modular inverse that Fraction.__hash__ takes
+            key = (x.numerator, x.denominator)
+            if key in seen:
                 raise ValueError(f"duplicate node {x}")
-            seen.add(x)
+            seen.add(key)
 
     @cached_property
     def newton_pair(self) -> tuple[Poly, Poly]:

@@ -438,6 +438,24 @@ def test_parser_is_built_once_per_process(four_file, capsys, monkeypatch):
     assert "x^2 - 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["frobnicate"], ["--json", "eea", "FILE"], ["delta", "-h"], ["delta"],
+    ["delta", "--basis", "--set", "FILE"], ["hermite-d", "FILE"], ["kappa", "--solve", "x", "FILE"],
+    ["eea", "FILE", "--bogus"], ["delta", "FILE", "extra"],
+], ids=" ".join)
+def test_parse_matches_the_top_level_parser(argv, four_file, capsys):
+    """``main`` parses with the subcommand's parser, yet exits, prints and fails as the full parser does."""
+    from ratinterp.cli import build_parser
+
+    argv = [four_file if word == "FILE" else word for word in argv]
+    outcomes = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 def _refuse(*_args, **_kwargs):
     raise RuntimeError("this output form must not be built")
 

@@ -68,6 +68,12 @@ class TestInterpolationData:
         with pytest.raises(ValueError):
             InterpolationData.from_pairs([(1, [2]), (1, [3])])
 
+    def test_duplicate_nodes_rejected_in_any_spelling(self):
+        with pytest.raises(ValueError, match="duplicate node 1/2"):
+            InterpolationData.from_pairs([("2/4", [2]), ("1/2", [3])])
+        with pytest.raises(ValueError, match="duplicate node 3"):
+            InterpolationData.from_pairs([(3, [2]), ("6/2", [3])])
+
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             InterpolationData.from_pairs([(1, [])])
