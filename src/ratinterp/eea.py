@@ -20,7 +20,10 @@ The raw rows carry scales that grow along the trace, to about 136,000
 bits at deg r0 = 96, while the integer lists stay near the subresultant
 size, about 2,400 bits there (von zur Gathen & Gerhard, ch. 6).  So the
 loop runs on *unit rows*: from row 2 on, each remainder's own integer
-list at scale 1, with its cofactors divided by that same scale c_i.  A
+list at scale 1, with its cofactors divided by that same scale c_i.
+Each unit cofactor takes one fused update, ``exactpoly.euclid_update``:
+(p - Q*c)/rho with one product, one combination and one content pass,
+and ``check_invariants`` checks the stored rows with the same function.  A
 raw row is c_i times its unit row, and is rebuilt from it, exactly,
 when it is read: the printed rows, the basis pairs and the kappa
 witnesses are raw.  Readers that do not depend on a row's scale (its
@@ -54,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
-from .exactpoly import NEG_INF, ONE, ZERO, Poly
+from .exactpoly import NEG_INF, ONE, ZERO, Poly, euclid_update
 
 Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
 
@@ -171,15 +174,22 @@ class EEATrace:
         the row identity r_i = s_i*r1 + t_i*r0.  A strict drop with deg r0 >= deg r1 forces q_i != 0,
         so deg r_{i-1} = deg q_i + deg r_i, deg q_i >= 1 for i >= 2, and deg s_{i+1} = deg q_1 +
         ... + deg q_i.
+
+        It reads what is stored and rebuilds no raw row.  The raw readers define c_{i+1} =
+        rho_{i+1}*c_{i-1} and q_i*c_i = Q_i*c_{i-1}, so the raw recurrence divided by c_{i-1} is
+        rho_{i+1}*U_{i+1} = U_{i-1} - Q_i*U_i on the unit rows U and unit quotients Q, checked by
+        ``euclid_update``.  With every rho a nonzero constant every c_i is nonzero, so a unit row
+        has its raw row's degrees.  Without steps every rho is 1: the raw recurrence itself.
         """
-        N, rows = self.N, self.rows
-        _certify(len(rows) == N + 2, "row count does not match the quotients")
+        N, rows, steps = self.N, self.unit_rows, self._steps
+        _certify(len(rows) == N + 2 == len(steps) + 2, "row count does not match the quotients")
+        _certify(all(rho.degree == 0 for rho in steps), "a step is not a nonzero constant")
         _certify((rows[0][1:], rows[1][1:]) in (((ZERO, ONE), (ONE, ZERO)), ((ZERO,), (ONE,))),
                  "start rows are not (s, t) = (0, 1), (1, 0)")
-        _certify(self.r(0).degree >= self.r(1).degree and not self.r(N).is_zero, "deg r0 < deg r1, or r_N = 0")
-        for i, q in enumerate(self.quotients, 1):
-            _certify(self.r(i + 1).degree < self.r(i).degree, f"degree not dropping at {i}")
-            _certify(rows[i + 1] == tuple(p - q * c for p, c in zip(rows[i - 1], rows[i])),
+        _certify(rows[0][0].degree >= rows[1][0].degree and not rows[N][0].is_zero, "deg r0 < deg r1, or r_N = 0")
+        for i, (q, rho) in enumerate(zip(self.unit_quotients, steps), 1):
+            _certify(rows[i + 1][0].degree < rows[i][0].degree, f"degree not dropping at {i}")
+            _certify(rows[i + 1] == tuple(euclid_update(p, q, c, rho) for p, c in zip(rows[i - 1], rows[i])),
                      f"recurrence fails at {i}")
 
     def to_json(self) -> dict:
@@ -289,8 +299,8 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     The loop runs on unit rows.  Rows 0 and 1 are the raw start rows.  Dividing the unit
     remainders r_{i-1} and r_i gives the unit quotient Q_i and a remainder rho_{i+1} times an
     integer list at scale 1 (``Poly.scale_split``; rho = 1 on the zero row).  That list is unit
-    remainder i+1, and each unit cofactor follows as (s_{i-1} - Q_i*s_i)/rho_{i+1}, so no gcd
-    in the loop meets a raw scale.  The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from
+    remainder i+1, and each unit cofactor follows as (s_{i-1} - Q_i*s_i)/rho_{i+1} in one pass
+    (``euclid_update``: no intermediate polynomial), so no gcd in the loop meets a raw scale.  The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from
     c_0 = c_1 = 1, and the raw quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and
     u_{i+1} = rho_{i+1}/u_i: one product or quotient of a large number by a small one per row.
     A half trace rebuilds a raw row when it is first read.  A full trace, whose readers (the
@@ -309,7 +319,7 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
         rho, r = r.scale_split()
         quotients.append(q)
         steps.append(rho)
-        rows.append((r, *[(p - q * c).div_rem(rho)[0] for p, c in zip(prev[1:], cur[1:])]))
+        rows.append((r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])]))
     trace = EEATrace(tuple(rows), tuple(quotients), tuple(steps))
     if not half:
         trace.rows, trace.quotients  # built here: a full trace's readers read every row

@@ -17,14 +17,17 @@ change only the scale; scales multiply by gcd cross-cancellation
 the division by another polynomial's leading coefficient that scales a
 fraction monic, nor ``scale_split``, which returns the scale and the
 integer list at scale 1 as two polynomials.  Division is fraction-free
-(``div_rem``); by a constant it changes only the scale.  Evaluation
-runs Horner on the integers and builds one Fraction at the end; the
-node test (``nonzero_at``, ``roots_among``) reads the integer Horner
-accumulator alone and builds none.  At an integer point (denominator
-q == 1) Horner takes no power of q.  ``coeffs``, the reduced Fractions,
-are derived when read; printing (``format``, ``to_json``) reads the
-integers instead, one gcd per coefficient against the scale's
-denominator, and builds no Fraction.
+(``div_rem``); by a constant it changes only the scale, and a linear
+quotient, the step of a normal remainder sequence, is closed form: one
+pass and no gcd.  ``euclid_update`` takes an EEA column's recurrence
+(p - q*c)/rho in one pass and one content pass, with no intermediate
+polynomial.  Evaluation runs Horner on the integers and builds one
+Fraction at the end; the node test (``nonzero_at``, ``roots_among``)
+reads the integer Horner accumulator alone and builds none.  At an
+integer point (denominator q == 1) Horner takes no power of q.
+``coeffs``, the reduced Fractions, are derived when read; printing
+(``format``, ``to_json``) reads the integers instead, one gcd per
+coefficient against the scale's denominator, and builds no Fraction.
 ``newton_pair`` builds the node polynomial and the interpolant of Hermite
 data directly on integer lists, with no Poly or Fraction per condition;
 it takes a content pass only where a denominator of a node can bring a
@@ -294,12 +297,17 @@ class Poly:
         """Euclidean division: self == q*divisor + r with deg r < deg divisor.
 
         Fraction-free on the integer lists: D*a == Q*b + R for the lists a
-        of self and b of divisor.  Each step eliminates the top live
-        entry c after scaling by lead/gcd(lead, c) only the dd entries
-        under c that it updates; an entry below them takes the product D
-        of the scalings so far when the window reaches it, and a quotient
-        entry takes the scalings of the later steps at the end.  So a
-        quotient of degree k costs O(k * dd) integer products, not
+        of self and b of divisor.  A linear quotient (deg a = deg b + 1, the
+        step of a normal remainder sequence) is closed form, one pass and no
+        gcd: with L = lead(b), D = L^2, Q = q1*X + q0 for q1 = L*a_top and
+        q0 = L*a_{top-1} - a_top*b_{dd-1}, and R_j = D*a_j - q0*b_j -
+        q1*b_{j-1}.  A longer quotient, such as the jump of an abnormal
+        sequence, takes one step per quotient entry: each eliminates the
+        top live entry c after scaling by lead/gcd(lead, c) only the dd
+        entries under c that it updates; an entry below them takes the
+        product D of the scalings so far when the window reaches it, and a
+        quotient entry takes the scalings of the later steps at the end.
+        So a quotient of degree k costs O(k * dd) integer products, not
         O(deg a * k).  q and r each take one content pass.  q's scale is r's
         over divisor's: cross-cancellation needs reduced pairs, not one (den, num*D).
         """
@@ -314,6 +322,14 @@ class Poly:
         if top < 0:
             return ZERO, self
         lead = b[-1]
+        if top == 1:  # L^2*a == (q1*X + q0)*b + R for L = lead(b), in one pass and no gcd
+            a = self._ints
+            D, q1 = lead * lead, lead * a[-1]
+            q0 = lead * a[-2] - a[-1] * b[-2]
+            quot = [q0, q1]
+            rem = [D * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
+            num, den = _times(self._num, self._den, 1, D)
+            return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem))
         rem = list(self._ints)
         quot = [0] * (top + 1)
         mults = [1] * (top + 1)
@@ -538,6 +554,38 @@ def value_ratios(top: Poly, bottom: Poly, nodes: Iterable[Fraction]) -> tuple[Fr
         g = math.gcd(high, low) if low > 0 else -math.gcd(high, low)
         out.append(Fraction(_Reduced(*_times(num, den, high // g, low // g))))
     return tuple(out)
+
+
+def euclid_update(p: Poly, q: Poly, c: Poly, rho: Poly) -> Poly:
+    """(p - q*c)/rho for a nonzero constant rho, in one pass: the recurrence of every EEA column.
+
+    With the scales of p and q*c reduced as in ``_plus`` the difference is
+    (g/l)*(u*P - v*Q*C) on the integer lists: v goes into the few entries of
+    Q, the product v*Q*C is one list (one comprehension for a linear Q), u*P
+    joins it in one more, and one content pass and one reduced-pair quotient
+    by rho's scale finish it.  No intermediate Poly is built.
+    """
+    P, Q, C = p._ints, q._ints, c._ints
+    if not Q or not C:
+        return _make(*_over(p._num, p._den, rho._num, rho._den), P)
+    mn, md = _times(q._num, q._den, c._num, c._den)
+    g, h = math.gcd(p._num, mn), math.gcd(p._den, md)
+    u, v = p._num // g * (md // h), mn // g * (p._den // h)
+    if len(Q) == 2:
+        q0, q1 = -v * Q[0], -v * Q[1]
+        out = [q0 * x + q1 * y for x, y in zip((*C, 0), (0, *C))]
+    else:
+        out = [0] * (len(Q) + len(C) - 1)
+        for i, x in enumerate(Q):
+            if x:
+                x *= -v
+                for j, y in enumerate(C):
+                    out[i + j] += x * y
+    if len(P) > len(out):
+        out.extend([0] * (len(P) - len(out)))
+    out[:len(P)] = [u * x + y for x, y in zip(P, out)]
+    num, den, ints = _normal_form(g, p._den // h * md, out)
+    return _make(*_over(num, den, rho._num, rho._den), ints)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:

@@ -14,7 +14,9 @@ from ratinterp import (
     admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, hermite_rational,
     minimal_basis, monomial, mu_basis, nodal_poly,
 )
-from ratinterp.exactpoly import _decimal_digits, _horner, _ratio_str, _rational_str, as_fraction, value_ratios
+from ratinterp.exactpoly import (
+    _decimal_digits, _horner, _ratio_str, _rational_str, as_fraction, euclid_update, value_ratios,
+)
 
 from conftest import (
     P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
@@ -538,6 +540,83 @@ class TestUniqueNormalForm:
         assert q * P("-3/4", "1/6", "3/2") + r == P(5, "-4/9", 0, "2/3")
         assert_normal(q)
         assert_normal(r)
+
+
+NONZERO = RATIONALS.filter(bool)
+
+
+def linear_quotient_pair(dd):
+    """(a, b) with deg b = dd >= 1 and deg a = dd + 1: the division with a linear quotient."""
+    return st.tuples(st.lists(RATIONALS, min_size=dd + 1, max_size=dd + 1), NONZERO,
+                     st.lists(RATIONALS, min_size=dd, max_size=dd), NONZERO).map(
+        lambda t: ((*t[0], t[1]), (*t[2], t[3])))
+
+
+def check_linear_division(a, b):
+    a, b = [as_fraction(c) for c in a], [as_fraction(c) for c in b]
+    pa, pb = Poly(a), Poly(b)
+    assert pa.degree == pb.degree + 1 >= 2
+    q, r = pa.div_rem(pb)
+    assert (q.coeffs, r.coeffs) == frac_div_rem(frac_trim(a), frac_trim(b))
+    assert q * pb + r == pa
+    assert_normal(q)
+    assert_normal(r)
+
+
+class TestLinearQuotient:
+    """A quotient of degree 1 is closed form: L^2*a == (q1*X + q0)*b + R for L = lead(b)."""
+
+    @settings(database=None, deadline=None, max_examples=120)
+    @given(st.integers(1, 6).flatmap(linear_quotient_pair))
+    def test_random(self, pair):
+        check_linear_division(*pair)
+
+    @pytest.mark.parametrize("a, b", [
+        ((3, -1, "2/3"), ("-5/7", 2)),                            # a linear divisor, dd = 1
+        ((1, 2, 3, 4), (5, 0, 3)),                                # b_{dd-1} = 0
+        ((1, 2, 0, 4), (1, -1, 3)),                               # a_{top-1} = 0
+        ((P(1, 2, "-3/4") * P(-2, 5)).coeffs, (1, 2, "-3/4")),   # an exact division
+        ((7, 1, 1, 0, 1), (1, 1, 0, 1)),                          # x*b + 7: R drops from degree 2 to 0
+        (("-3/5", "7/2", 0, "-9/4"), ("2/3", 0, "-5/6")),         # negative, rational scales on both sides
+        ((BIG, 1, -BIG), (Fraction(1, BIG), BIG)),                # past the int-to-str limit
+    ])
+    def test_explicit_cases(self, a, b):
+        check_linear_division(a, b)
+
+
+class TestEuclidUpdate:
+    """euclid_update(p, q, c, rho) is (p - q*c)/rho, in normal form."""
+
+    @staticmethod
+    def check(p, q, c, rho):
+        out = euclid_update(p, q, c, rho)
+        assert out == (p - q * c).div_rem(rho)[0]
+        assert_normal(out)
+        return out
+
+    def test_zero_p(self):
+        assert self.check(ZERO, P(1, 2), P(3, "1/2", 5), P("-2/3")) == -P(1, 2) * P(3, "1/2", 5) * P("-3/2")
+
+    def test_zero_c(self):
+        assert self.check(P(4, "-1/3"), P(1, 2), ZERO, P(-6)) == P(4, "-1/3") * P("-1/6")
+
+    def test_constant_q(self):
+        self.check(P(1, 0, 2), P("5/7"), P(3, -1, "1/2", 4), P(3))
+
+    def test_zero_result(self):
+        assert self.check(P(1, 2) * P(3, 4), P(1, 2), P(3, 4), P("7/5")).is_zero
+
+    def test_p_longer_than_the_product(self):
+        self.check(P(1, 2, 3, 4, "5/6"), P(-1, 3), P("2/9", 1), P(-5))
+
+    def test_random(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            p, q, c = (random_poly(rng, rng.randint(-1, 6)) for _ in range(3))
+            rho = random_poly(rng, 0)
+            if rng.random() < 0.2:
+                p, q, c = p * BIG, q * Fraction(1, BIG), -c
+            self.check(p, q, c, rho)
 
 
 # -- scales are integer pairs: the trace and the mu-basis build no Fraction --------

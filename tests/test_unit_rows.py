@@ -13,7 +13,9 @@ import pytest
 import ratinterp.eea as eea
 from ratinterp import (
     ONE,
+    X,
     ZERO,
+    CertificateError,
     EEATrace,
     InterpolationData,
     Poly,
@@ -248,3 +250,80 @@ def test_the_loop_builds_no_fraction(monkeypatch):
     half = half_trace(f, g)
     half.rows, half.quotients
     assert len(built) == 0 and half.N >= 8
+
+
+# -- one fused update per cofactor, and a check that reads the stored rows -----------
+
+
+def refuse(*args):
+    raise AssertionError("a polynomial operation the loop no longer takes")
+
+
+def test_each_cofactor_takes_one_fused_update(monkeypatch):
+    # a normal remainder sequence: every quotient linear, each cofactor (p - q*c)/rho in one pass
+    f, g = interpolation_pair(integer_node_data(random.Random(92), 12))
+    monkeypatch.setattr(Poly, "__sub__", refuse)
+    full = extended_euclid(f, g)
+    assert full.complete and full.N == 12 and all(q.degree == 1 for q in full.unit_quotients)
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    half = extended_euclid(f, g, half=True)
+    assert half.unit_rows == tuple(row[:2] for row in full.unit_rows)
+
+
+def stored_traces():
+    """Full, half and truncated traces of normal and abnormal instances."""
+    rng = random.Random(93)
+    for data in (integer_node_data(rng, 14), repeated_node_data(rng, 12), rational_node_data(rng, 10),
+                 planted_data(rng, 20, random_poly(rng, 2), P(rng.randint(1, 5), 0, 1))):
+        f, g = interpolation_pair(data)
+        yield from (extended_euclid(f, g), extended_euclid(f, g, half=True),
+                    half_trace(f, g, split_bound(data.n)), extended_euclid(f, g, bound=data.n - 3))
+
+
+def test_check_invariants_builds_no_raw_row(monkeypatch):
+    traces = list(stored_traces())
+    monkeypatch.setattr(eea, "_rescale", refuse)
+    monkeypatch.setattr(eea.EEATrace, "quotients", property(refuse))
+    for trace in traces:
+        trace.check_invariants()
+
+
+def stored_mutations(trace, rng):
+    """Traces whose unit rows, unit quotients or steps differ from this one's in one place."""
+    rows, quotients, steps = list(trace.unit_rows), list(trace.unit_quotients), list(trace._steps)
+
+    def build(rows=rows, quotients=quotients, steps=steps):
+        return EEATrace(tuple(rows), tuple(quotients), tuple(steps))
+
+    for k in range(len(steps)):
+        for step in (2 * steps[k], -steps[k], ZERO, X * steps[k]):
+            yield build(steps=steps[:k] + [step] + steps[k + 1:])
+    for k in range(2, len(rows)):
+        yield build(rows=rows[:k] + [tuple(2 * p for p in rows[k])] + rows[k + 1:])
+        col = rng.randrange(len(rows[k]))
+        yield build(rows=rows[:k] + [tuple(p + ONE if m == col else p for m, p in enumerate(rows[k]))] + rows[k + 1:])
+    for k in range(len(quotients)):
+        yield build(quotients=quotients[:k] + [quotients[k] + ONE] + quotients[k + 1:])
+    yield build(steps=steps[:-1])
+
+
+def same_raw_trace(mutated, trace):
+    try:
+        return mutated.rows == trace.rows and mutated.quotients == trace.quotients
+    except (ArithmeticError, IndexError):
+        return False
+
+
+def test_a_broken_unit_row_quotient_or_step_is_refused():
+    rng = random.Random(94)
+    refused = accepted = 0
+    for trace in stored_traces():
+        for mutated in stored_mutations(trace, rng):
+            if same_raw_trace(mutated, trace):  # e.g. any nonzero step over the zero last row
+                mutated.check_invariants()
+                accepted += 1
+            else:
+                with pytest.raises(CertificateError):
+                    mutated.check_invariants()
+                refused += 1
+    assert refused > 20 * accepted and refused > 500
