@@ -23,8 +23,8 @@ loop runs on *unit rows*: from row 2 on, each remainder's own integer
 list at scale 1, with its cofactors divided by that same scale c_i.
 Each unit cofactor takes one fused update, ``exactpoly.euclid_update``:
 (p - Q*c)/rho with one product, one combination and one content pass,
-and ``check_invariants`` checks the stored rows with the same function.  A
-raw row is c_i times its unit row, and is rebuilt from it, exactly,
+and ``check_invariants`` checks the stored rows with the same function.
+A raw row is c_i times its unit row, and is rebuilt from it, exactly,
 when it is read: the printed rows, the basis pairs and the kappa
 witnesses are raw.  Readers that do not depend on a row's scale (its
 degrees, the reduced fraction r_i/s_i scaled monic) read the unit rows
@@ -300,9 +300,10 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     remainders r_{i-1} and r_i gives the unit quotient Q_i and a remainder rho_{i+1} times an
     integer list at scale 1 (``Poly.scale_split``; rho = 1 on the zero row).  That list is unit
     remainder i+1, and each unit cofactor follows as (s_{i-1} - Q_i*s_i)/rho_{i+1} in one pass
-    (``euclid_update``: no intermediate polynomial), so no gcd in the loop meets a raw scale.  The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from
-    c_0 = c_1 = 1, and the raw quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and
-    u_{i+1} = rho_{i+1}/u_i: one product or quotient of a large number by a small one per row.
+    (``euclid_update``, no intermediate polynomial), so no gcd in the loop meets a raw scale.
+    The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from c_0 = c_1 = 1, and the raw
+    quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and u_{i+1} = rho_{i+1}/u_i:
+    one product or quotient of a large number by a small one per row.
     A half trace rebuilds a raw row when it is first read.  A full trace, whose readers (the
     ``eea`` table, ``full_rows``) read every row, is returned with its raw rows and quotients
     built.

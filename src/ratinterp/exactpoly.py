@@ -326,10 +326,9 @@ class Poly:
             a = self._ints
             D, q1 = lead * lead, lead * a[-1]
             q0 = lead * a[-2] - a[-1] * b[-2]
-            quot = [q0, q1]
             rem = [D * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
             num, den = _times(self._num, self._den, 1, D)
-            return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem))
+            return _make(*_normal_form(*_over(num, den, bn, bd), [q0, q1])), _make(*_normal_form(num, den, rem))
         rem = list(self._ints)
         quot = [0] * (top + 1)
         mults = [1] * (top + 1)
