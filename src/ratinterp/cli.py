@@ -15,9 +15,11 @@ machine-readable mirror of the report types, each of which renders
 itself; this module parses arguments, reads input, dispatches, writes
 the JSON text (byte for byte what ``json.dumps(payload, indent=2)`` gives)
 and maps errors to exit codes.  Exit status: 0 on success, 1 when a request
-has no valid answer, 2 on malformed input, conflicting mode flags, or a
+has no valid answer, 2 on malformed input, conflicting mode flags, a
 problem of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle``
-on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``).
+on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``),
+or interpolation data whose size in bits (``_input_size``) is above
+``MAX_INPUT_SIZE``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,30 @@ ORACLE_MAX_DEGREE = 72
 # about n**2 / 2 of them: its worst measured family, constant data, took 5–6 s
 # at n = 24 and 20 s at n = 32 (README).
 KAPPA_SET_MAX_DEGREE = 24
+
+
+# Largest accepted ``_input_size`` of interpolation data.  Trace coefficients grow with n times
+# the bits of (f, g), not with n alone, and node denominators multiply into lead f.  Fitted to
+# `hermite-d -d 2` run in-process on nodes k/(10^D + k), k = 1..n (README): 17 s at n = 128,
+# D = 1 (n*B = 175,616) and 8.3 s at n = 64, D = 12 (173,440) are refused, while the largest
+# input of the benchmark, the CI runs and the problem files, the probe's integer nodes 0..127
+# (115,456, 1.8 s), is accepted.
+MAX_INPUT_SIZE = 150_000
+
+
+def _input_size(data: InterpolationData) -> int:
+    """n*B, with B the bits of each node's numerator and denominator summed over the conditions,
+    plus the bits of the largest value's numerator and denominator: O(n) ``bit_length`` calls."""
+    nodes = value = 0
+    for x, values in data.points:
+        p, q = x.as_integer_ratio()  # one call, where .numerator and .denominator are two
+        nodes += (p.bit_length() + q.bit_length()) * len(values)
+        for v in values:
+            p, q = v.as_integer_ratio()
+            bits = p.bit_length() + q.bit_length()
+            if bits > value:
+                value = bits
+    return data.n * (nodes + value)
 
 
 def _capped(degree: int, limit: int = MAX_DEGREE, name: str = "the limit") -> int:
@@ -82,6 +108,10 @@ def _read_problem(args):
     else:
         raise ValueError('problem file must contain "points" or "r0"/"r1"')
     _capped(problem.n)
+    if isinstance(problem, InterpolationData) and (size := _input_size(problem)) > MAX_INPUT_SIZE:
+        raise ValueError(f"input size n*B = {size} exceeds the limit {MAX_INPUT_SIZE}, where B sums "
+                         "the bits of the node numerators and denominators over the conditions "
+                         "and adds the bits of the largest value")
     return problem
 
 

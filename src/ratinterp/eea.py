@@ -21,9 +21,13 @@ bits at deg r0 = 96, while the integer lists stay near the subresultant
 size, about 2,400 bits there (von zur Gathen & Gerhard, ch. 6).  So the
 loop runs on *unit rows*: from row 2 on, each remainder's own integer
 list at scale 1, with its cofactors divided by that same scale c_i.
-Each unit cofactor takes one fused update, ``exactpoly.euclid_update``:
-(p - Q*c)/rho with one product, one combination and one content pass,
-and ``check_invariants`` checks the stored rows with the same function.
+Each row is one kernel call, ``exactpoly.euclid_step``: it divides,
+splits off the step rho and updates every cofactor column,
+(p - Q*c)/rho.  On a linear step, the step of a normal remainder
+sequence, that is one pass: the closed-form division, and each column
+on integers with one content pass; a step between unit rows, whose
+scale is 1/1, takes no scale product.  ``check_invariants`` checks the
+stored rows with the same recurrence (``exactpoly.euclid_update``).
 A raw row is c_i times its unit row, and is rebuilt from it, exactly,
 when it is read: the printed rows, the basis pairs and the kappa
 witnesses are raw.  Readers that do not depend on a row's scale (its
@@ -57,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
-from .exactpoly import NEG_INF, ONE, ZERO, Poly, euclid_update
+from .exactpoly import NEG_INF, ONE, ZERO, Poly, euclid_step, euclid_update
 
 Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
 
@@ -296,11 +300,14 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     r_{N+1} = 0 if that comes first.  Keywords, not more functions, so
     that every run of the algorithm is a call of this one.
 
-    The loop runs on unit rows.  Rows 0 and 1 are the raw start rows.  Dividing the unit
-    remainders r_{i-1} and r_i gives the unit quotient Q_i and a remainder rho_{i+1} times an
-    integer list at scale 1 (``Poly.scale_split``; rho = 1 on the zero row).  That list is unit
-    remainder i+1, and each unit cofactor follows as (s_{i-1} - Q_i*s_i)/rho_{i+1} in one pass
-    (``euclid_update``, no intermediate polynomial), so no gcd in the loop meets a raw scale.
+    The loop runs on unit rows, one call of ``exactpoly.euclid_step`` per row.  Rows 0 and 1
+    are the raw start rows.  Dividing the unit remainders r_{i-1} and r_i gives the unit
+    quotient Q_i and a remainder rho_{i+1} times an integer list at scale 1 (rho = 1 on the
+    zero row).  That list is unit remainder i+1, and each unit cofactor follows as
+    (s_{i-1} - Q_i*s_i)/rho_{i+1}, so no gcd in the loop meets a raw scale.  A linear step
+    takes the division, the split and every column in one pass on integers; where it divides
+    one unit remainder by another (r_2 by r_3 and on), both at scale 1/1, it takes no scale
+    product.  A longer quotient takes ``div_rem``, ``scale_split`` and ``euclid_update``.
     The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from c_0 = c_1 = 1, and the raw
     quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and u_{i+1} = rho_{i+1}/u_i:
     one product or quotient of a large number by a small one per row.
@@ -315,12 +322,10 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
     steps, quotients = [], []
     while not rows[-1][0].is_zero and rows[-2][0].degree > bound:
-        prev, cur = rows[-2], rows[-1]
-        q, r = prev[0].div_rem(cur[0])
-        rho, r = r.scale_split()
+        q, rho, row = euclid_step(rows[-2], rows[-1])
         quotients.append(q)
         steps.append(rho)
-        rows.append((r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])]))
+        rows.append(row)
     trace = EEATrace(tuple(rows), tuple(quotients), tuple(steps))
     if not half:
         trace.rows, trace.quotients  # built here: a full trace's readers read every row

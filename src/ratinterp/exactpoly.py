@@ -19,9 +19,14 @@ fraction monic, nor ``scale_split``, which returns the scale and the
 integer list at scale 1 as two polynomials.  Division is fraction-free
 (``div_rem``); by a constant it changes only the scale, and a linear
 quotient, the step of a normal remainder sequence, is closed form: one
-pass and no gcd.  ``euclid_update`` takes an EEA column's recurrence
-(p - q*c)/rho in one pass and one content pass, with no intermediate
-polynomial.  Evaluation runs Horner on the integers and builds one
+pass and no gcd, in one helper (``_linear_division``) that ``div_rem``
+and the Euclidean step share.  ``euclid_update`` takes an EEA column's
+recurrence (p - q*c)/rho in one pass and one content pass, with no
+intermediate polynomial.  ``euclid_step`` takes one whole row of the
+extended Euclidean algorithm in one call: on a linear step it divides,
+splits the remainder into its step and its integer list, and updates
+every cofactor column on integers, with no scale product by a unit
+row's scale 1/1.  Evaluation runs Horner on the integers and builds one
 Fraction at the end; the node test (``nonzero_at``, ``roots_among``)
 reads the integer Horner accumulator alone and builds none.  At an
 integer point (denominator q == 1) Horner takes no power of q.
@@ -299,9 +304,8 @@ class Poly:
         Fraction-free on the integer lists: D*a == Q*b + R for the lists a
         of self and b of divisor.  A linear quotient (deg a = deg b + 1, the
         step of a normal remainder sequence) is closed form, one pass and no
-        gcd: with L = lead(b), D = L^2, Q = q1*X + q0 for q1 = L*a_top and
-        q0 = L*a_{top-1} - a_top*b_{dd-1}, and R_j = D*a_j - q0*b_j -
-        q1*b_{j-1}.  A longer quotient, such as the jump of an abnormal
+        gcd (``_linear_division``, the one copy, shared with
+        ``euclid_step``).  A longer quotient, such as the jump of an abnormal
         sequence, takes one step per quotient entry: each eliminates the
         top live entry c after scaling by lead/gcd(lead, c) only the dd
         entries under c that it updates; an entry below them takes the
@@ -321,14 +325,11 @@ class Poly:
         top = len(self._ints) - 1 - dd
         if top < 0:
             return ZERO, self
-        lead = b[-1]
-        if top == 1:  # L^2*a == (q1*X + q0)*b + R for L = lead(b), in one pass and no gcd
-            a = self._ints
-            D, q1 = lead * lead, lead * a[-1]
-            q0 = lead * a[-2] - a[-1] * b[-2]
-            rem = [D * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
+        if top == 1:
+            D, quot, rem = _linear_division(self._ints, b)
             num, den = _times(self._num, self._den, 1, D)
-            return _make(*_normal_form(*_over(num, den, bn, bd), [q0, q1])), _make(*_normal_form(num, den, rem))
+            return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem))
+        lead = b[-1]
         rem = list(self._ints)
         quot = [0] * (top + 1)
         mults = [1] * (top + 1)
@@ -466,6 +467,19 @@ def _over(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     return _times(n1, d1, d2, n2) if n2 > 0 else _times(n1, d1, -d2, -n2)
 
 
+def _linear_division(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """(D, [q0, q1], R) with D*a == (q1*X + q0)*b + R and len(R) == len(b) - 1.
+
+    The closed form of a linear quotient, for nonempty integer lists with len(a) == len(b) + 1:
+    with L = lead(b), D = L^2, q1 = L*a_top, q0 = L*a_{top-1} - a_top*b_{dd-1} (b_{-1} = 0)
+    and R_j = D*a_j - q0*b_j - q1*b_{j-1}, in one pass and no gcd.
+    """
+    lead = b[-1]
+    D, q1 = lead * lead, lead * a[-1]
+    q0 = lead * a[-2] - a[-1] * b[-2] if len(b) > 1 else lead * a[-2]
+    return D, [q0, q1], [D * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
+
+
 def _horner(ints, p: int, q: int) -> tuple[int, int]:
     """(acc, qpow) with qpow = q**(len(ints) - 1): the nonempty list ints is acc/qpow at p/q.
 
@@ -489,17 +503,18 @@ def _normal_form(num: int, den: int, ints: list[int]) -> tuple[int, int, tuple[i
     num/den must be reduced with den > 0.  The list is consumed: it may
     be shortened in place.
     """
-    while ints and not ints[-1]:
-        ints.pop()
-    if not ints:
-        return 0, 1, ()
+    if not (ints and ints[-1]):
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return 0, 1, ()
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
-    if content != 1:
-        ints = [c // content for c in ints]
-        num, den = _times(num, den, content, 1)
-    return num, den, tuple(ints)
+    if content == 1:
+        return num, den, tuple(ints)
+    g = math.gcd(content, den)  # the product by content/1 needs one gcd, not _times' two
+    return num * (content // g), den // g, tuple([c // content for c in ints])
 
 
 def _make(num: int, den: int, ints: tuple[int, ...]) -> Poly:
@@ -558,33 +573,92 @@ def value_ratios(top: Poly, bottom: Poly, nodes: Iterable[Fraction]) -> tuple[Fr
 def euclid_update(p: Poly, q: Poly, c: Poly, rho: Poly) -> Poly:
     """(p - q*c)/rho for a nonzero constant rho, in one pass: the recurrence of every EEA column.
 
-    With the scales of p and q*c reduced as in ``_plus`` the difference is
-    (g/l)*(u*P - v*Q*C) on the integer lists: v goes into the few entries of
-    Q, the product v*Q*C is one list (one comprehension for a linear Q), u*P
-    joins it in one more, and one content pass and one reduced-pair quotient
-    by rho's scale finish it.  No intermediate Poly is built.
+    With q = (qn/qd)*Q and rho = rn/rd it is (qd*rd*p - qn*rd*Q*c)/(qd*rn), which
+    ``_euclid_update`` takes on integers.  No intermediate Poly is built.
     """
-    P, Q, C = p._ints, q._ints, c._ints
-    if not Q or not C:
-        return _make(*_over(p._num, p._den, rho._num, rho._den), P)
-    mn, md = _times(q._num, q._den, c._num, c._den)
-    g, h = math.gcd(p._num, mn), math.gcd(p._den, md)
-    u, v = p._num // g * (md // h), mn // g * (p._den // h)
-    if len(Q) == 2:
-        q0, q1 = -v * Q[0], -v * Q[1]
-        out = [q0 * x + q1 * y for x, y in zip((*C, 0), (0, *C))]
+    qn, qd, rn, rd = q._num, q._den, rho._num, rho._den
+    return _euclid_update(p, qd * rd, q._ints, qn * rd, c, qd * rn)
+
+
+def _euclid_update(p: Poly, a: int, Q: tuple[int, ...] | list[int], e: int, c: Poly, d: int) -> Poly:
+    """(a*p - e*Q*c)/d for nonzero integers a and d, an integer list Q and an integer e != 0 if Q != [].
+
+    With the scales of a*p and e*c reduced as in ``_plus`` the numerator is
+    (g/l)*(u*P - v*Q*C) on the integer lists: v goes into the few entries of Q,
+    and for a linear Q the whole numerator is one comprehension; a longer Q
+    takes the product, then u*P joins it.  One content pass and one quotient of
+    the scale by d finish it.
+    """
+    P, C = p._ints, c._ints
+    k = math.gcd(a, p._den)
+    pn, pd = a // k * p._num, p._den // k  # a*p's scale, reduced
+    if Q and C:
+        k = math.gcd(e, c._den)
+        cn, cd = e // k * c._num, c._den // k  # e*c's scale, reduced
+        g, h = math.gcd(pn, cn), math.gcd(pd, cd)
+        u, v = pn // g * (cd // h), cn // g * (pd // h)
+        if len(Q) == 2 and len(P) <= len(C) + 1:  # a linear Q: the whole numerator in one pass
+            q0, q1 = -v * Q[0], -v * Q[1]
+            out = [u * x + q0 * y + q1 * z
+                   for x, y, z in zip((*P, *[0] * (len(C) + 1 - len(P))), (*C, 0), (0, *C))]
+        else:
+            out = [0] * (len(Q) + len(C) - 1)
+            for i, x in enumerate(Q):
+                if x:
+                    x *= -v
+                    for j, y in enumerate(C):
+                        out[i + j] += x * y
+            if len(P) > len(out):
+                out.extend([0] * (len(P) - len(out)))
+            out[:len(P)] = [u * x + y for x, y in zip(P, out)]
+        pn, pd, P = _normal_form(g, pd // h * cd, out)
+    k = math.gcd(pn, d) if d > 0 else -math.gcd(pn, d)
+    return _make(pn // k, pd * (d // k), P)
+
+
+def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Poly, tuple[Poly, ...]]:
+    """(Q, rho, next row) for rows (r, *cofactors): one row of the extended Euclidean algorithm.
+
+    Q and rho*r are the quotient and remainder of r_prev by r_cur, r the remainder's integer
+    list at scale 1 (r = 0 and rho = 1 on the zero row), and each cofactor of the next row is
+    (p - Q*c)/rho: what ``div_rem``, ``scale_split`` and ``euclid_update`` per column give.
+
+    A linear step (deg r_prev = deg r_cur + 1, r_cur constant or not), the step of a normal
+    remainder sequence, takes them in one pass.  With r_prev = (an/ad)*A and r_cur = (bn/bd)*B
+    the closed form (``_linear_division``) gives D*A = Q'*B + R on integers, so Q =
+    an*bd/(ad*bn*D)*Q', rho = an/(ad*D)*content(R) and r = R/content(R), read off the
+    remainder's one content pass.  Multiplied through by ad*bn*D, each cofactor is
+    (m*p - e*Q'*c)/d on integers (``_euclid_update``) with m = ad*bn*D, e = an*bd and
+    d = m*rho.  A unit row (row 2 on) has scale 1/1: between two of them m = D and e = 1,
+    the quotient's normal form is one gcd of its two entries and one against D, and no scale
+    product is taken.  Any other step, such as the jump of an abnormal sequence, takes those
+    three calls.
+    """
+    a, b = prev[0], cur[0]
+    A, B = a._ints, b._ints
+    if len(A) != len(B) + 1 or not B:
+        q, r = a.div_rem(b)
+        rho, r = r.scale_split()
+        return q, rho, (r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])])
+    D, quot, rem = _linear_division(A, B)
+    an, ad, bn, bd = a._num, a._den, b._num, b._den
+    if an == 1 == ad and bn == 1 == bd:
+        rn, rd, ints = _normal_form(1, D, rem)
+        q0, q1 = quot
+        g = math.gcd(q0, q1)  # q1 = lead(B)*lead(A) > 0
+        k = math.gcd(g, D)
+        Q = _make(g // k, D // k, (q0 // g, q1 // g))
     else:
-        out = [0] * (len(Q) + len(C) - 1)
-        for i, x in enumerate(Q):
-            if x:
-                x *= -v
-                for j, y in enumerate(C):
-                    out[i + j] += x * y
-    if len(P) > len(out):
-        out.extend([0] * (len(P) - len(out)))
-    out[:len(P)] = [u * x + y for x, y in zip(P, out)]
-    num, den, ints = _normal_form(g, p._den // h * md, out)
-    return _make(*_over(num, den, rho._num, rho._den), ints)
+        num, den = _times(an, ad, 1, D)
+        rn, rd, ints = _normal_form(num, den, rem)
+        Q = _make(*_normal_form(*_over(num, den, bn, bd), list(quot)))
+    if ints:
+        rho, r = _make(rn, rd, (1,)), _make(1, 1, ints)
+    else:  # the zero row
+        rho, r, rn = ONE, ZERO, 1
+    m, e = ad * bn * D, an * bd
+    d = bn * rn * (ad * D // rd)  # m*rho, with rho = rn/rd and rd dividing ad*D
+    return Q, rho, (r, *[_euclid_update(p, m, quot, e, c, d) for p, c in zip(prev[1:], cur[1:])])
 
 
 def gcd(p: Poly, q: Poly) -> Poly:

@@ -1,7 +1,9 @@
 import io
 import json
+import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,7 @@ from ratinterp import (
     InterpolationData, Poly, RationalFunction, X, check_interpolates, extended_euclid, kappa_of,
     minimal_basis,
 )
-from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, ORACLE_MAX_DEGREE, main
+from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, MAX_INPUT_SIZE, ORACLE_MAX_DEGREE, _input_size, main
 
 from conftest import P
 
@@ -370,6 +372,37 @@ class TestInputGuards:
         assert time.perf_counter() - start < 0.5
         curve.write_text(json.dumps({"r0": ["0"] * (MAX_DEGREE - 1) + ["1"], "r1": ["1"]}))
         assert main(["mu-basis", str(curve)]) == 0
+
+    def test_input_size_cap(self, tmp_path, capsys):
+        """Few nodes of many digits: nodes k/(10^D + k), k = 1..n, values randint(-9, 9), seed 1."""
+        def wide(n, digits):
+            rng = random.Random(1)
+            data = InterpolationData.from_pairs(
+                [(Fraction(k, 10**digits + k), [rng.randint(-9, 9)]) for k in range(1, n + 1)])
+            path = tmp_path / f"wide{n}_{digits}.json"
+            path.write_text(json.dumps(data.to_json_dict()))
+            return str(path), _input_size(data)
+
+        # n = 4 at D = 2,820 runs in about 0.2 s, just under the cap; at 2,850 digits it is just over.
+        # n = 16 at D = 1,000 ran for 19-23 s and n = 16 at D = 4,000 past 120 s before the cap
+        under, size = wide(4, 2820)
+        assert MAX_INPUT_SIZE - 1_000 < size <= MAX_INPUT_SIZE
+        assert main(["hermite-d", "-d", "2", under]) == 0
+        assert capsys.readouterr().out.startswith("d = 2: ")
+        for n, digits in ((4, 2850), (16, 1000), (16, 4000)):
+            path, size = wide(n, digits)
+            start = time.perf_counter()
+            assert main(["hermite-d", "-d", "2", path]) == 2
+            assert time.perf_counter() - start < 0.5
+            assert capsys.readouterr().err == (
+                f"input error: input size n*B = {size} exceeds the limit {MAX_INPUT_SIZE}, where B sums the "
+                "bits of the node numerators and denominators over the conditions and adds the bits of the "
+                "largest value\n")
+
+    def test_input_size_counts_every_condition_and_the_largest_value(self):
+        data = InterpolationData.from_pairs([(Fraction(5, 3), ["1/2", 7]), (-8, ["-100/9"])])
+        # n = 3; the node 5/3 has 3 + 2 bits, counted twice; -8 has 4 + 1; -100/9 has 7 + 4
+        assert _input_size(data) == 3 * (2 * 5 + 5 + 11)
 
     @pytest.mark.parametrize("command", ["delta", "kappa"])
     def test_requested_degree_cap(self, four_file, capsys, command):

@@ -15,7 +15,7 @@ from ratinterp import (
     minimal_basis, monomial, mu_basis, nodal_poly,
 )
 from ratinterp.exactpoly import (
-    _decimal_digits, _horner, _ratio_str, _rational_str, as_fraction, euclid_update, value_ratios,
+    _decimal_digits, _horner, _ratio_str, _rational_str, as_fraction, euclid_step, euclid_update, value_ratios,
 )
 
 from conftest import (
@@ -617,6 +617,82 @@ class TestEuclidUpdate:
             if rng.random() < 0.2:
                 p, q, c = p * BIG, q * Fraction(1, BIG), -c
             self.check(p, q, c, rho)
+
+
+def three_calls(prev, cur):
+    """One Euclidean row as div_rem, scale_split and euclid_update per column: euclid_step's reference."""
+    q, r = prev[0].div_rem(cur[0])
+    rho, r = r.scale_split()
+    return q, rho, (r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])])
+
+
+@st.composite
+def step_rows(draw):
+    """Rows (r, *cofactors) of 2 or 3 columns with deg r_prev >= deg r_cur >= 0.
+
+    The quotient is linear about half the time; the remainder is random, zero, or two or more
+    degrees short; the remainders are unit rows at scale 1 or keep their drawn, often negative
+    and rational, scales; a cofactor may be the zero polynomial.
+    """
+    dd, top = draw(st.integers(0, 5)), draw(st.one_of(st.just(1), st.integers(0, 3)))
+    cur_r = Poly([*draw(st.lists(RATIONALS, min_size=dd, max_size=dd)), draw(NONZERO)])
+    q = Poly([*draw(st.lists(RATIONALS, min_size=top, max_size=top)), draw(NONZERO)])
+    kind = draw(st.sampled_from(("random", "zero", "drop")))
+    size = {"random": dd, "zero": 0, "drop": max(dd - 1, 0)}[kind]
+    prev_r = q * cur_r + Poly(draw(st.lists(RATIONALS, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        prev_r, cur_r = prev_r.scale_split()[1], cur_r.scale_split()[1]
+    width = draw(st.sampled_from((2, 3)))
+    cofactors = st.one_of(st.just(ZERO), COEFFS.map(Poly))
+    prev = (prev_r, *[draw(cofactors) for _ in range(width - 1)])
+    cur = (cur_r, *[draw(cofactors) for _ in range(width - 1)])
+    return prev, cur
+
+
+class TestEuclidStep:
+    """euclid_step(prev, cur) is div_rem, scale_split and euclid_update per column, in normal form."""
+
+    @staticmethod
+    def check(prev, cur):
+        q, rho, row = euclid_step(prev, cur)
+        assert (q, rho, row) == three_calls(prev, cur)
+        assert rho * row[0] == prev[0] - q * cur[0] and rho.degree == 0
+        for p in (q, rho, *row):
+            assert_normal(p)
+        return q, rho, row
+
+    @settings(database=None, deadline=None, max_examples=100)
+    @given(step_rows())
+    def test_random(self, rows):
+        self.check(*rows)
+
+    @pytest.mark.parametrize("prev, cur", [
+        ((P(3, -1, 0, "2/3"), ZERO, ONE), (P("-5/7", 2, 1), ONE, ZERO)),           # start rows, rational scales
+        ((P(1, 2, 3), P(4, 5)), (P(0, 1), P("-1/2"))),                            # unit rows at scale 1
+        ((P(1, 2, "-3/4") * P(-2, 5), P(1, 1)), (P(1, 2, "-3/4"), P(3))),         # a zero remainder
+        ((P(7, 1, 1, 0, 1), P(2, 0, 1), ZERO), (P(1, 1, 0, 1), P(-1), P(5))),    # R drops two degrees
+        ((P(1, 0, 0, 0, 0, -2), P(1), P(-3)), (P(-1, 0, 3), P(2, 1), ZERO)),      # a quotient of degree 3
+        ((P(-4, 0, 9), P(1, 2)), (P("-2/3"), P(0, 1))),                            # a constant r_cur
+        ((P(3, "5/7"), P(1, 2), ZERO), (P("-2/3"), P(0, 1), ONE)),                  # and a linear step onto it
+        ((P(3, 5), P(2)), (ONE, P(1, 1))),                                         # onto the unit constant
+        # past the int-to-str limit, at drawn scales and at scale 1
+        ((P(BIG, 1, 0, -BIG), P(BIG, "1/3"), ONE), (P(Fraction(1, BIG), BIG, 1), P(-1, BIG), P(BIG))),
+        ((P(BIG, 1, 0, 7), P(1, BIG)), (P(1, -BIG, 3), P(BIG))),
+    ])
+    def test_explicit_cases(self, prev, cur):
+        self.check(prev, cur)
+
+    @pytest.mark.parametrize("prev", [(P(3), ONE), (P(1, 2), ZERO), (P(-1, 0, 4), P(2))])
+    def test_a_zero_divisor(self, prev):
+        with pytest.raises(ZeroDivisionError):
+            euclid_step(prev, (ZERO, ONE))
+
+    def test_a_linear_step_between_unit_rows_takes_no_division_or_split(self, monkeypatch):
+        prev, cur = (P(3, -1, 4, 2), P(1, 5), P("2/7")), (P(5, 0, 3), P("-1/3", 2, 1), P(4, 0, "1/9"))
+        expected = self.check(prev, cur)
+        monkeypatch.setattr(Poly, "div_rem", lambda *args: pytest.fail("div_rem on a linear step"))
+        monkeypatch.setattr(Poly, "scale_split", lambda *args: pytest.fail("scale_split on a linear step"))
+        assert euclid_step(prev, cur) == expected
 
 
 # -- scales are integer pairs: the trace and the mu-basis build no Fraction --------

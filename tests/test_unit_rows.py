@@ -260,12 +260,14 @@ def refuse(*args):
 
 
 def test_each_cofactor_takes_one_fused_update(monkeypatch):
-    # a normal remainder sequence: every quotient linear, each cofactor (p - q*c)/rho in one pass
+    # a normal remainder sequence: every quotient linear, each cofactor (p - q*c)/rho in one pass,
+    # and each row one euclid_step that neither divides through div_rem nor splits a remainder
     f, g = interpolation_pair(integer_node_data(random.Random(92), 12))
     monkeypatch.setattr(Poly, "__sub__", refuse)
     full = extended_euclid(f, g)
     assert full.complete and full.N == 12 and all(q.degree == 1 for q in full.unit_quotients)
-    monkeypatch.setattr(Poly, "__mul__", refuse)
+    for name in ("__mul__", "div_rem", "scale_split"):
+        monkeypatch.setattr(Poly, name, refuse)
     half = extended_euclid(f, g, half=True)
     assert half.unit_rows == tuple(row[:2] for row in full.unit_rows)
 
