@@ -18,7 +18,7 @@ and maps errors to exit codes.  Exit status: 0 on success, 1 when a request
 has no valid answer, 2 on malformed input, conflicting mode flags, a
 problem of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle``
 on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``),
-or interpolation data whose size in bits (``_input_size``) is above
+or a problem whose size in bits (``_input_size``, ``_polynomial``) is above
 ``MAX_INPUT_SIZE``.
 """
 
@@ -28,12 +28,13 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import deltasolver, kappasolver, oracle
 from .eea import extended_euclid
 from .errors import DomainError
-from .exactpoly import Poly
+from .exactpoly import Poly, as_fraction
 from .hermite import InterpolationData
 from .mubasis import PlaneParametrization, mu_basis
 
@@ -52,12 +53,15 @@ ORACLE_MAX_DEGREE = 72
 KAPPA_SET_MAX_DEGREE = 24
 
 
-# Largest accepted ``_input_size`` of interpolation data.  Trace coefficients grow with n times
-# the bits of (f, g), not with n alone, and node denominators multiply into lead f.  Fitted to
-# `hermite-d -d 2` run in-process on nodes k/(10^D + k), k = 1..n (README): 17 s at n = 128,
-# D = 1 (n*B = 175,616) and 8.3 s at n = 64, D = 12 (173,440) are refused, while the largest
-# input of the benchmark, the CI runs and the problem files, the probe's integer nodes 0..127
-# (115,456, 1.8 s), is accepted.
+# Largest accepted n*B (``_input_size``; ``_polynomial`` gives B of a parametrization).  Trace
+# coefficients grow with n times the bits of the two inputs, not with n alone, and node
+# denominators multiply into lead f.  Fitted to `hermite-d -d 2` run in-process on nodes
+# k/(10^D + k), k = 1..n (README): 17 s at n = 128, D = 1 (n*B = 175,616) and 8.3 s at n = 64,
+# D = 12 (173,440) are refused, while the largest input of the benchmark, the CI runs and the
+# problem files, the probe's integer nodes 0..127 (115,456, 1.8 s), is accepted.  On
+# parametrizations `mu-basis` runs below 1 s at every size under it (README), and degree 64 with
+# 100-digit coefficients (2.7 million, 16 s) is refused; `eea` on them, whose full trace has raw
+# rows, is many times slower than `mu-basis`, so the same cap stays.
 MAX_INPUT_SIZE = 150_000
 
 
@@ -74,6 +78,14 @@ def _input_size(data: InterpolationData) -> int:
             if bits > value:
                 value = bits
     return data.n * (nodes + value)
+
+
+def _polynomial(data) -> tuple[Poly, int]:
+    """The polynomial of a JSON coefficient array, and the bits of its coefficients' numerators and
+    denominators summed; each coefficient is parsed once for both."""
+    coeffs = [as_fraction(c) for c in data] if isinstance(data, list) else data
+    poly = Poly.from_json(coeffs)  # refuses anything but an array
+    return poly, sum(p.bit_length() + q.bit_length() for p, q in map(Fraction.as_integer_ratio, coeffs))
 
 
 def _capped(degree: int, limit: int = MAX_DEGREE, name: str = "the limit") -> int:
@@ -104,14 +116,19 @@ def _read_problem(args):
     if "points" in obj:
         problem = InterpolationData.from_json_dict(obj)
     elif "r0" in obj and "r1" in obj:
-        problem = PlaneParametrization(Poly.from_json(obj["r0"]), Poly.from_json(obj["r1"]))
+        (r0, bits0), (r1, bits1) = _polynomial(obj["r0"]), _polynomial(obj["r1"])
+        problem = PlaneParametrization(r0, r1)
     else:
         raise ValueError('problem file must contain "points" or "r0"/"r1"')
     _capped(problem.n)
-    if isinstance(problem, InterpolationData) and (size := _input_size(problem)) > MAX_INPUT_SIZE:
-        raise ValueError(f"input size n*B = {size} exceeds the limit {MAX_INPUT_SIZE}, where B sums "
-                         "the bits of the node numerators and denominators over the conditions "
-                         "and adds the bits of the largest value")
+    if isinstance(problem, InterpolationData):
+        size = _input_size(problem)
+        what = "the node numerators and denominators over the conditions and adds the bits of the largest value"
+    else:
+        size, what = problem.n * (bits0 + bits1), "the coefficient numerators and denominators of r0 and r1"
+    if size > MAX_INPUT_SIZE:
+        raise ValueError(f"input size n*B = {size} exceeds the limit {MAX_INPUT_SIZE}, "
+                         f"where B sums the bits of {what}")
     return problem
 
 

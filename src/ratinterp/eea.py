@@ -23,19 +23,20 @@ loop runs on *unit rows*: from row 2 on, each remainder's own integer
 list at scale 1, with its cofactors divided by that same scale c_i.
 Each row is one kernel call, ``exactpoly.euclid_step``: it divides,
 splits off the step rho and updates every cofactor column,
-(p - Q*c)/rho.  On a linear step, the step of a normal remainder
-sequence, that is one pass: the closed-form division, and each column
-on integers with one content pass; a step between unit rows, whose
-scale is 1/1, takes no scale product.  ``check_invariants`` checks the
-stored rows with the same recurrence (``exactpoly.euclid_update``).
-A raw row is c_i times its unit row, and is rebuilt from it, exactly,
-when it is read: the printed rows, the basis pairs and the kappa
-witnesses are raw.  Readers that do not depend on a row's scale (its
-degrees, the reduced fraction r_i/s_i scaled monic) read the unit rows
-through ``unit_pair``.  Every trace is built one way, from unit rows,
-unit quotients and the loop's scale steps; without steps every step is
-1, so the rows given are raw, as in the trivial trace below.  A
-*half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
+(p - Q*c)/rho.  Every step takes that one path: one integer division,
+closed form on a linear step, the step of a normal remainder sequence,
+and each column on integers with one content pass; a linear step
+between unit rows, whose scale is 1/1, takes no scale product.
+``check_invariants`` checks the stored rows with the same recurrence
+(``exactpoly.euclid_update``).  A raw row is c_i times its unit row, and
+is rebuilt from it, exactly, when it is read: the printed rows, the
+basis pairs, the kappa witnesses and ``decompose`` read raw rows.
+Readers that do not depend on a row's scale (its degrees, a quotient's
+degree, the reduced fraction r_i/s_i scaled monic) read the unit rows
+through ``unit_pair`` and the unit quotients.  Every trace is built one
+way, from unit rows, unit quotients and the loop's scale steps; without
+steps every step is 1, so the rows given are raw, as in the trivial
+trace below.  A *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
 row identity by exact division by r0, a checked certificate.  Queries
 take half traces from ``half_trace``, which maps r1 = 0, refused by
 ``extended_euclid``, to the trivial trace: rows (r0, 0), (0, 1), N = 0,
@@ -304,10 +305,10 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     are the raw start rows.  Dividing the unit remainders r_{i-1} and r_i gives the unit
     quotient Q_i and a remainder rho_{i+1} times an integer list at scale 1 (rho = 1 on the
     zero row).  That list is unit remainder i+1, and each unit cofactor follows as
-    (s_{i-1} - Q_i*s_i)/rho_{i+1}, so no gcd in the loop meets a raw scale.  A linear step
-    takes the division, the split and every column in one pass on integers; where it divides
-    one unit remainder by another (r_2 by r_3 and on), both at scale 1/1, it takes no scale
-    product.  A longer quotient takes ``div_rem``, ``scale_split`` and ``euclid_update``.
+    (s_{i-1} - Q_i*s_i)/rho_{i+1}, so no gcd in the loop meets a raw scale.  Every step, linear
+    or a jump, takes one integer division and every column on integers, on one path; where a
+    linear step divides one unit remainder by another (r_2 by r_3 and on), both at scale 1/1,
+    it takes no scale product.
     The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from c_0 = c_1 = 1, and the raw
     quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and u_{i+1} = rho_{i+1}/u_i:
     one product or quotient of a large number by a small one per row.
@@ -369,6 +370,6 @@ def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
     _certify(rem.is_zero, "r0 does not divide the r-column residue; broken trace")
     for i in range(1, N + 1):
         # automatic for genuine syzygies; a violation means a broken trace
-        if m[i].degree >= trace.q(i).degree:
+        if m[i].degree >= trace.unit_quotients[i - 1].degree:  # q_i's degree is its unit quotient's
             raise CertificateError(f"coordinate m_{i} too large for q_{i}; broken trace")
     return Decomposition(tuple(m))

@@ -15,18 +15,18 @@ no content pass; sums, differences and remainders take one
 change only the scale; scales multiply by gcd cross-cancellation
 (``_times``), so arithmetic builds no Fraction; nor does ``over_lead_of``,
 the division by another polynomial's leading coefficient that scales a
-fraction monic, nor ``scale_split``, which returns the scale and the
-integer list at scale 1 as two polynomials.  Division is fraction-free
-(``div_rem``); by a constant it changes only the scale, and a linear
-quotient, the step of a normal remainder sequence, is closed form: one
-pass and no gcd, in one helper (``_linear_division``) that ``div_rem``
-and the Euclidean step share.  ``euclid_update`` takes an EEA column's
-recurrence (p - q*c)/rho in one pass and one content pass, with no
-intermediate polynomial.  ``euclid_step`` takes one whole row of the
-extended Euclidean algorithm in one call: on a linear step it divides,
-splits the remainder into its step and its integer list, and updates
-every cofactor column on integers, with no scale product by a unit
-row's scale 1/1.  Evaluation runs Horner on the integers and builds one
+fraction monic.  Division is fraction-free, D*a = Q*b + R on the integer
+lists, in one helper (``_division``) that ``div_rem`` and the Euclidean
+step share: a linear quotient, the step of a normal remainder sequence,
+is closed form, one pass and no gcd, and any other quotient takes one
+elimination per quotient entry.  ``div_rem`` by a constant changes only
+the scale.  ``euclid_update`` takes an EEA column's recurrence
+(p - q*c)/rho in one pass and one content pass, with no intermediate
+polynomial.  ``euclid_step`` takes one whole row of the extended
+Euclidean algorithm in one call and on one path for every quotient: it
+divides, splits the remainder into its step and its integer list, and
+updates every cofactor column on integers, with no scale product by a
+unit row's scale 1/1.  Evaluation runs Horner on the integers and builds one
 Fraction at the end; the node test (``nonzero_at``, ``roots_among``)
 reads the integer Horner accumulator alone and builds none.  At an
 integer point (denominator q == 1) Horner takes no power of q.
@@ -302,17 +302,10 @@ class Poly:
         """Euclidean division: self == q*divisor + r with deg r < deg divisor.
 
         Fraction-free on the integer lists: D*a == Q*b + R for the lists a
-        of self and b of divisor.  A linear quotient (deg a = deg b + 1, the
-        step of a normal remainder sequence) is closed form, one pass and no
-        gcd (``_linear_division``, the one copy, shared with
-        ``euclid_step``).  A longer quotient, such as the jump of an abnormal
-        sequence, takes one step per quotient entry: each eliminates the
-        top live entry c after scaling by lead/gcd(lead, c) only the dd
-        entries under c that it updates; an entry below them takes the
-        product D of the scalings so far when the window reaches it, and a
-        quotient entry takes the scalings of the later steps at the end.
-        So a quotient of degree k costs O(k * dd) integer products, not
-        O(deg a * k).  q and r each take one content pass.  q's scale is r's
+        of self and b of divisor, from ``_division``, the one integer
+        division, which ``euclid_step`` shares.  A constant divisor changes
+        only the scale, and a dividend shorter than the divisor is its own
+        remainder.  q and r each take one content pass.  q's scale is r's
         over divisor's: cross-cancellation needs reduced pairs, not one (den, num*D).
         """
         b = divisor._ints
@@ -321,42 +314,11 @@ class Poly:
             return _make(*_over(self._num, self._den, bn, bd), self._ints), ZERO
         if not b:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        dd = len(b) - 1
-        top = len(self._ints) - 1 - dd
-        if top < 0:
+        if len(self._ints) < len(b):
             return ZERO, self
-        if top == 1:
-            D, quot, rem = _linear_division(self._ints, b)
-            num, den = _times(self._num, self._den, 1, D)
-            return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem))
-        lead = b[-1]
-        rem = list(self._ints)
-        quot = [0] * (top + 1)
-        mults = [1] * (top + 1)
-        D = 1
-        for k in range(top, -1, -1):
-            if D != 1 and k < top:
-                rem[k] *= D
-            c = rem[k + dd]
-            if not c:
-                continue
-            g = math.gcd(lead, c)
-            mult = lead // g
-            if mult != 1:
-                for j in range(k, k + dd):
-                    rem[j] *= mult
-                D *= mult
-                mults[k] = mult
-            cq = c // g
-            quot[k] = cq
-            for j in range(dd):
-                rem[k + j] -= cq * b[j]
-        run = 1
-        for k in range(top + 1):
-            quot[k] *= run
-            run *= mults[k]
+        D, quot, rem = _division(self._ints, b)
         num, den = _times(self._num, self._den, 1, D)
-        return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem[:dd]))
+        return _make(*_normal_form(*_over(num, den, bn, bd), quot)), _make(*_normal_form(num, den, rem))
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at x = p/q by Horner's rule on the integers: one Fraction at the end."""
@@ -392,16 +354,6 @@ class Poly:
         g = math.gcd(other._ints[-1], other._den)
         return _make(*_over(self._num, self._den, other._num * (other._ints[-1] // g), other._den // g),
                      self._ints)
-
-    def scale_split(self) -> tuple["Poly", "Poly"]:
-        """(c, u) with self == c*u: c the scale as a constant, u the integer list at scale 1.
-
-        u is primitive with a positive lead, so self is known up to a constant from u alone; the
-        zero polynomial splits as (1, 0), so that c is never zero.  Builds no Fraction and takes no gcd.
-        """
-        if not self._ints:
-            return ONE, ZERO
-        return _make(self._num, self._den, (1,)), _make(1, 1, self._ints)
 
     # -- formatting / serialization -----------------------------------------
 
@@ -467,17 +419,50 @@ def _over(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     return _times(n1, d1, d2, n2) if n2 > 0 else _times(n1, d1, -d2, -n2)
 
 
-def _linear_division(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
-    """(D, [q0, q1], R) with D*a == (q1*X + q0)*b + R and len(R) == len(b) - 1.
+def _division(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """(D, Q, R) with D*a == Q*b + R, len(Q) == len(a) - len(b) + 1 and len(R) == len(b) - 1.
 
-    The closed form of a linear quotient, for nonempty integer lists with len(a) == len(b) + 1:
-    with L = lead(b), D = L^2, q1 = L*a_top, q0 = L*a_{top-1} - a_top*b_{dd-1} (b_{-1} = 0)
-    and R_j = D*a_j - q0*b_j - q1*b_{j-1}, in one pass and no gcd.
+    Fraction-free, for integer lists with len(a) >= len(b) >= 1 and nonzero leads.  A linear
+    quotient (len(a) == len(b) + 1), the step of a normal remainder sequence, is closed form:
+    with L = lead(b), D = L^2, Q = [q0, q1], q1 = L*a_top, q0 = L*a_{top-1} - a_top*b_{dd-1}
+    (b_{-1} = 0) and R_j = D*a_j - q0*b_j - q1*b_{j-1}, in one pass and no gcd.  Any other
+    quotient, such as the jump of an abnormal sequence, takes one step per quotient entry:
+    each eliminates the top live entry c after scaling by L/gcd(L, c) only the dd entries
+    under c that it updates; an entry below them takes the product D of the scalings so far
+    when the window reaches it, and a quotient entry takes the scalings of the later steps at
+    the end.  So a quotient of degree k costs O(k * dd) integer products, not O(deg a * k).
     """
-    lead = b[-1]
-    D, q1 = lead * lead, lead * a[-1]
-    q0 = lead * a[-2] - a[-1] * b[-2] if len(b) > 1 else lead * a[-2]
-    return D, [q0, q1], [D * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
+    lead, dd, top = b[-1], len(b) - 1, len(a) - len(b)
+    if top == 1:
+        D, q1 = lead * lead, lead * a[-1]
+        q0 = lead * a[-2] - a[-1] * b[-2] if dd else lead * a[-2]
+        return D, [q0, q1], [D * x - q0 * y - q1 * z for x, y, z in zip(a, b[:-1], (0, *b))]
+    rem = list(a)
+    quot = [0] * (top + 1)
+    mults = [1] * (top + 1)
+    D = 1
+    for k in range(top, -1, -1):
+        if D != 1 and k < top:
+            rem[k] *= D
+        c = rem[k + dd]
+        if not c:
+            continue
+        g = math.gcd(lead, c)
+        mult = lead // g
+        if mult != 1:
+            for j in range(k, k + dd):
+                rem[j] *= mult
+            D *= mult
+            mults[k] = mult
+        cq = c // g
+        quot[k] = cq
+        for j in range(dd):
+            rem[k + j] -= cq * b[j]
+    run = 1
+    for k in range(top + 1):
+        quot[k] *= run
+        run *= mults[k]
+    return D, quot, rem[:dd]
 
 
 def _horner(ints, p: int, q: int) -> tuple[int, int]:
@@ -617,32 +602,28 @@ def _euclid_update(p: Poly, a: int, Q: tuple[int, ...] | list[int], e: int, c: P
 
 
 def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Poly, tuple[Poly, ...]]:
-    """(Q, rho, next row) for rows (r, *cofactors): one row of the extended Euclidean algorithm.
+    """(Q, rho, next row) for rows (r, *cofactors) with deg r_prev >= deg r_cur: one Euclidean row.
 
     Q and rho*r are the quotient and remainder of r_prev by r_cur, r the remainder's integer
     list at scale 1 (r = 0 and rho = 1 on the zero row), and each cofactor of the next row is
-    (p - Q*c)/rho: what ``div_rem``, ``scale_split`` and ``euclid_update`` per column give.
+    (p - Q*c)/rho, as ``div_rem`` and ``euclid_update`` per column give it.
 
-    A linear step (deg r_prev = deg r_cur + 1, r_cur constant or not), the step of a normal
-    remainder sequence, takes them in one pass.  With r_prev = (an/ad)*A and r_cur = (bn/bd)*B
-    the closed form (``_linear_division``) gives D*A = Q'*B + R on integers, so Q =
-    an*bd/(ad*bn*D)*Q', rho = an/(ad*D)*content(R) and r = R/content(R), read off the
-    remainder's one content pass.  Multiplied through by ad*bn*D, each cofactor is
-    (m*p - e*Q'*c)/d on integers (``_euclid_update``) with m = ad*bn*D, e = an*bd and
-    d = m*rho.  A unit row (row 2 on) has scale 1/1: between two of them m = D and e = 1,
-    the quotient's normal form is one gcd of its two entries and one against D, and no scale
-    product is taken.  Any other step, such as the jump of an abnormal sequence, takes those
-    three calls.
+    Every step, linear, a jump or onto a constant r_cur, takes one path.  With r_prev =
+    (an/ad)*A and r_cur = (bn/bd)*B the one integer division (``_division``) gives D*A =
+    Q'*B + R, so Q = an*bd/(ad*bn*D)*Q', rho = an/(ad*D)*content(R) and r = R/content(R),
+    read off the remainder's one content pass.  Multiplied through by ad*bn*D, each cofactor
+    is (m*p - e*Q'*c)/d on integers (``_euclid_update``) with m = ad*bn*D, e = an*bd and
+    d = m*rho.  A unit row (row 2 on) has scale 1/1: on a linear step between two of them
+    m = D and e = 1, the quotient's normal form is one gcd of its two entries and one against
+    D, and no scale product is taken.
     """
     a, b = prev[0], cur[0]
     A, B = a._ints, b._ints
-    if len(A) != len(B) + 1 or not B:
-        q, r = a.div_rem(b)
-        rho, r = r.scale_split()
-        return q, rho, (r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])])
-    D, quot, rem = _linear_division(A, B)
+    if not B:
+        raise ZeroDivisionError("polynomial division by the zero polynomial")
+    D, quot, rem = _division(A, B)
     an, ad, bn, bd = a._num, a._den, b._num, b._den
-    if an == 1 == ad and bn == 1 == bd:
+    if len(quot) == 2 and an == 1 == ad and bn == 1 == bd:
         rn, rd, ints = _normal_form(1, D, rem)
         q0, q1 = quot
         g = math.gcd(q0, q1)  # q1 = lead(B)*lead(A) > 0
@@ -651,7 +632,7 @@ def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Po
     else:
         num, den = _times(an, ad, 1, D)
         rn, rd, ints = _normal_form(num, den, rem)
-        Q = _make(*_normal_form(*_over(num, den, bn, bd), list(quot)))
+        Q = _make(*_normal_form(*_over(num, den, bn, bd), quot))
     if ints:
         rho, r = _make(rn, rd, (1,)), _make(1, 1, ints)
     else:  # the zero row

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,18 @@ from ratinterp.eea import Decomposition
 def P(*coeffs):
     """Polynomial from ascending coefficients; accepts ints and 'p/q' strings."""
     return Poly(coeffs)
+
+
+def unit_split(p):
+    """(c, u) with p == c*u: u the integer list of p at scale 1, primitive with a positive lead, c a
+    nonzero constant; the zero polynomial splits as (1, 0).  Read off the Fraction coefficients, so it
+    shares no code with the kernel's own split of a remainder."""
+    if p.is_zero:
+        return Poly((1,)), ZERO
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return Poly((Fraction(content, den),)), Poly([k // content for k in ints])
 
 
 def count_fractions(monkeypatch):

@@ -11,7 +11,9 @@ from ratinterp import (
     InterpolationData, Poly, RationalFunction, X, check_interpolates, extended_euclid, kappa_of,
     minimal_basis,
 )
-from ratinterp.cli import KAPPA_SET_MAX_DEGREE, MAX_DEGREE, MAX_INPUT_SIZE, ORACLE_MAX_DEGREE, _input_size, main
+from ratinterp.cli import (
+    KAPPA_SET_MAX_DEGREE, MAX_DEGREE, MAX_INPUT_SIZE, ORACLE_MAX_DEGREE, _input_size, _polynomial, main,
+)
 
 from conftest import P
 
@@ -403,6 +405,35 @@ class TestInputGuards:
         data = InterpolationData.from_pairs([(Fraction(5, 3), ["1/2", 7]), (-8, ["-100/9"])])
         # n = 3; the node 5/3 has 3 + 2 bits, counted twice; -8 has 4 + 1; -100/9 has 7 + 4
         assert _input_size(data) == 3 * (2 * 5 + 5 + 11)
+
+    def test_input_size_cap_on_parametrizations(self, tmp_path, capsys):
+        """deg r0 = n, deg r1 = n - 1, coefficients of D digits with random signs, seed 1."""
+        def wide(n, digits):
+            rng = random.Random(1)
+            r0, r1 = ([str(rng.choice((-1, 1)) * rng.randint(10 ** (digits - 1), 10 ** digits - 1))
+                       for _ in range(count)] for count in (n + 1, n))
+            path = tmp_path / f"curve{n}_{digits}.json"
+            path.write_text(json.dumps({"r0": r0, "r1": r1}))
+            return str(path), n * (_polynomial(r0)[1] + _polynomial(r1)[1])
+
+        # n = 16 at D = 85 runs in about 0.1 s, just under the cap; at 86 digits it is just over.
+        # n = 64 at D = 100 ran for 16 s before the cap, and at D = 1,000 past 60 s
+        under, size = wide(16, 85)
+        assert MAX_INPUT_SIZE - 1_000 < size <= MAX_INPUT_SIZE
+        assert main(["mu-basis", under]) == 0
+        assert capsys.readouterr().out.startswith("mu = ")
+        for n, digits in ((16, 86), (64, 100), (64, 1000)):
+            path, size = wide(n, digits)
+            start = time.perf_counter()
+            assert main(["mu-basis", path]) == 2
+            assert time.perf_counter() - start < 0.5
+            assert capsys.readouterr().err == (
+                f"input error: input size n*B = {size} exceeds the limit {MAX_INPUT_SIZE}, where B sums the "
+                "bits of the coefficient numerators and denominators of r0 and r1\n")
+
+    def test_the_bits_of_a_parametrization_count_every_coefficient(self):
+        # 1/2 has 1 + 2 bits, 0 has 0 + 1, -8 has 4 + 1 and 6/4 = 3/2 has 2 + 2
+        assert _polynomial(["1/2", 0, "-8", "6/4"]) == (P("1/2", 0, -8, "3/2"), 3 + 1 + 5 + 4)
 
     @pytest.mark.parametrize("command", ["delta", "kappa"])
     def test_requested_degree_cap(self, four_file, capsys, command):

@@ -1,5 +1,4 @@
 import ast
-import math
 import random
 import sys
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratinterp.exactpoly as exactpoly
 from ratinterp import (
     NEG_INF, ONE, X, ZERO, DenominatorVanishesAtNode, InterpolationData, PlaneParametrization, Poly,
     admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, hermite_rational,
@@ -20,7 +20,7 @@ from ratinterp.exactpoly import (
 
 from conftest import (
     P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
-    integer_node_data, interp_trace, random_poly, rational_node_data, repeated_node_data,
+    integer_node_data, interp_trace, random_poly, rational_node_data, repeated_node_data, unit_split,
 )
 
 CONSTANTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
@@ -191,16 +191,6 @@ class TestDegreeConventions:
     def test_monic(self):
         assert P(2, 4).monic() == P("1/2", 1)
         assert ZERO.monic() == ZERO
-
-    @given(st.lists(CONSTANTS, max_size=6))
-    def test_scale_split(self, cs):
-        p = P(*cs)
-        scale, unit = p.scale_split()
-        assert scale.degree == 0 and scale * unit == p
-        # unit is the integer list at scale 1: integer, content 1, positive lead
-        ints = [int(c) for c in unit.coeffs]
-        assert unit.coeffs == tuple(ints) and (not ints or (ints[-1] > 0 and math.gcd(*ints) == 1))
-        assert (scale, unit) == ((ONE, ZERO) if p.is_zero else (P(p.leading / ints[-1]), unit))
 
     def test_monomial(self):
         assert monomial(3) == P(0, 0, 0, 1)
@@ -584,6 +574,56 @@ class TestLinearQuotient:
         check_linear_division(a, b)
 
 
+def int_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def division_lists(draw):
+    """Integer lists (a, b) with len(a) >= len(b) >= 1 and nonzero, possibly negative, leads."""
+    entries, lead = st.integers(-50, 50), st.integers(-50, 50).filter(bool)
+    dd, top = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    b = (*draw(st.lists(entries, min_size=dd, max_size=dd)), draw(lead))
+    a = (*draw(st.lists(entries, min_size=dd + top, max_size=dd + top)), draw(lead))
+    return a, b
+
+
+class TestIntegerDivision:
+    """_division(a, b) is (D, Q, R) with D*a == Q*b + R on integer lists, len(R) == len(b) - 1."""
+
+    @staticmethod
+    def check(a, b):
+        D, Q, R = exactpoly._division(tuple(a), tuple(b))
+        assert D != 0 and len(Q) == len(a) - len(b) + 1 and len(R) == len(b) - 1
+        total = int_times(Q, b)
+        for j, r in enumerate(R):
+            total[j] += r
+        assert total == [D * x for x in a]
+        if len(a) == len(b) + 1:  # the closed form
+            assert D == b[-1] ** 2
+        return D, Q, R
+
+    @settings(database=None, deadline=None, max_examples=150)
+    @given(division_lists())
+    def test_random(self, lists):
+        self.check(*lists)
+
+    @pytest.mark.parametrize("a, b", [
+        ((5, -3, 2), (4,)),                    # a constant divisor, linear quotient
+        ((1, 0, 0, 7, -2), (3,)),              # a constant divisor, quotient of degree 4
+        ((2, 1, 9), (4, -1, 6)),               # equal lengths: a constant quotient
+        ((0, 0, 0, 0, 0, 0, 1), (0, 0, 1)),    # an exact division by a monomial
+        ((1, 2, 0, 0, 0, 5), (7, 0, 3)),       # zero entries under the window
+        ((BIG, 1, 0, -BIG, 3), (1, -BIG)),     # past the int-to-str limit
+    ])
+    def test_explicit_cases(self, a, b):
+        self.check(a, b)
+
+
 class TestEuclidUpdate:
     """euclid_update(p, q, c, rho) is (p - q*c)/rho, in normal form."""
 
@@ -620,9 +660,10 @@ class TestEuclidUpdate:
 
 
 def three_calls(prev, cur):
-    """One Euclidean row as div_rem, scale_split and euclid_update per column: euclid_step's reference."""
+    """One Euclidean row as div_rem, the split of the remainder and euclid_update per column:
+    euclid_step's reference."""
     q, r = prev[0].div_rem(cur[0])
-    rho, r = r.scale_split()
+    rho, r = unit_split(r)
     return q, rho, (r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])])
 
 
@@ -641,7 +682,7 @@ def step_rows(draw):
     size = {"random": dd, "zero": 0, "drop": max(dd - 1, 0)}[kind]
     prev_r = q * cur_r + Poly(draw(st.lists(RATIONALS, min_size=size, max_size=size)))
     if draw(st.booleans()):
-        prev_r, cur_r = prev_r.scale_split()[1], cur_r.scale_split()[1]
+        prev_r, cur_r = unit_split(prev_r)[1], unit_split(cur_r)[1]
     width = draw(st.sampled_from((2, 3)))
     cofactors = st.one_of(st.just(ZERO), COEFFS.map(Poly))
     prev = (prev_r, *[draw(cofactors) for _ in range(width - 1)])
@@ -650,7 +691,7 @@ def step_rows(draw):
 
 
 class TestEuclidStep:
-    """euclid_step(prev, cur) is div_rem, scale_split and euclid_update per column, in normal form."""
+    """euclid_step(prev, cur) is div_rem, the split and euclid_update per column, in normal form."""
 
     @staticmethod
     def check(prev, cur):
@@ -687,12 +728,20 @@ class TestEuclidStep:
         with pytest.raises(ZeroDivisionError):
             euclid_step(prev, (ZERO, ONE))
 
-    def test_a_linear_step_between_unit_rows_takes_no_division_or_split(self, monkeypatch):
-        prev, cur = (P(3, -1, 4, 2), P(1, 5), P("2/7")), (P(5, 0, 3), P("-1/3", 2, 1), P(4, 0, "1/9"))
+    @pytest.mark.parametrize("prev, cur", [
+        ((P(3, -1, 4, 2), P(1, 5), P("2/7")), (P(5, 0, 3), P("-1/3", 2, 1), P(4, 0, "1/9"))),  # linear, unit rows
+        ((P(2, 0, 1, 0, 0, 3), P(1, 1), ZERO), (P(-1, 0, 3), P(2), P(0, 1))),                   # a quotient of degree 3
+        ((P(-4, 0, 9), P(1, 2)), (P("-2/3"), P(0, 1))),                                         # a constant r_cur
+        ((P(3, -1, 0, "2/3"), ZERO, ONE), (P("-5/7", 2, 1), ONE, ZERO)),                        # raw start rows
+    ])
+    def test_a_step_takes_one_division_and_no_div_rem_or_euclid_update(self, monkeypatch, prev, cur):
         expected = self.check(prev, cur)
-        monkeypatch.setattr(Poly, "div_rem", lambda *args: pytest.fail("div_rem on a linear step"))
-        monkeypatch.setattr(Poly, "scale_split", lambda *args: pytest.fail("scale_split on a linear step"))
-        assert euclid_step(prev, cur) == expected
+        divisions = []
+        division = exactpoly._division
+        monkeypatch.setattr(exactpoly, "_division", lambda a, b: divisions.append(1) or division(a, b))
+        monkeypatch.setattr(Poly, "div_rem", lambda *args: pytest.fail("div_rem in a step"))
+        monkeypatch.setattr(exactpoly, "euclid_update", lambda *args: pytest.fail("euclid_update in a step"))
+        assert euclid_step(prev, cur) == expected and divisions == [1]
 
 
 # -- scales are integer pairs: the trace and the mu-basis build no Fraction --------
@@ -764,11 +813,10 @@ class TestNoFractionInArithmetic:
         assert len(built) == 0 and len(answers) == 2 * data.n  # a normal trace: every split is solvable
         assert all(rf.denom.leading == 1 for rf in answers)
 
-    def test_scale_split_and_division_by_a_constant(self, monkeypatch):
-        p = P("3/7", -5, "22/9", "-5/3")
+    def test_division_by_a_constant(self, monkeypatch):
+        scale, unit = unit_split(P("3/7", -5, "22/9", "-5/3"))
         built = count_fractions(monkeypatch)
-        scale, unit = p.scale_split()
-        assert scale * unit == p and unit.div_rem(scale)[0] * scale == unit
+        assert unit.div_rem(scale)[0] * scale == unit
         assert len(built) == 0
 
     def test_mu_basis_with_a_rational_negative_lead(self, monkeypatch):

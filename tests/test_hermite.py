@@ -46,6 +46,7 @@ from conftest import (
     rational_node_data,
     reference_hermite_polynomial,
     repeated_node_data,
+    unit_split,
 )
 
 BIG_P = 2**61 - 1  # a prime
@@ -503,7 +504,7 @@ class TestWeakPairNodeTest:
             return horner(ints, p, q)
 
         monkeypatch.setattr(exactpoly, "_horner", recording)
-        unit_a, unit_b = a.scale_split()[1], b.scale_split()[1]
+        unit_a, unit_b = unit_split(a)[1], unit_split(b)[1]
         assert interpolant(a, b, data) is None
         assert [x for poly, x in evaluated if poly == unit_a] == list(data.nodes)
         # b first vanishes at x0, so the test stops there

@@ -25,7 +25,9 @@ from ratinterp import (
     extended_euclid,
     hermite_polynomial,
     hermite_rational,
+    minimal_delta_solutions,
     nodal_poly,
+    yy_form,
 )
 from ratinterp.eea import half_trace, split_bound
 
@@ -40,6 +42,7 @@ from conftest import (
     rational_node_data,
     reference_euclid,
     repeated_node_data,
+    unit_split,
 )
 
 
@@ -66,7 +69,7 @@ def assert_equals_reference(r0, r1):
             # scale 1, with the cofactors over the same scale
             assert trace.unit_rows[:2] == trace.rows[:2]
             for i in range(2, N + 2):
-                c, unit = trace.r(i).scale_split()
+                c, unit = unit_split(trace.r(i))
                 if not unit.is_zero:
                     assert trace.unit_rows[i][0] == unit, (bound, half, i)
                     assert tuple(c * p for p in trace.unit_rows[i]) == trace.rows[i], (bound, half, i)
@@ -144,7 +147,7 @@ def hadamard_bits(r0: Poly, r1: Poly) -> float:
     matrix, each at most |r0|^deg r1 * |r1|^deg r0 in absolute value.
     """
     def norm_bits(p):
-        ints = p.scale_split()[1]
+        ints = unit_split(p)[1]
         return math.log2(math.sqrt(sum(int(c) ** 2 for c in ints.coeffs)))
     return r1.degree * norm_bits(r0) + r0.degree * norm_bits(r1)
 
@@ -266,10 +269,36 @@ def test_each_cofactor_takes_one_fused_update(monkeypatch):
     monkeypatch.setattr(Poly, "__sub__", refuse)
     full = extended_euclid(f, g)
     assert full.complete and full.N == 12 and all(q.degree == 1 for q in full.unit_quotients)
-    for name in ("__mul__", "div_rem", "scale_split"):
+    for name in ("__mul__", "div_rem"):
         monkeypatch.setattr(Poly, name, refuse)
     half = extended_euclid(f, g, half=True)
     assert half.unit_rows == tuple(row[:2] for row in full.unit_rows)
+
+
+def test_each_cofactor_of_an_abnormal_trace_takes_one_fused_update(monkeypatch):
+    # planted data: a jump, a quotient of degree >= 2, takes the same one integer division and
+    # fused update per cofactor as a linear step, so no row divides through div_rem
+    rng = random.Random(95)
+    f, g = interpolation_pair(planted_data(rng, 24, random_poly(rng, 2), P(rng.randint(1, 5), 0, 1)))
+    monkeypatch.setattr(Poly, "__sub__", refuse)
+    full = extended_euclid(f, g)
+    assert full.complete and max(q.degree for q in full.unit_quotients) >= 2
+    for name in ("__mul__", "div_rem"):
+        monkeypatch.setattr(Poly, name, refuse)
+    half = extended_euclid(f, g, half=True)
+    assert half.unit_rows == tuple(row[:2] for row in full.unit_rows)
+
+
+def test_decompose_reads_the_quotient_degrees_off_the_unit_quotients(monkeypatch):
+    # yy_form's decompose reads raw rows, but a quotient's degree is its unit quotient's
+    rng = random.Random(96)
+    cases = [integer_node_data(rng, 12), repeated_node_data(rng, 10),
+             planted_data(rng, 20, random_poly(rng, 2), P(rng.randint(1, 5), 0, 1))]
+    answers = [(minimal_delta_solutions(data).representative, data) for data in cases]
+    monkeypatch.setattr(eea.EEATrace, "quotients", property(refuse))
+    for rf, data in answers:
+        dec = yy_form(rf, data)
+        assert len(dec.m) == data.trace().N + 2
 
 
 def stored_traces():
