@@ -178,11 +178,6 @@ class Poly:
         """Degree as an int, or NEG_INF for the zero polynomial."""
         return len(self._ints) - 1 if self._ints else NEG_INF
 
-    @property
-    def leading(self) -> Fraction:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeff(len(self._ints) - 1)
-
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x**k (0 when k is outside the stored range)."""
         if 0 <= k < len(self._ints):
@@ -285,19 +280,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative polynomial power")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def div_rem(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division: self == q*divisor + r with deg r < deg divisor.
 
@@ -328,16 +310,6 @@ class Poly:
         acc, qpow = _horner(self._ints, x.numerator, x.denominator)
         g = math.gcd(acc, qpow)
         return Fraction(_Reduced(*_times(self._num, self._den, acc // g, qpow // g)))
-
-    def derivative(self, order: int = 1) -> "Poly":
-        """The order-th formal derivative; order 0 returns self."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if order == 0:
-            return self
-        ints = self._ints
-        return _make(*_normal_form(self._num, self._den, [ints[k] * math.perm(k, order)
-                                                 for k in range(order, len(ints))]))
 
     def monic(self) -> "Poly":
         """Scale so the leading coefficient is 1; the zero polynomial is unchanged."""

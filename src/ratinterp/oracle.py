@@ -7,8 +7,7 @@ back-substitution over the rationals) is the one routine that finds it.
 Two systems feed it: derivative conditions for weak pairs, stated with
 the prescribed values only, so g never enters and agreement with the
 trace-based solvers is evidence rather than a tautology; and
-product-coefficient rows (``_convolution_rows``) for moving lines and
-coordinates in a pair basis.
+product-coefficient rows (``_convolution_rows``) for moving lines.
 
 Admissible degree sums below n are decided split by split, each by one
 kernel, because below n a weak pair is unique up to a common factor
@@ -158,27 +157,6 @@ def _least_degree(holds, n: int, what: str) -> int:
 def min_degree_weak_pair(data: InterpolationData) -> int:
     """Smallest max-degree of a nonzero weak pair (one of degree <= delta is one of degree <= delta + 1)."""
     return _least_degree(lambda delta: bool(weak_pairs_upto(data, delta, delta)), data.n, "weak pair")
-
-
-def express_in_pair_basis(
-    pair: tuple[Poly, Poly],
-    basis1: tuple[Poly, Poly],
-    basis2: tuple[Poly, Poly],
-    dp: int,
-    dq: int,
-) -> tuple[Poly, Poly] | None:
-    """Solve pair == p*basis1 + q*basis2 with deg p <= dp, deg q <= dq (free unknowns zero).
-
-    In the kernel of (p, q, w) -> p*basis1 + q*basis2 + w*pair, (p, q) heads -v for the v
-    whose free column is w, the last; if w is a pivot column, every v has w = 0: no answer.
-    """
-    rows = _convolution_rows(list(zip(basis1, basis2, pair)), (dp, dq, 0))
-    np_ = max(dp + 1, 0)
-    basis = nullspace(rows, np_ + max(dq + 1, 0) + 1)
-    if not basis or basis[-1][-1] == 0:
-        return None
-    head = [-c for c in basis[-1][:-1]]
-    return Poly(head[:np_]), Poly(head[np_:])
 
 
 # -- degree sums below n ------------------------------------------------------

@@ -18,11 +18,33 @@ from ratinterp import (
     nodal_poly,
 )
 from ratinterp.eea import Decomposition
+from ratinterp.oracle import _convolution_rows, nullspace
 
 
 def P(*coeffs):
     """Polynomial from ascending coefficients; accepts ints and 'p/q' strings."""
     return Poly(coeffs)
+
+
+def derivative(p, order=1):
+    """The order-th formal derivative of p, read off its Fraction coefficients."""
+    return Poly([math.perm(k, order) * c for k, c in enumerate(p.coeffs)][order:])
+
+
+def express_in_pair_basis(pair, basis1, basis2, dp, dq):
+    """(p, q) with pair == p*basis1 + q*basis2, deg p <= dp, deg q <= dq (free unknowns zero), or None.
+
+    By the oracle's elimination: in the kernel of (p, q, w) -> p*basis1 + q*basis2 + w*pair,
+    (p, q) heads -v for the v whose free column is w, the last; if w is a pivot column, every
+    v has w = 0: no answer.
+    """
+    rows = _convolution_rows(list(zip(basis1, basis2, pair)), (dp, dq, 0))
+    np_ = max(dp + 1, 0)
+    basis = nullspace(rows, np_ + max(dq + 1, 0) + 1)
+    if not basis or basis[-1][-1] == 0:
+        return None
+    head = [-c for c in basis[-1][:-1]]
+    return Poly(head[:np_]), Poly(head[np_:])
 
 
 def unit_split(p):
@@ -276,7 +298,7 @@ def planted_data(rng, n, num, den):
     Nodes where den vanishes are skipped.  The trace of such data is
     abnormal: one quotient of degree about n - 2 max(deg num, deg den).
     """
-    dnum, dden = num.derivative(), den.derivative()
+    dnum, dden = derivative(num), derivative(den)
     pairs, x = [], -n // 2
     while n:
         b = den(x)

@@ -38,7 +38,7 @@ import ratinterp.eea as ea
 from ratinterp import (
     CertificateError, EEATrace, InterpolationData, MinimalBasis, ONE, ZERO, X,
     PlaneParametrization, Poly, critical_indices, decompose, extended_euclid,
-    hermite_polynomial, minimal_delta_solutions, mu_basis, nodal_poly,
+    hermite_polynomial, minimal_delta_solutions, monomial, mu_basis, nodal_poly,
 )
 
 data = InterpolationData.from_pairs([(0, [-2]), (2, [6]), (-1, [-3, 3])])
@@ -50,7 +50,7 @@ basis = ds.minimal_basis(data)
 def padded(r0, r1, **kw):
     # every row times x**5: the critical indices survive, the degree split does not
     real = extended_euclid(r0, r1, **kw)
-    rows = tuple(tuple(X ** 5 * p for p in row) for row in real.rows)
+    rows = tuple(tuple(monomial(5) * p for p in row) for row in real.rows)
     return EEATrace(rows=rows, quotients=real.quotients)
 
 
@@ -64,9 +64,9 @@ def raises(label, fn):
 
 raises("MinimalBasis", lambda: MinimalBasis((ZERO, ONE), (f, ZERO), 5, 1, critical_index=0))
 # b1 and b2 vanish at the node 0: every k is forbidden
-raises("every k", lambda: ds._family_member(data, MinimalBasis((ONE, X), (X ** 2, X ** 2 - X), 1, 2, 0), 2))
+raises("every k", lambda: ds._family_member(data, MinimalBasis((ONE, X), (monomial(2), monomial(2) - X), 1, 2, 0), 2))
 # pair2 + x**(mu2 - mu1 + 1)*pair1 has degree mu2 + 1: its row degrees sum past n
-shift = X ** (basis.mu2 - basis.mu1 + 1)
+shift = monomial(basis.mu2 - basis.mu1 + 1)
 skew = tuple(q + shift * p for p, q in zip(basis.pair1, basis.pair2))
 raises("member degree", lambda: ds._family_member(
     data, MinimalBasis(basis.pair1, skew, basis.mu1, basis.mu2, basis.critical_index), basis.mu2))
@@ -77,7 +77,7 @@ raises("check_invariants", EEATrace(trace.rows[:-1], trace.quotients).check_inva
 # s_0 = 1 is no start row of the EEA, though these rows of (f, 0) satisfy the row identity and cross to (f, 0, 1)
 raises("start rows", EEATrace(((f, ONE), (ZERO, ONE)), ()).check_invariants)
 raises("start rows", EEATrace(((f, ONE, ONE), (ZERO, ONE, ZERO)), ()).check_invariants)
-cut = extended_euclid(X ** 8 + ONE, Poly([1, 2, 3, 4, 5, 6, 7]), half=True, bound=ea.split_bound(8))
+cut = extended_euclid(monomial(8) + ONE, Poly([1, 2, 3, 4, 5, 6, 7]), half=True, bound=ea.split_bound(8))
 cut.check_invariants()
 if cut.complete:
     sys.exit("the truncated trace runs to the zero remainder")

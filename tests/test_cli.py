@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ratinterp import (
-    InterpolationData, Poly, RationalFunction, X, check_interpolates, extended_euclid, kappa_of,
-    minimal_basis,
+    InterpolationData, Poly, RationalFunction, check_interpolates, extended_euclid, kappa_of,
+    minimal_basis, monomial,
 )
 from ratinterp.cli import (
     KAPPA_SET_MAX_DEGREE, MAX_DEGREE, MAX_INPUT_SIZE, ORACLE_MAX_DEGREE, _input_size, _polynomial, main,
@@ -288,7 +288,7 @@ class TestSolveAboveTheMinimum:
         assert rf.delta_degree == delta
         # the premise: delta > mu2, and the member for k = 0 has a pole at a node
         basis = minimal_basis(data)
-        first = basis.pair2[1] + X ** (delta - basis.mu1) * basis.pair1[1]
+        first = basis.pair2[1] + monomial(delta - basis.mu1) * basis.pair1[1]
         assert delta > basis.mu2
         assert any(first(x) == 0 for x in data.nodes)
 

@@ -21,9 +21,9 @@ from ratinterp import (
     nodal_poly,
     sample_solution_of_delta,
 )
-from ratinterp.oracle import express_in_pair_basis, weak_pairs_upto
+from ratinterp.oracle import weak_pairs_upto
 
-from conftest import P, basis_split_check, interp_trace, random_data
+from conftest import P, basis_split_check, express_in_pair_basis, interp_trace, random_data
 
 
 class TestCriticalIndices:

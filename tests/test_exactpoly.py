@@ -55,12 +55,8 @@ class TestArithmetic:
 
     def test_mul_node_factors(self):
         # (x - 2)(x + 1)^2 * x
-        product = P(-2, 1) * P(1, 1) ** 2 * X
+        product = P(-2, 1) * P(1, 1) * P(1, 1) * X
         assert product == P(0, -2, -3, 0, 1)
-
-    def test_pow(self):
-        assert P(1, 1) ** 3 == P(1, 3, 3, 1)
-        assert P(5, 1) ** 0 == ONE
 
     def test_scalar_coercion(self):
         assert 2 * X + 1 == P(1, 2)
@@ -101,7 +97,7 @@ class TestDivision:
             assert r.degree < d.degree
 
 
-class TestEvalAndDerivative:
+class TestEval:
     def test_eval(self):
         cubic = P(-2, 0, 0, 1)
         assert cubic(0) == -2
@@ -118,33 +114,6 @@ class TestEvalAndDerivative:
             acc, qpow = _horner(ints, p, 1)
             assert qpow == 1 and acc == frac_eval(ints, Fraction(p))
             assert _horner(ints, p * k, k) == (acc * k**d, k**d)
-
-    def test_derivative_power_rule(self):
-        assert P(-2, 0, 0, 1).derivative() == P(0, 0, 3)
-
-    def test_derivative_value(self):
-        assert P(-2, 0, 0, 1).derivative()(-1) == 3
-
-    def test_derivative_of_constant(self):
-        assert P(9).derivative() == ZERO
-
-    def test_higher_orders(self):
-        p = P(1, 1, 1, 1)
-        assert p.derivative(0) is p
-        assert p.derivative(2) == P(2, 6)
-        assert p.derivative(5) == ZERO
-        with pytest.raises(ValueError):
-            p.derivative(-1)
-
-    def test_leibniz_property(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            p = random_poly(rng, rng.randint(0, 5))
-            q = random_poly(rng, rng.randint(0, 5))
-            x = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-            lhs = (p * q).derivative()(x)
-            rhs = (p.derivative() * q + p * q.derivative())(x)
-            assert lhs == rhs
 
 
 class TestGcd:
@@ -170,7 +139,7 @@ class TestGcd:
             if p.is_zero and q.is_zero:
                 continue
             d = gcd(p, q)
-            assert d.leading == 1
+            assert d.coeff(d.degree) == 1
             assert p.div_rem(d)[1].is_zero
             assert q.div_rem(d)[1].is_zero
 
@@ -323,10 +292,6 @@ class TestRationalGrammar:
         with pytest.raises(ValueError, match='expected an integer or a "p/q" string'):
             operation()
 
-    def test_negative_power_is_rejected(self):
-        with pytest.raises(ValueError, match="negative polynomial power"):
-            P(1, 1) ** -1
-
     @pytest.mark.parametrize("text", [
         "-" + "7" * 5000, "7" * 5000, "-3/" + "7" * 5000, "3/" + "7" * 5000, "-" + "7" * 5000 + "/0",
         "1/0", "-0/0", "007/010", "-12/18",
@@ -381,10 +346,6 @@ def check_ring_operations(a, b, c):
     assert (pa + c).coeffs == (c + pa).coeffs == frac_add(ref_a, frac_trim((c,)))
     assert (c - pa).coeffs == frac_add(frac_trim((c,)), frac_neg(ref_a))
     assert (pa * c).coeffs == (c * pa).coeffs == frac_mul(ref_a, frac_trim((c,)))
-    power = (Fraction(1),)
-    for e in range(3):
-        assert (pa**e).coeffs == power
-        power = frac_mul(power, ref_a)
 
 
 def check_division_and_evaluation(a, b, c):
@@ -402,13 +363,9 @@ def check_division_and_evaluation(a, b, c):
 
 def check_queries(a, b, c):
     pa, ref_a = Poly(a), frac_trim(a)
-    deriv = ref_a
-    for order in range(4):
-        assert pa.derivative(order).coeffs == deriv
-        deriv = frac_trim(k * deriv[k] for k in range(1, len(deriv)))
     assert pa.degree == (len(ref_a) - 1 if ref_a else NEG_INF)
     assert pa.is_zero == (not ref_a)
-    assert pa.leading == (ref_a[-1] if ref_a else 0)
+    assert pa.coeff(pa.degree) == (ref_a[-1] if ref_a else 0)
     assert [pa.coeff(k) for k in range(-1, len(ref_a) + 2)] == [0, *ref_a, 0, 0]
     assert pa.monic().coeffs == (tuple(v / ref_a[-1] for v in ref_a) if ref_a else ())
 
@@ -476,7 +433,7 @@ class TestValueRatios:
     def test_roots_zero_top_and_scales(self):
         nodes = [Fraction(-1, 2), Fraction(0), Fraction(3), Fraction(BIG, 7)]
         bottom = P(1, 2) * P(-3, 1) * Fraction(BIG, 11)  # vanishes at -1/2 and 3
-        for top in (ZERO, P(5), P(0, "-7/3") * Fraction(-5, BIG), P(1, 2) * X**3):
+        for top in (ZERO, P(5), P(0, "-7/3") * Fraction(-5, BIG), P(1, 2) * monomial(3)):
             self.check(top.coeffs, bottom.coeffs, nodes)
         assert value_ratios(P(1), bottom, nodes)[::2] == (None, None)
 
@@ -503,10 +460,8 @@ def assert_normal(p):
 
 def operation_results(pa, pb, c):
     yield from (pa + pb, pa - pb, pb - pa, -pa, pa * pb, pa * c, c * pa, pa + c, c - pa)
-    yield from (pa**e for e in range(4))
     if not pb.is_zero:
         yield from pa.div_rem(pb)
-    yield from (pa.derivative(order) for order in range(3))
     yield pa.monic()
 
 
@@ -811,7 +766,7 @@ class TestNoFractionInArithmetic:
         report = admissible_kappa(data)
         answers = [rf for rf in splits if rf is not None] + [e.solution for e in report.isolated]
         assert len(built) == 0 and len(answers) == 2 * data.n  # a normal trace: every split is solvable
-        assert all(rf.denom.leading == 1 for rf in answers)
+        assert all(rf.denom.coeff(rf.denom.degree) == 1 for rf in answers)
 
     def test_division_by_a_constant(self, monkeypatch):
         scale, unit = unit_split(P("3/7", -5, "22/9", "-5/3"))

@@ -19,7 +19,6 @@ from ratinterp import oracle
 from ratinterp.oracle import (
     _convolution_rows,
     _split_has_interpolant,
-    express_in_pair_basis,
     kappa_values_below_n,
     min_degree_weak_pair,
     min_mu_oracle,
@@ -35,6 +34,7 @@ from conftest import (
     DATA_RECIPROCAL,
     DATA_SIX_EVEN,
     P,
+    express_in_pair_basis,
     integer_node_data,
     random_data,
     random_poly,
@@ -272,7 +272,7 @@ class TestSplitKernel:
         rng = random.Random(149)
         families = [integer_node_data, repeated_node_data, rational_node_data, constant_data,
                     lambda r, n: InterpolationData.from_pairs([(x, [0]) for x in range(n)])]
-        h = X**2 + 1  # no rational root, so prime to every f
+        h = monomial(2) + 1  # no rational root, so prime to every f
         accepted = 0
         for family in families:
             for n in (rng.randint(2, 6), rng.randint(7, 10)):
