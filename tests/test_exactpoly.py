@@ -19,7 +19,7 @@ from ratinterp.exactpoly import (
 )
 
 from conftest import (
-    P, count_fractions, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
+    P, count_fractions, derivative, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
     integer_node_data, interp_trace, random_poly, rational_node_data, repeated_node_data, unit_split,
 )
 
@@ -97,7 +97,9 @@ class TestDivision:
             assert r.degree < d.degree
 
 
-class TestEval:
+class TestEvalAndDerivative:
+    """Evaluation, and the conftest derivative helper that builds Hermite data, read off Poly.coeffs."""
+
     def test_eval(self):
         cubic = P(-2, 0, 0, 1)
         assert cubic(0) == -2
@@ -114,6 +116,33 @@ class TestEval:
             acc, qpow = _horner(ints, p, 1)
             assert qpow == 1 and acc == frac_eval(ints, Fraction(p))
             assert _horner(ints, p * k, k) == (acc * k**d, k**d)
+
+    def test_derivative_power_rule(self):
+        assert derivative(P(-2, 0, 0, 1)) == P(0, 0, 3)
+
+    def test_derivative_value(self):
+        assert derivative(P(-2, 0, 0, 1))(-1) == 3
+
+    def test_derivative_of_constant(self):
+        assert derivative(P(9)) == ZERO
+
+    def test_higher_orders(self):
+        p = P(1, 1, 1, 1)
+        assert derivative(p, 0) == p
+        assert derivative(p, 2) == P(2, 6)
+        assert derivative(p, 5) == ZERO
+        with pytest.raises(ValueError):
+            derivative(p, -1)
+
+    def test_leibniz_property(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            p = random_poly(rng, rng.randint(0, 5))
+            q = random_poly(rng, rng.randint(0, 5))
+            x = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+            lhs = derivative(p * q)(x)
+            rhs = (derivative(p) * q + p * derivative(q))(x)
+            assert lhs == rhs
 
 
 class TestGcd:
