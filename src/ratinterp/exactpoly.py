@@ -9,27 +9,30 @@ constant equals, and hashes as, its scalar.  All arithmetic is exact,
 there is no floating point anywhere.
 
 Arithmetic runs on the integer lists and pays no gcd per coefficient.  A
-product of primitive lists is primitive (Gauss's lemma), so products take
-no content pass; sums, differences and remainders take one
-(``math.gcd`` over the list).  Negation, scalar products and ``monic``
-change only the scale; scales multiply by gcd cross-cancellation
-(``_times``), so arithmetic builds no Fraction; nor does ``over_lead_of``,
-the division by another polynomial's leading coefficient that scales a
-fraction monic.  Division is fraction-free, D*a = Q*b + R on the integer
-lists, in one helper (``_division``) that ``div_rem`` and the Euclidean
-step share: a linear quotient, the step of a normal remainder sequence,
-is closed form, one pass and no gcd, and any other quotient takes one
-elimination per quotient entry.  ``div_rem`` by a constant changes only
-the scale.  ``euclid_update`` takes an EEA column's recurrence
-(p - q*c)/rho in one pass and one content pass, with no intermediate
-polynomial.  ``euclid_step`` takes one whole row of the extended
-Euclidean algorithm in one call and on one path for every quotient: it
-divides, splits the remainder into its step and its integer list, and
-updates every cofactor column on integers, with no scale product by a
-unit row's scale 1/1.  Evaluation runs Horner on the integers and builds one
-Fraction at the end; the node test (``nonzero_at``, ``roots_among``)
-reads the integer Horner accumulator alone and builds none.  At an
-integer point (denominator q == 1) Horner takes no power of q.
+product of primitive lists is primitive (Gauss's lemma), so products, all
+on one convolution loop (``_convolve``), take no content pass; sums,
+differences and remainders take one (``math.gcd`` over the list).
+Negation, scalar products and ``monic`` change only the scale; scales
+multiply by gcd cross-cancellation (``_times``), so arithmetic builds no
+Fraction; nor does ``over_lead_of``, the division by another polynomial's
+leading coefficient that scales a fraction monic.  Division is
+fraction-free, D*a = Q*b + R on the integer lists, in one helper
+(``_division``) that ``div_rem`` and the Euclidean step share: a linear
+quotient, the step of a normal remainder sequence, is closed form, one
+pass and no gcd, and any other quotient takes one elimination per
+quotient entry.  ``div_rem`` by a constant changes only the scale.  Sums,
+differences and the recurrence (p - q*c)/rho of an EEA column
+(``euclid_update``) are one kernel, the two-term combination
+(a*p - e*Q*c)/d of ``_combine``, in one pass and one content pass with no
+intermediate polynomial: a sum is its case a = d = 1, Q = (1,), e = -1.
+``euclid_step`` takes one whole row of the extended Euclidean algorithm
+in one call and on one path for every quotient: it divides, splits the
+remainder into its step and its integer list, and updates every cofactor
+column through ``_combine``, with no scale product by a unit row's scale
+1/1.  Evaluation runs Horner on the integers and builds one Fraction at
+the end; the node test (``nonzero_at``, ``roots_among``) reads the
+integer Horner accumulator alone and builds none.  At an integer point
+(denominator q == 1) Horner takes no power of q.
 ``coeffs``, the reduced Fractions, are derived when read; printing
 (``format``, ``to_json``) reads the integers instead, one gcd per
 coefficient against the scale's denominator, and builds no Fraction.
@@ -156,6 +159,8 @@ class Poly:
     __slots__ = ("_num", "_den", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
+        if isinstance(coeffs, (str, bytes, bytearray)):  # iterating one would split it into characters
+            raise ValueError(f"coefficients must be a sequence of scalars, got {coeffs!r}")
         cs = [as_fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self._num, self._den, self._ints = _normal_form(
@@ -224,7 +229,7 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._plus(other._num, other._den, other._ints)
+        return _combine(self, 1, (1,), -1, other, 1)
 
     __radd__ = __add__
 
@@ -235,29 +240,13 @@ class Poly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._plus(-other._num, other._den, other._ints)
+        return _combine(self, 1, (1,), 1, other, 1)
 
     def __rsub__(self, other) -> "Poly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other._plus(-self._num, self._den, self._ints)
-
-    def _plus(self, num: int, den: int, ints: tuple[int, ...]) -> "Poly":
-        """self + (num/den)*ints; one content pass."""
-        if not ints:
-            return self
-        if not self._ints:
-            return _make(num, den, ints)
-        # with g = gcd of the numerators and l = lcm of the denominators the sum is
-        # (g/l) * (u*self._ints + v*ints); g/l is reduced, as each scale is
-        g, h = math.gcd(self._num, num), math.gcd(self._den, den)
-        u, v = self._num // g * (den // h), num // g * (self._den // h)
-        out = [u * c for c in self._ints] if u != 1 else list(self._ints)
-        out.extend([0] * (len(ints) - len(out)))
-        for i, c in enumerate(ints):
-            out[i] += v * c
-        return _make(*_normal_form(g, self._den // h * den, out))
+        return _combine(other, 1, (1,), 1, self, 1)
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
@@ -271,12 +260,7 @@ class Poly:
             return _make(num, den, a)
         if len(a) == 1:
             return _make(num, den, b)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _make(num, den, tuple(out))  # primitive with a positive lead (Gauss's lemma)
+        return _make(num, den, tuple(_convolve(a, b)))  # primitive with a positive lead (Gauss's lemma)
 
     __rmul__ = __mul__
 
@@ -531,20 +515,23 @@ def euclid_update(p: Poly, q: Poly, c: Poly, rho: Poly) -> Poly:
     """(p - q*c)/rho for a nonzero constant rho, in one pass: the recurrence of every EEA column.
 
     With q = (qn/qd)*Q and rho = rn/rd it is (qd*rd*p - qn*rd*Q*c)/(qd*rn), which
-    ``_euclid_update`` takes on integers.  No intermediate Poly is built.
+    ``_combine`` takes on integers.  No intermediate Poly is built.
     """
     qn, qd, rn, rd = q._num, q._den, rho._num, rho._den
-    return _euclid_update(p, qd * rd, q._ints, qn * rd, c, qd * rn)
+    return _combine(p, qd * rd, q._ints, qn * rd, c, qd * rn)
 
 
-def _euclid_update(p: Poly, a: int, Q: tuple[int, ...] | list[int], e: int, c: Poly, d: int) -> Poly:
+def _combine(p: Poly, a: int, Q: tuple[int, ...] | list[int], e: int, c: Poly, d: int) -> Poly:
     """(a*p - e*Q*c)/d for nonzero integers a and d, an integer list Q and an integer e != 0 if Q != [].
 
-    With the scales of a*p and e*c reduced as in ``_plus`` the numerator is
-    (g/l)*(u*P - v*Q*C) on the integer lists: v goes into the few entries of Q,
-    and for a linear Q the whole numerator is one comprehension; a longer Q
-    takes the product, then u*P joins it.  One content pass and one quotient of
-    the scale by d finish it.
+    The one two-term combination of the kernel: a sum p + c is (1*p - (-1)*(1)*c)/1, a
+    difference (1*p - 1*(1)*c)/1, and an EEA column (a*p - e*Q*c)/d (``euclid_update``,
+    ``euclid_step``).  With the scales of a*p and e*c reduced to pn/pd and cn/cd, g =
+    gcd(pn, cn) and l = lcm(pd, cd), the numerator is (g/l)*(u*P - v*Q*C) on the integer
+    lists, with cofactors u = pn/g * l/pd and v = cn/g * l/cd; g/l is reduced, as each scale
+    is.  v goes into the few entries of Q; for a linear Q the whole numerator is one
+    comprehension, and any other Q takes the product (``_convolve``), then u*P joins it.
+    One content pass and one quotient of the scale by d finish it.
     """
     P, C = p._ints, c._ints
     k = math.gcd(a, p._den)
@@ -559,18 +546,22 @@ def _euclid_update(p: Poly, a: int, Q: tuple[int, ...] | list[int], e: int, c: P
             out = [u * x + q0 * y + q1 * z
                    for x, y, z in zip((*P, *[0] * (len(C) + 1 - len(P))), (*C, 0), (0, *C))]
         else:
-            out = [0] * (len(Q) + len(C) - 1)
-            for i, x in enumerate(Q):
-                if x:
-                    x *= -v
-                    for j, y in enumerate(C):
-                        out[i + j] += x * y
-            if len(P) > len(out):
-                out.extend([0] * (len(P) - len(out)))
+            out = _convolve([-v * x for x in Q], C)
+            out.extend([0] * (len(P) - len(out)))
             out[:len(P)] = [u * x + y for x, y in zip(P, out)]
         pn, pd, P = _normal_form(g, pd // h * cd, out)
     k = math.gcd(pn, d) if d > 0 else -math.gcd(pn, d)
     return _make(pn // k, pd * (d // k), P)
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two nonempty integer lists, the one convolution loop; zero entries of a are skipped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Poly, tuple[Poly, ...]]:
@@ -584,7 +575,7 @@ def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Po
     (an/ad)*A and r_cur = (bn/bd)*B the one integer division (``_division``) gives D*A =
     Q'*B + R, so Q = an*bd/(ad*bn*D)*Q', rho = an/(ad*D)*content(R) and r = R/content(R),
     read off the remainder's one content pass.  Multiplied through by ad*bn*D, each cofactor
-    is (m*p - e*Q'*c)/d on integers (``_euclid_update``) with m = ad*bn*D, e = an*bd and
+    is (m*p - e*Q'*c)/d on integers (``_combine``) with m = ad*bn*D, e = an*bd and
     d = m*rho.  A unit row (row 2 on) has scale 1/1: on a linear step between two of them
     m = D and e = 1, the quotient's normal form is one gcd of its two entries and one against
     D, and no scale product is taken.
@@ -611,7 +602,7 @@ def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Po
         rho, r, rn = ONE, ZERO, 1
     m, e = ad * bn * D, an * bd
     d = bn * rn * (ad * D // rd)  # m*rho, with rho = rn/rd and rd dividing ad*D
-    return Q, rho, (r, *[_euclid_update(p, m, quot, e, c, d) for p, c in zip(prev[1:], cur[1:])])
+    return Q, rho, (r, *[_combine(p, m, quot, e, c, d) for p, c in zip(prev[1:], cur[1:])])
 
 
 def gcd(p: Poly, q: Poly) -> Poly:

@@ -82,12 +82,13 @@ class InterpolationData:
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":
-        """Build from (node, values) pairs of ints, strings, or Fractions."""
-        points = tuple(
-            (as_fraction(x), tuple(as_fraction(v) for v in values))
-            for x, values in pairs
-        )
-        return cls(points)
+        """Build from (node, values) pairs of ints, strings, or Fractions; values is a sequence, not a string."""
+        points = []
+        for x, values in pairs:
+            if isinstance(values, (str, bytes, bytearray)):  # iterating one would split it into characters
+                raise ValueError(f"the values of a node must be a sequence of scalars, got {values!r}")
+            points.append((as_fraction(x), tuple(as_fraction(v) for v in values)))
+        return cls(tuple(points))
 
     @cached_property
     def n(self) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -312,6 +313,48 @@ def planted_data(rng, n, num, den):
                 n -= 1
         x += 1
     return InterpolationData.from_pairs(pairs)
+
+
+def module_basis(data):
+    """A minimal basis of the weak pairs of simple-node data by node insertion, with no EEA.
+
+    Van Barel & Bultheel (1990), Beckermann & Labahn (1994).  The columns (a, b) start as (1, 0)
+    and (0, 1) and stay integer coefficient lists.  At a node x = u/w with value y each column
+    has the residual e = a(x) - y*b(x), here times w**D * den(y) for one D >= every degree, so
+    both residuals share a scale.  Of the columns with e != 0 the one of least max-degree
+    becomes (w*X - u)*col, and the other, if its e != 0, e_pivot*col - e*col_pivot, made
+    primitive by one gcd; both then vanish at x and the degree sum grows by one.  Returns the
+    two columns as pairs of Poly, the lower max-degree first.
+    """
+    cols = [([1], []), ([], [1])]
+
+    def degree(col):
+        return max(len(a) for a in col) - 1
+
+    for x, values in data.points:
+        (y,) = values  # simple nodes only
+        u, w, D = x.numerator, x.denominator, max(map(degree, cols))
+
+        def at_x(ints):
+            acc, wk = 0, 1
+            for k in range(D, -1, -1):
+                acc, wk = acc * u + (ints[k] if k < len(ints) else 0) * wk, wk * w
+            return acc
+
+        res = [y.denominator * at_x(a) - y.numerator * at_x(b) for a, b in cols]
+        pivot = min((k for k in (0, 1) if res[k]), key=lambda k: degree(cols[k]))
+        other = 1 - pivot
+        if res[other]:
+            col = [[res[pivot] * p - res[other] * q for p, q in itertools.zip_longest(c, c_pivot, fillvalue=0)]
+                   for c, c_pivot in zip(cols[other], cols[pivot])]
+            content = math.gcd(*col[0], *col[1])
+            for c in col:
+                c[:] = [v // content for v in c]
+                while c and not c[-1]:
+                    c.pop()
+            cols[other] = tuple(col)
+        cols[pivot] = tuple([w * p - u * q for p, q in zip([0, *c], [*c, 0])] if c else [] for c in cols[pivot])
+    return tuple(sorted((tuple(Poly(c) for c in col) for col in cols), key=lambda pair: max(p.degree for p in pair)))
 
 
 def row_sum(m, trace):

@@ -347,6 +347,13 @@ class TestRationalGrammar:
         with pytest.raises(ValueError, match='expected an integer or a "p/q" string'):
             Poly([1.5])
 
+    @pytest.mark.parametrize("text", ["12", "", "1/2", b"12", bytearray(b"12")],
+                             ids=["str", "empty str", "ratio str", "bytes", "bytearray"])
+    def test_a_string_is_not_a_coefficient_sequence(self, text):
+        """Iterating "12" would read 2x + 1, and b"12" the bytes 49 and 50."""
+        with pytest.raises(ValueError, match="sequence of scalars"):
+            Poly(text)
+
 
 # -- every Poly operation against the Fraction-tuple reference in conftest --------
 
@@ -726,6 +733,42 @@ class TestEuclidStep:
         monkeypatch.setattr(Poly, "div_rem", lambda *args: pytest.fail("div_rem in a step"))
         monkeypatch.setattr(exactpoly, "euclid_update", lambda *args: pytest.fail("euclid_update in a step"))
         assert euclid_step(prev, cur) == expected and divisions == [1]
+
+
+class TestOneKernel:
+    """Every sum, difference and EEA column goes through ``_combine``, and every product of two
+    nonconstant polynomials through ``_convolve``: a second sum path or convolution fails here."""
+
+    A, B = P(1, "-2/3", 4), P("1/2", -1)
+
+    @staticmethod
+    def refuse(monkeypatch, name):
+        def refused(*args):
+            raise RuntimeError(f"{name} called")
+        monkeypatch.setattr(exactpoly, name, refused)
+
+    @pytest.mark.parametrize("operation", [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: 2 + a,                   # reflected +
+        lambda a, b: Fraction(3, 5) - a,      # reflected -
+        lambda a, b: euclid_update(a, b, a, P("-2/7")),
+        lambda a, b: euclid_step((a, ONE), (b, ZERO)),
+    ])
+    def test_sums_differences_and_columns_take_combine(self, monkeypatch, operation):
+        self.refuse(monkeypatch, "_combine")
+        with pytest.raises(RuntimeError, match="_combine called"):
+            operation(self.A, self.B)
+
+    def test_a_product_takes_no_combine(self, monkeypatch):
+        expected = Poly(frac_mul(self.A.coeffs, self.B.coeffs))
+        self.refuse(monkeypatch, "_combine")
+        assert self.A * self.B == expected and 3 * self.A == P(3, -2, 12)
+
+    def test_a_product_takes_convolve(self, monkeypatch):
+        self.refuse(monkeypatch, "_convolve")
+        with pytest.raises(RuntimeError, match="_convolve called"):
+            self.A * self.B
 
 
 # -- scales are integer pairs: the trace and the mu-basis build no Fraction --------

@@ -101,6 +101,14 @@ class TestInterpolationData:
         with pytest.raises(ValueError):
             InterpolationData.from_pairs(pairs)
 
+    @pytest.mark.parametrize("values", ["12", "", b"12", bytearray(b"12")], ids=["str", "empty str", "bytes", "bytearray"])
+    def test_a_string_is_not_a_value_list(self, values):
+        """Iterating "12" would read value 1 and derivative 2, and b"12" the bytes 49 and 50."""
+        with pytest.raises(ValueError, match="sequence of scalars"):
+            InterpolationData.from_pairs([(0, values)])
+        with pytest.raises(ValueError, match="sequence of scalars"):
+            InterpolationData.from_pairs([(1, [2]), ("1/2", values)])
+
     def test_counts(self, data_four):
         assert data_four.n == 4
         assert data_four.node_count == 3
