@@ -34,7 +34,7 @@ from pathlib import Path
 from . import deltasolver, kappasolver, oracle
 from .eea import extended_euclid
 from .errors import DomainError
-from .exactpoly import Poly, as_fraction
+from .exactpoly import Poly, as_fraction, as_sequence
 from .hermite import InterpolationData
 from .mubasis import PlaneParametrization, mu_basis
 
@@ -83,9 +83,8 @@ def _input_size(data: InterpolationData) -> int:
 def _polynomial(data) -> tuple[Poly, int]:
     """The polynomial of a JSON coefficient array, and the bits of its coefficients' numerators and
     denominators summed; each coefficient is parsed once for both."""
-    coeffs = [as_fraction(c) for c in data] if isinstance(data, list) else data
-    poly = Poly.from_json(coeffs)  # refuses anything but an array
-    return poly, sum(p.bit_length() + q.bit_length() for p, q in map(Fraction.as_integer_ratio, coeffs))
+    coeffs = [as_fraction(c) for c in as_sequence(data, "each of r0 and r1")]
+    return Poly(coeffs), sum(p.bit_length() + q.bit_length() for p, q in map(Fraction.as_integer_ratio, coeffs))
 
 
 def _capped(degree: int, limit: int = MAX_DEGREE, name: str = "the limit") -> int:

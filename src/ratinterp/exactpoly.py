@@ -41,6 +41,11 @@ data directly on integer lists, with no Poly or Fraction per condition;
 it takes a content pass only where a denominator of a node can bring a
 common prime in (Gauss's lemma), so never at integer nodes.
 
+Outside input enters through two readers: ``as_fraction`` for a scalar
+and ``as_sequence`` for a sequence, which is a list or a tuple and
+nothing else.  ``Poly``, ``InterpolationData.from_pairs`` and the CLI
+read every coefficient list, point list and value list through them.
+
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which
 compares below every integer and absorbs addition, so degree bookkeeping
 such as ``deg(p*q) == deg(p) + deg(q)`` needs no special cases.
@@ -54,7 +59,7 @@ import re
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 NEG_INF = float("-inf")
 
@@ -91,6 +96,21 @@ def as_fraction(value: Scalar) -> Fraction:
     elif isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(f"expected an integer or a \"p/q\" string, got {value!r}")
+
+
+def as_sequence(values, what: str) -> list | tuple:
+    """The one rule for outside sequences: a list or a tuple, returned as it is.
+
+    Coefficients, a node's values, interpolation points and each (x, values)
+    point are read through it.  Anything else raises ValueError naming its
+    type, not its repr: a string or bytes (iterating one would split it into
+    characters), a mapping (iterating one would read its keys), a set, an
+    iterator or a scalar.
+    """
+    if isinstance(values, (list, tuple)):
+        return values
+    raise ValueError(f"{what} must be a list or a tuple, as every sequence of scalars or of points is; "
+                     f"got {type(values).__name__}")
 
 
 def _rational_str(c: Fraction) -> str:
@@ -158,10 +178,8 @@ class Poly:
 
     __slots__ = ("_num", "_den", "_ints")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        if isinstance(coeffs, (str, bytes, bytearray)):  # iterating one would split it into characters
-            raise ValueError(f"coefficients must be a sequence of scalars, got {coeffs!r}")
-        cs = [as_fraction(c) for c in coeffs]
+    def __init__(self, coeffs: Sequence[Scalar] = ()) -> None:
+        cs = [as_fraction(c) for c in as_sequence(coeffs, "coefficients")]
         den = math.lcm(*(c.denominator for c in cs))
         self._num, self._den, self._ints = _normal_form(
             1, den, [c.numerator * (den // c.denominator) for c in cs])
@@ -356,12 +374,6 @@ class Poly:
             g = math.gcd(c, den)
             out.append((num * (c // g), den // g))
         return out
-
-    @classmethod
-    def from_json(cls, data) -> "Poly":
-        if not isinstance(data, (list, tuple)):
-            raise ValueError("polynomial must be a JSON array of rational strings")
-        return cls(data)
 
 
 def _times(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:

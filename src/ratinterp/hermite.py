@@ -44,7 +44,8 @@ from functools import cached_property
 
 from .eea import EEATrace, half_trace
 from .errors import ZeroDenominator
-from .exactpoly import NEG_INF, ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, gcd, newton_pair
+from .exactpoly import (NEG_INF, ONE, ZERO, Poly, Scalar, _rational_str, as_fraction, as_sequence, gcd,
+                        newton_pair)
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,16 @@ class InterpolationData:
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":
-        """Build from (node, values) pairs of ints, strings, or Fractions; values is a sequence, not a string."""
+        """Build from (node, values) pairs of ints, strings, or Fractions.
+
+        ``pairs``, each pair and each value list are read by the one rule for
+        outside sequences, ``exactpoly.as_sequence``: a list or a tuple, and
+        anything else, such as a string, a mapping or a scalar, raises ValueError.
+        """
         points = []
-        for x, values in pairs:
-            if isinstance(values, (str, bytes, bytearray)):  # iterating one would split it into characters
-                raise ValueError(f"the values of a node must be a sequence of scalars, got {values!r}")
-            points.append((as_fraction(x), tuple(as_fraction(v) for v in values)))
+        for pair in as_sequence(pairs, "the points"):
+            x, values = as_sequence(pair, "a point (x, values)")
+            points.append((as_fraction(x), tuple([as_fraction(v) for v in as_sequence(values, "a node's values")])))
         return cls(tuple(points))
 
     @cached_property
@@ -110,15 +115,10 @@ class InterpolationData:
     def from_json_dict(cls, obj) -> "InterpolationData":
         if not isinstance(obj, dict) or "points" not in obj:
             raise ValueError('interpolation problem must be {"points": [...]}')
-        raw = obj["points"]
-        if not isinstance(raw, list):
-            raise ValueError('"points" must be a JSON array')
         pairs = []
-        for item in raw:
+        for item in as_sequence(obj["points"], '"points"'):
             if not isinstance(item, dict) or "x" not in item or "values" not in item:
                 raise ValueError('each point must be {"x": ..., "values": [...]}')
-            if not isinstance(item["values"], list):
-                raise ValueError('"values" must be a JSON array')
             pairs.append((item["x"], item["values"]))
         return cls.from_pairs(pairs)
 

@@ -73,11 +73,11 @@ class TestEEACommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["N"] == 3
         rows = payload["rows"]
-        assert Poly.from_json(rows[2]["r"]) == P(0, 0, -3)
-        assert Poly.from_json(rows[3]["s"]) == P(1, 0, "-1/3")
-        assert Poly.from_json(payload["quotients"][2]) == P(0, 0, "3/2")
+        assert Poly(rows[2]["r"]) == P(0, 0, -3)
+        assert Poly(rows[3]["s"]) == P(1, 0, "-1/3")
+        assert Poly(payload["quotients"][2]) == P(0, 0, "3/2")
         # emitting again from the parsed polynomials reproduces the JSON
-        assert Poly.from_json(rows[2]["r"]).to_json() == rows[2]["r"]
+        assert Poly(rows[2]["r"]).to_json() == rows[2]["r"]
 
     def test_parametrization_input(self, curve_file, capsys):
         assert main(["eea", curve_file]) == 0
@@ -128,8 +128,8 @@ class TestKappaCommand:
         assert payload["tail_threshold"] == 4
         assert [e["kappa"] for e in payload["isolated"]] == [3, 2]
         raw = payload["isolated"][1]["raw_pair"]
-        assert Poly.from_json(raw["r"]) == P(-2)
-        assert Poly.from_json(raw["s"]) == P(1, 0, "-1/3")
+        assert Poly(raw["r"]) == P(-2)
+        assert Poly(raw["s"]) == P(1, 0, "-1/3")
 
     def test_solve_inadmissible(self, six_file, capsys):
         assert main(["kappa", "--solve", "5", six_file]) == 1
@@ -165,7 +165,7 @@ class TestMuBasisCommand:
         assert main(["mu-basis", curve_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mu"] == 2
-        assert Poly.from_json(payload["low"]["ct1"]) == P(0, -1)
+        assert Poly(payload["low"]["ct1"]) == P(0, -1)
 
     def test_missing_arguments(self, capsys):
         assert main(["mu-basis"]) == 2
@@ -269,7 +269,7 @@ def _solve(tmp_path, capsys, command, points) -> tuple[InterpolationData, Ration
     path.write_text(json.dumps({"points": [{"x": x, "values": [y]} for x, y in points]}))
     assert main([*command, str(path), "--json"]) == 0
     solution = json.loads(capsys.readouterr().out)["solution"]
-    rf = RationalFunction(Poly.from_json(solution["numer"]), Poly.from_json(solution["denom"]))
+    rf = RationalFunction(Poly(solution["numer"]), Poly(solution["denom"]))
     data = InterpolationData.from_pairs([(x, [y]) for x, y in points])
     assert check_interpolates(rf, data)
     return data, rf
@@ -463,7 +463,7 @@ class TestInputGuards:
 def test_answers_past_the_int_to_str_limit(capsys, monkeypatch):
     """A 2,958-digit input coefficient gives remainders past 4,300 digits; all print."""
     problem = {"r0": ["1", "1", "0", "1"], "r1": ["1", "0", str(7**3500)]}
-    trace = extended_euclid(Poly.from_json(problem["r0"]), Poly.from_json(problem["r1"]))
+    trace = extended_euclid(Poly(problem["r0"]), Poly(problem["r1"]))
     outputs = {}
     for tail in ([], ["--json"]):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))

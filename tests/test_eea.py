@@ -14,7 +14,7 @@ from ratinterp import (
     decompose,
     extended_euclid,
 )
-from ratinterp.eea import PAD_WIDTH, Decomposition
+from ratinterp.eea import PAD_WIDTH, Decomposition, EEATrace
 
 from conftest import (
     P,
@@ -62,6 +62,15 @@ class TestFourPointTrace:
 
     def test_invariants(self):
         full_trace_check(self.trace())
+
+    def test_equal_traces_hash_equal(self):
+        a, b = self.trace(), self.trace()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a"
+
+    def test_repr_rebuilds_the_trace(self):
+        tr = self.trace()
+        assert eval(repr(tr), {"EEATrace": EEATrace, "Poly": Poly}) == tr
 
 
 class TestSixEvenTrace:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratinterp.exactpoly as exactpoly
+from ratinterp import cli
 from ratinterp import (
     NEG_INF, ONE, X, ZERO, DenominatorVanishesAtNode, InterpolationData, PlaneParametrization, Poly,
     admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, hermite_rational,
@@ -209,20 +210,20 @@ class TestFormatting:
         rng = random.Random(19)
         for _ in range(50):
             p = random_poly(rng, rng.randint(-1, 6)) * Fraction(1, rng.randint(1, 5))
-            assert Poly.from_json(p.to_json()) == p
+            assert Poly(p.to_json()) == p
 
     def test_json_accepts_ints_and_strings(self):
-        assert Poly.from_json([0, "-2", 0, "-3"]) == P(0, -2, 0, -3)
+        assert Poly([0, "-2", 0, "-3"]) == P(0, -2, 0, -3)
 
     def test_json_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            Poly.from_json("nope")
+            Poly("nope")
         with pytest.raises(ValueError):
-            Poly.from_json(["1/0"])
+            Poly(["1/0"])
         with pytest.raises(ValueError):
-            Poly.from_json([1, True])
+            Poly([1, True])
         with pytest.raises(ValueError):
-            Poly.from_json(["1e3"])
+            Poly(["1e3"])
 
     def test_huge_integers_print_in_full(self):
         """Output passes the interpreter's int-to-str digit limit; parsing keeps it."""
@@ -240,7 +241,7 @@ class TestFormatting:
         assert repr(p) == f"Poly({expected!r})"
         assert p.format() == f"3/7*x^3 - {expected[2][1:]}*x^2 + {expected[1]}*x - {expected[0][1:]}"
         with pytest.raises(ValueError):
-            Poly.from_json([expected[0]])
+            Poly([expected[0]])
 
     def test_digits_match_str(self):
         """The digit routine, the pair printer and _rational_str against str() at any length."""
@@ -347,10 +348,10 @@ class TestRationalGrammar:
         with pytest.raises(ValueError, match='expected an integer or a "p/q" string'):
             Poly([1.5])
 
-    @pytest.mark.parametrize("text", ["12", "", "1/2", b"12", bytearray(b"12")],
-                             ids=["str", "empty str", "ratio str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("text", ["12", "", "1/2", b"12", bytearray(b"12"), {3: "x", 5: "y"}, 5],
+                             ids=["str", "empty str", "ratio str", "bytes", "bytearray", "dict", "int"])
     def test_a_string_is_not_a_coefficient_sequence(self, text):
-        """Iterating "12" would read 2x + 1, and b"12" the bytes 49 and 50."""
+        """Iterating "12" would read 2x + 1, b"12" the bytes 49 and 50, and {3: "x", 5: "y"} its keys 3 and 5."""
         with pytest.raises(ValueError, match="sequence of scalars"):
             Poly(text)
 
@@ -414,7 +415,7 @@ def check_equality_hash_and_json(a, b, c):
         assert scaled == pa and hash(scaled) == hash(pa)
     assert pa.to_json() == [_rational_str(v) for v in ref_a]
     if all(abs(v.numerator) < LIMIT and v.denominator < LIMIT for v in ref_a):  # input stays capped
-        assert Poly.from_json(pa.to_json()) == pa
+        assert Poly(pa.to_json()) == pa
     assert Poly(pa.coeffs) == pa and hash(Poly(pa.coeffs)) == hash(pa)
     if len(ref_a) <= 1:  # a constant equals its scalar
         assert pa == (ref_a[0] if ref_a else 0)
@@ -769,6 +770,34 @@ class TestOneKernel:
         self.refuse(monkeypatch, "_convolve")
         with pytest.raises(RuntimeError, match="_convolve called"):
             self.A * self.B
+
+
+class TestOneSequenceRule:
+    """Every coefficient list, value list and list of points read from outside goes through
+    ``exactpoly.as_sequence``, in the library and in the CLI: a second shape check on any of
+    these paths fails here."""
+
+    FOUR_POINTS = str(Path(__file__).resolve().parents[1] / "problems" / "four_points.json")
+
+    @pytest.fixture(autouse=True)
+    def refuse(self, monkeypatch):
+        """Refuse the rule in every module that binds it, as hermite and cli import it by name."""
+        def refused(*args):
+            raise RuntimeError("as_sequence called")
+        rule = exactpoly.as_sequence
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ratinterp") and getattr(module, "as_sequence", None) is rule:
+                monkeypatch.setattr(module, "as_sequence", refused)
+
+    @pytest.mark.parametrize("read", [
+        lambda: Poly([1]),
+        lambda: InterpolationData.from_pairs([(0, [1])]),
+        lambda: cli.main(["delta", TestOneSequenceRule.FOUR_POINTS]),
+        lambda: cli.main(["mu-basis", "--r0", "[0, 1]", "--r1", "[1]"]),
+    ], ids=["Poly", "from_pairs", "cli points", "cli r0 r1"])
+    def test_every_outside_sequence_takes_the_one_rule(self, read):
+        with pytest.raises(RuntimeError, match="as_sequence called"):
+            read()
 
 
 # -- scales are integer pairs: the trace and the mu-basis build no Fraction --------

@@ -101,13 +101,15 @@ class TestInterpolationData:
         with pytest.raises(ValueError):
             InterpolationData.from_pairs(pairs)
 
-    @pytest.mark.parametrize("values", ["12", "", b"12", bytearray(b"12")], ids=["str", "empty str", "bytes", "bytearray"])
+    @pytest.mark.parametrize("values", ["12", "", b"12", bytearray(b"12"), {1: 2}, 5],
+                             ids=["str", "empty str", "bytes", "bytearray", "dict", "int"])
     def test_a_string_is_not_a_value_list(self, values):
-        """Iterating "12" would read value 1 and derivative 2, and b"12" the bytes 49 and 50."""
-        with pytest.raises(ValueError, match="sequence of scalars"):
-            InterpolationData.from_pairs([(0, values)])
-        with pytest.raises(ValueError, match="sequence of scalars"):
-            InterpolationData.from_pairs([(1, [2]), ("1/2", values)])
+        """Iterating "12" would read value 1 and derivative 2, b"12" the bytes 49 and 50, and {1: 2}
+        its key 1.  The points and each point follow the same rule: a mapping of points or a
+        point that is not a list or a tuple raises too."""
+        for pairs in ([(0, values)], [(1, [2]), ("1/2", values)], [values], {0: [1]}):
+            with pytest.raises(ValueError, match="sequence of scalars"):
+                InterpolationData.from_pairs(pairs)
 
     def test_counts(self, data_four):
         assert data_four.n == 4
@@ -624,6 +626,10 @@ class TestRationalFunction:
         assert (zero.numer, zero.denom) == (ZERO, ONE)
         with pytest.raises(ZeroDenominator):
             RationalFunction.coprime(ONE, ZERO)
+
+    def test_repr_rebuilds_the_function(self):
+        for rf in (RationalFunction(P(-2), P(1, 0, "-1/3")), RationalFunction(ZERO, X), RationalFunction(X, ONE)):
+            assert eval(repr(rf), {"RationalFunction": RationalFunction, "Poly": Poly}) == rf
 
     def test_equality_of_representations(self):
         assert RationalFunction(P(0, 2), P(2)) == RationalFunction(X, ONE)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ratinterp.kappasolver as kappasolver
 from ratinterp import (
     InterpolationData,
     KappaNotAdmissible,
@@ -85,6 +86,14 @@ class TestYYForm:
         with pytest.raises(NotAnInterpolant):
             yy_form(RationalFunction(P(0, 3), ONE), data_four)
 
+    def test_a_pole_at_a_node_is_refused_before_the_weak_division(self, data_four, monkeypatch):
+        """1/(x - 2) has a pole at the node 2: the node test refuses it, and a - b*g is never divided by f."""
+        def refused(*args):
+            raise RuntimeError("weak_cofactor called")
+        monkeypatch.setattr(kappasolver, "weak_cofactor", refused)
+        with pytest.raises(NotAnInterpolant):
+            yy_form(RationalFunction(ONE, P(-2, 1)), data_four)
+
     def test_zero_data_decomposes_on_the_trivial_trace(self, data_all_zero):
         assert yy_form(RationalFunction(ZERO, ONE), data_all_zero).m == (ZERO, ONE)
 
@@ -96,6 +105,7 @@ class TestAdmissibleKappa:
         assert [(e.kappa, e.index) for e in report.isolated] == [(3, 1), (2, 3)]
         assert report.minimal_kappa == 2
         assert report.minimal_solutions == (RationalFunction(P(6), P(-3, 0, 1)),)
+        assert str(report) == report.text()
 
     def test_four_point_row_two_excluded(self, data_four):
         # s_2 = -x vanishes at the node 0

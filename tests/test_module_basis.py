@@ -2,10 +2,12 @@
 
 The library reads the minimal basis of the weak pairs off the EEA rows at the critical index;
 ``module_basis`` (conftest) builds one from the syzygy side, one node at a time, and shares no
-code with the trace.  On simple nodes at n = 32 to 96 the two must agree on mu1 and mu2, on
-UNIQUE or FAMILY, and, where mu1 < mu2, on the low pair up to a constant.
+code with the trace.  On simple nodes at n = 32 to 96, and on multiple nodes at n = 32 and 64,
+the two must agree on mu1 and mu2, on UNIQUE or FAMILY, and, where mu1 < mu2, on the low pair up
+to a constant.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ import pytest
 
 from ratinterp import InterpolationData, Poly, admissible_delta_set, check_weak, minimal_basis
 
-from conftest import module_basis
+from conftest import derivative, module_basis, planted_data
 
 
 def integer_nodes(rng, n):
@@ -38,11 +40,15 @@ def samples(num, den, n):
     return InterpolationData.from_pairs(pairs)
 
 
+def random_fraction(rng):
+    """num/den, each of degree 3 to 8 with small integer coefficients."""
+    return tuple(Poly([*[rng.randint(-5, 5) for _ in range(rng.randint(3, 8))], rng.choice((-2, -1, 1, 3))])
+                 for _ in range(2))
+
+
 def planted(rng, n):
     """Samples of a random num/den, each of degree 3 to 8."""
-    num, den = (Poly([*[rng.randint(-5, 5) for _ in range(rng.randint(3, 8))], rng.choice((-2, -1, 1, 3))])
-                for _ in range(2))
-    return samples(num, den, n)
+    return samples(*random_fraction(rng), n)
 
 
 def unattainable(rng, n):
@@ -51,6 +57,57 @@ def unattainable(rng, n):
     k = rng.randrange(n)
     x, (y,) = points[k]
     points[k] = (x, (y + 1,))
+    return InterpolationData(tuple(points))
+
+
+def hermite_values(num, den, x, m):
+    """The values and first m - 1 derivatives of num/den at x, by dividing the Taylor series at x."""
+    a, b = ([derivative(p, k)(x) / math.factorial(k) for k in range(m)] for p in (num, den))
+    t = []
+    for k in range(m):
+        t.append((a[k] - sum(b[i] * t[k - i] for i in range(1, k + 1))) / b[0])
+    return [math.factorial(k) * c for k, c in enumerate(t)]
+
+
+def hermite_data(rng, nodes, planted):
+    """(x, multiplicity) nodes with random values, or with those of a random num/den whose den vanishes at none."""
+    if not planted:
+        return InterpolationData.from_pairs([(x, [rng.randint(-9, 9) for _ in range(m)]) for x, m in nodes])
+    num, den = random_fraction(rng)
+    while not den.nonzero_at([Fraction(x) for x, _ in nodes]):
+        num, den = random_fraction(rng)
+    return InterpolationData.from_pairs([(x, hermite_values(num, den, Fraction(x), m)) for x, m in nodes])
+
+
+def one_high_node(rng, n, planted=False):
+    """The node 1/2 with multiplicity n/2, and n/2 simple integer nodes."""
+    simple = rng.sample(range(-n // 2, n // 2 + 1), n // 2)
+    return hermite_data(rng, [(Fraction(1, 2), n // 2), *[(x, 1) for x in simple]], planted)
+
+
+def two_high_nodes(rng, n, planted=False):
+    """Two integer nodes, each with multiplicity n/2."""
+    return hermite_data(rng, [(x, n // 2) for x in rng.sample(range(-3, 4), 2)], planted)
+
+
+def planted_one_high_node(rng, n):
+    return one_high_node(rng, n, planted=True)
+
+
+def planted_two_high_nodes(rng, n):
+    return two_high_nodes(rng, n, planted=True)
+
+
+def planted_double_nodes(rng, n):
+    """Samples of a random num/den at integer nodes, every third node double (conftest)."""
+    return planted_data(rng, n, *random_fraction(rng))
+
+
+def moved_double_node(rng, n):
+    """Planted double nodes with the derivative at the first double node moved off num/den."""
+    points = list(planted_double_nodes(rng, n).points)
+    x, (y, dy) = points[0]
+    points[0] = (x, (y, dy + 1))
     return InterpolationData(tuple(points))
 
 
@@ -65,6 +122,10 @@ def normalized(pair):
 KINDS = (integer_nodes, rational_nodes, planted, unattainable)
 CASES = ([(make, 32, seed) for make in KINDS for seed in range(3)]
          + [(make, n, 0) for make in KINDS for n in (64, 96) if (make, n) != (rational_nodes, 96)])
+
+HERMITE = (one_high_node, planted_one_high_node, two_high_nodes, planted_two_high_nodes, planted_double_nodes,
+           moved_double_node)
+CASES += [(make, n, 0) for make in HERMITE for n in (32, 64)]
 
 
 @pytest.mark.parametrize("make, n, seed", CASES, ids=[f"{make.__name__}-{n}-{seed}" for make, n, seed in CASES])

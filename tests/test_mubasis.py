@@ -52,6 +52,10 @@ class TestQuarticCurve:
         assert cross_product_certificate(basis, QUARTIC_CURVE)
         assert min_mu_oracle(QUARTIC_CURVE) == 2
 
+    def test_str_is_the_text(self):
+        basis = mu_basis(QUARTIC_CURVE)
+        assert str(basis) == basis.text() and "T0" in str(basis)
+
     def test_projective_display(self):
         basis = mu_basis(QUARTIC_CURVE)
         assert projective_form(basis.low) == "z^2*T0 - x*z*T1 - 2*x^2*T2"
