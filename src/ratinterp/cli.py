@@ -15,7 +15,8 @@ machine-readable mirror of the report types, each of which renders
 itself; this module parses arguments, reads input, dispatches, writes
 the JSON text (byte for byte what ``json.dumps(payload, indent=2)`` gives)
 and maps errors to exit codes.  Exit status: 0 on success, 1 when a request
-has no valid answer, 2 on malformed input, conflicting mode flags, a
+has no valid answer or stdout is closed before the answer is written (as
+``| head`` does; quietly), 2 on malformed input, conflicting mode flags, a
 problem of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle``
 on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``),
 or a problem whose size in bits (``_input_size``, ``_polynomial``) is above
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -180,8 +182,11 @@ def _json_text(obj, indent: str = "\n") -> str:
 
 
 def _emit(args, payload, text) -> int:
-    """Print payload() as JSON with --json, else text(); the other form is never built."""
-    print(_json_text(payload()) if args.json else text())
+    """Print payload() as JSON with --json, else text(); the other form is never built.
+
+    The flush makes a closed stdout fail here, inside ``main``, not at shutdown.
+    """
+    print(_json_text(payload()) if args.json else text(), flush=True)
     return 0
 
 
@@ -343,6 +348,11 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: no answer was delivered, so exit 1, quietly; as
+        # Python's docs on SIGPIPE advise, stdout goes to devnull so the flush at shutdown succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

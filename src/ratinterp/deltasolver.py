@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .eea import EEATrace, degree_split, split_bound
 from .errors import CertificateError, DegreeNotAdmissible, DenominatorVanishesAtNode, ZeroDenominator
-from .exactpoly import Poly, _rational_str, gcd, monomial, value_ratios
+from .exactpoly import Poly, _rational_str, as_degree, gcd, monomial, value_ratios
 from .hermite import InterpolationData, RationalFunction, interpolant
 
 Pair = tuple[Poly, Poly]
@@ -253,8 +253,7 @@ def evaluate_parametrization(
 
 def sample_solution_of_delta(data: InterpolationData, delta: int) -> RationalFunction:
     """A concrete interpolant whose reduced max-degree is exactly delta."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    delta = as_degree(delta, "delta")
     basis = minimal_basis(data)
     unique = _unique_solution(basis.pair1, basis.mu1, basis.mu2, data)
     admissible = _degree_set(basis.mu1, basis.mu2, unique)

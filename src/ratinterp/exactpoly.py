@@ -41,10 +41,14 @@ data directly on integer lists, with no Poly or Fraction per condition;
 it takes a content pass only where a denominator of a node can bring a
 common prime in (Gauss's lemma), so never at integer nodes.
 
-Outside input enters through two readers: ``as_fraction`` for a scalar
-and ``as_sequence`` for a sequence, which is a list or a tuple and
-nothing else.  ``Poly``, ``InterpolationData.from_pairs`` and the CLI
-read every coefficient list, point list and value list through them.
+Outside input enters through three readers: ``as_fraction`` for a
+scalar, ``as_sequence`` for a sequence, which is a list or a tuple and
+nothing else, and ``as_degree`` for a degree argument, an int (not a
+bool) >= 0.  ``Poly`` reads its coefficients through the first two, and
+so does the ``InterpolationData`` constructor, the one door for points,
+which ``from_pairs``, ``from_json_dict`` and the CLI go through.
+``monomial``, ``sample_solution_of_delta``, ``sample_solution_of_kappa``
+and ``hermite_rational`` read their degree through the third.
 
 The degree of the zero polynomial is the sentinel ``NEG_INF``, which
 compares below every integer and absorbs addition, so degree bookkeeping
@@ -111,6 +115,17 @@ def as_sequence(values, what: str) -> list | tuple:
         return values
     raise ValueError(f"{what} must be a list or a tuple, as every sequence of scalars or of points is; "
                      f"got {type(values).__name__}")
+
+
+def as_degree(value, what: str) -> int:
+    """The one rule for degree arguments: an int, not a bool, and >= 0, returned as it is.
+
+    Anything else raises ValueError, a float or a Fraction with an integer
+    value and a numeric string included.
+    """
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
 
 
 def _rational_str(c: Fraction) -> str:
@@ -495,9 +510,7 @@ X = Poly((0, 1))
 
 def monomial(degree: int, coeff: Scalar = 1) -> Poly:
     """coeff * x**degree."""
-    if degree < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    return Poly((0,) * degree + (as_fraction(coeff),))
+    return Poly((0,) * as_degree(degree, "monomial degree") + (as_fraction(coeff),))
 
 
 def value_ratios(top: Poly, bottom: Poly, nodes: Iterable[Fraction]) -> tuple[Fraction | None, ...]:

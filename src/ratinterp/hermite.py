@@ -13,7 +13,13 @@ Both come from one incremental Newton pass on integer lists
 node once per unit of its multiplicity.  The instance builds the pair on
 first use and keeps it (``InterpolationData.newton_pair``), so every
 query on one instance shares one build, and nothing is cached beyond
-the instance; ``n`` and ``nodes`` are kept the same way.
+the instance.
+
+The constructor is the one door for points: it reads them, whatever
+their sequence types, in one pass through ``exactpoly.as_sequence`` and
+``as_fraction``, checks them, stores tuples of Fractions and sets ``n``
+and ``nodes``, so equal points give equal, hashable instances and
+malformed ones raise ValueError there, not in a solver.
 
 ``InterpolationData.trace()`` is the one door from an instance to the
 remainder trace of (f, g), which every solver query reads its answer
@@ -53,16 +59,26 @@ class InterpolationData:
     """Nodes with multiplicities and prescribed derivative values.
 
     ``points[i] == (x_i, (y_i0, ..., y_i(n_i - 1)))`` where y_ij is the
-    required j-th derivative value at x_i.
+    required j-th derivative value at x_i; ``n`` is the number of
+    conditions, the sum of the multiplicities, and ``nodes`` the x_i in
+    data order.
     """
 
     points: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
 
     def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("at least one interpolation node is required")
-        seen = set()
-        for x, values in self.points:
+        """Read the points in one pass and store them as tuples of Fractions, with ``n`` and ``nodes``.
+
+        The points, each (x, values) point and each value list are read by
+        ``exactpoly.as_sequence`` (a list or a tuple), every number by
+        ``as_fraction``; anything else raises ValueError, as do no points, a
+        node with no values and a repeated node, however it is spelled.
+        """
+        points, seen, n = [], {}, 0
+        for pair in as_sequence(self.points, "the points"):
+            x, values = as_sequence(pair, "a point (x, values)")
+            x = as_fraction(x)
+            values = tuple([as_fraction(v) for v in as_sequence(values, "a node's values")])
             if not values:
                 raise ValueError(f"node {x} has no prescribed values")
             # a reduced fraction is its (numerator, denominator) pair, which hashes
@@ -70,7 +86,13 @@ class InterpolationData:
             key = (x.numerator, x.denominator)
             if key in seen:
                 raise ValueError(f"duplicate node {x}")
-            seen.add(key)
+            seen[key] = x
+            points.append((x, values))
+            n += len(values)
+        if not points:
+            raise ValueError("at least one interpolation node is required")
+        # the instance is frozen, so the read points, n and the nodes go straight into its __dict__
+        vars(self).update(points=tuple(points), n=n, nodes=tuple(seen.values()))
 
     @cached_property
     def newton_pair(self) -> tuple[Poly, Poly]:
@@ -83,31 +105,12 @@ class InterpolationData:
 
     @classmethod
     def from_pairs(cls, pairs) -> "InterpolationData":
-        """Build from (node, values) pairs of ints, strings, or Fractions.
-
-        ``pairs``, each pair and each value list are read by the one rule for
-        outside sequences, ``exactpoly.as_sequence``: a list or a tuple, and
-        anything else, such as a string, a mapping or a scalar, raises ValueError.
-        """
-        points = []
-        for pair in as_sequence(pairs, "the points"):
-            x, values = as_sequence(pair, "a point (x, values)")
-            points.append((as_fraction(x), tuple([as_fraction(v) for v in as_sequence(values, "a node's values")])))
-        return cls(tuple(points))
-
-    @cached_property
-    def n(self) -> int:
-        """Total number of conditions (the sum of the multiplicities), summed on first use."""
-        return sum(len(values) for _, values in self.points)
+        """Build from (node, values) pairs of ints, strings, or Fractions; the constructor reads them."""
+        return cls(pairs)
 
     @property
     def node_count(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def nodes(self) -> tuple[Fraction, ...]:
-        """The nodes x_i in data order, built on first use."""
-        return tuple(x for x, _ in self.points)
 
     # -- JSON schema: {"points": [{"x": "...", "values": ["...", ...]}]} ----
 
@@ -115,12 +118,10 @@ class InterpolationData:
     def from_json_dict(cls, obj) -> "InterpolationData":
         if not isinstance(obj, dict) or "points" not in obj:
             raise ValueError('interpolation problem must be {"points": [...]}')
-        pairs = []
-        for item in as_sequence(obj["points"], '"points"'):
-            if not isinstance(item, dict) or "x" not in item or "values" not in item:
-                raise ValueError('each point must be {"x": ..., "values": [...]}')
-            pairs.append((item["x"], item["values"]))
-        return cls.from_pairs(pairs)
+        items = as_sequence(obj["points"], '"points"')
+        if not all(isinstance(item, dict) and "x" in item and "values" in item for item in items):
+            raise ValueError('each point must be {"x": ..., "values": [...]}')
+        return cls.from_pairs([(item["x"], item["values"]) for item in items])
 
     def to_json_dict(self) -> dict:
         return {

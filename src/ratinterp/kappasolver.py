@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .eea import Decomposition, decompose
 from .errors import KappaNotAdmissible, NotAnInterpolant
-from .exactpoly import ONE, Poly, monomial
+from .exactpoly import ONE, Poly, as_degree, monomial
 from .hermite import InterpolationData, RationalFunction, interpolant, weak_cofactor
 
 Pair = tuple[Poly, Poly]
@@ -140,8 +140,7 @@ def admissible_kappa(data: InterpolationData) -> KappaReport:
 
 def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFunction:
     """A concrete interpolant of degree sum exactly kappa."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    kappa = as_degree(kappa, "kappa")
     n = data.n
     if kappa >= n:
         # deg g < n, so the numerator has degree kappa over the denominator 1
@@ -160,7 +159,7 @@ def sample_solution_of_kappa(data: InterpolationData, kappa: int) -> RationalFun
 def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None:
     """The interpolant with deg numer <= d and deg denom <= n-d-1, if one exists."""
     n = data.n
-    if not 0 <= d <= n - 1:
+    if as_degree(d, "d") > n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
     # the answer is row k, the first with deg r_k <= d.  Degrees drop strictly from row 1
     # on, so the first remainder of degree <= d + 1 is row k - 1 or row k, and the trace,

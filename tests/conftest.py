@@ -315,7 +315,7 @@ def planted_data(rng, n, num, den):
     return InterpolationData.from_pairs(pairs)
 
 
-def module_basis(data):
+def module_basis(data, shift=0):
     """A minimal basis of the weak pairs of Hermite data by node insertion, with no EEA.
 
     Van Barel & Bultheel (1990), Beckermann & Labahn (1994).  The columns (a, b) start as (1, 0)
@@ -328,11 +328,19 @@ def module_basis(data):
     becomes (w*X - u)*col, and the other, if its e != 0, e_pivot*col - e*col_pivot, made
     primitive by one gcd; both then meet conditions 0..j at x and the degree sum grows by one.
     Returns the two columns as pairs of Poly, the lower max-degree first.
+
+    With a ``shift`` the max-degree is the shifted one, max(deg a, deg b + shift), for the pivot
+    and for the order of the result.  At shift = 2d + 1 - n the low column has deg a <= d and
+    deg b <= n - 1 - d: the prescribed split of ``hermite_rational(data, d)``.
     """
     cols = [([1], []), ([], [1])]
 
     def degree(col):
         return max(len(a) for a in col) - 1
+
+    def shifted(col):
+        a, b = col
+        return max(len(a) - 1 if a else -math.inf, len(b) - 1 + shift if b else -math.inf)
 
     def taylor(ints, u, w, D, count):
         """The first count Taylor coefficients at u/w of the list ints of degree <= D, times w**D.
@@ -361,7 +369,7 @@ def module_basis(data):
             for a, b in cols:
                 A, B = taylor(a, u, w, D, j + 1), taylor(b, u, w, D, j + 1)
                 res.append(L * A[j] - sum(B[i] * y[j - i] for i in range(j + 1)))
-            pivot = min((k for k in (0, 1) if res[k]), key=lambda k: degree(cols[k]))
+            pivot = min((k for k in (0, 1) if res[k]), key=lambda k: shifted(cols[k]))
             other = 1 - pivot
             if res[other]:
                 col = [[res[pivot] * p - res[other] * q for p, q in itertools.zip_longest(c, c_pivot, fillvalue=0)]
@@ -373,7 +381,7 @@ def module_basis(data):
                         c.pop()
                 cols[other] = tuple(col)
             cols[pivot] = tuple([w * p - u * q for p, q in zip([0, *c], [*c, 0])] if c else [] for c in cols[pivot])
-    return tuple(sorted((tuple(Poly(c) for c in col) for col in cols), key=lambda pair: max(p.degree for p in pair)))
+    return tuple(tuple(Poly(c) for c in col) for col in sorted(cols, key=shifted))
 
 
 def row_sum(m, trace):

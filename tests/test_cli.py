@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,14 @@ class TestHermiteDCommand:
 
     def test_out_of_range_is_an_input_error(self, four_file, capsys):
         assert main(["hermite-d", four_file, "-d", "9"]) == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["hermite-d", "-d", "-1"], "d"), (["delta", "--solve", "-1"], "delta"), (["kappa", "--solve", "-1"], "kappa"),
+    ])
+    def test_a_negative_degree_is_an_input_error(self, four_file, capsys, argv, name):
+        """The degree rule (``exactpoly.as_degree``) refuses it, with its own message."""
+        assert main([argv[0], four_file, *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"input error: {name} must be a nonnegative integer, got -1\n"
 
 
 class TestMuBasisCommand:
@@ -328,6 +339,34 @@ def test_conflicting_modes_exit_2(four_file, capsys, argv):
 def test_mu_basis_file_and_inline_coefficients_exit_2(curve_file, capsys):
     assert main(["mu-basis", curve_file, "--r0", '["0", "0", "1"]', "--r1", '["1"]']) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+class TestClosedStdout:
+    """A closed stdout, as ``| head`` leaves it, is not an input error: the real entry point exits 1
+    with an empty stderr (no message, no traceback, no "Exception ignored" at shutdown)."""
+
+    ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(self, *argv):
+        return subprocess.Popen([sys.executable, "-m", "ratinterp", *argv], env=self.ENV,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def test_closed_after_one_byte_exits_1_and_an_unreadable_file_still_2(self, tmp_path, capsys):
+        rng = random.Random(1)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(
+            InterpolationData.from_pairs([(k, [rng.randint(-9, 9)]) for k in range(20)]).to_json_dict()))
+        assert main(["eea", str(path)]) == 0
+        assert len(capsys.readouterr().out) > 4 * 2**16  # well past the 64 KiB pipe buffer
+        with self.run("eea", str(path)) as proc:
+            assert proc.stdout.read(1)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
+        with self.run("eea", str(tmp_path / "missing.json")) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, b"") and err.startswith(b"input error: [Errno 2] ")
 
 
 class TestInputGuards:

@@ -12,16 +12,17 @@ import ratinterp.exactpoly as exactpoly
 from ratinterp import cli
 from ratinterp import (
     NEG_INF, ONE, X, ZERO, DenominatorVanishesAtNode, InterpolationData, PlaneParametrization, Poly,
-    admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial, hermite_rational,
-    minimal_basis, monomial, mu_basis, nodal_poly,
+    RationalFunction, admissible_kappa, evaluate_parametrization, extended_euclid, gcd, hermite_polynomial,
+    hermite_rational, minimal_basis, monomial, mu_basis, nodal_poly, sample_solution_of_delta,
+    sample_solution_of_kappa,
 )
 from ratinterp.exactpoly import (
     _decimal_digits, _horner, _ratio_str, _rational_str, as_fraction, euclid_step, euclid_update, value_ratios,
 )
 
 from conftest import (
-    P, count_fractions, derivative, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg, frac_trim,
-    integer_node_data, interp_trace, random_poly, rational_node_data, repeated_node_data, unit_split,
+    DATA_FOUR, P, count_fractions, derivative, frac_add, frac_div_rem, frac_eval, frac_format, frac_mul, frac_neg,
+    frac_trim, integer_node_data, interp_trace, random_poly, rational_node_data, repeated_node_data, unit_split,
 )
 
 CONSTANTS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
@@ -354,6 +355,50 @@ class TestRationalGrammar:
         """Iterating "12" would read 2x + 1, b"12" the bytes 49 and 50, and {3: "x", 5: "y"} its keys 3 and 5."""
         with pytest.raises(ValueError, match="sequence of scalars"):
             Poly(text)
+
+
+# the four functions that take a degree, each with an in-range degree and its answer
+DEGREE_TAKERS = {
+    "monomial": (monomial, 2, P(0, 0, 1)),
+    "sample_solution_of_delta": (lambda delta: sample_solution_of_delta(DATA_FOUR, delta), 2,
+                                 RationalFunction(P(6, 0, 9), P(-3, 3, 1))),
+    "sample_solution_of_kappa": (lambda kappa: sample_solution_of_kappa(DATA_FOUR, kappa), 2,
+                                 RationalFunction(P(6), P(-3, 0, 1))),
+    "hermite_rational": (lambda d: hermite_rational(DATA_FOUR, d), 2, None),  # no solution at d = 2
+}
+
+
+class TestDegreeRule:
+    """``exactpoly.as_degree`` is the one reader of a degree argument: an int, not a bool, >= 0."""
+
+    @pytest.mark.parametrize("name", DEGREE_TAKERS)
+    def test_a_degree_is_a_nonnegative_int(self, name):
+        take, degree, expected = DEGREE_TAKERS[name]
+        assert take(degree) == expected
+        wrong = {}
+        # hermite_rational keeps its upper bound n - 1 = 3 on top of the rule
+        for bad in (1.5, True, "2", Fraction(2), -1, *([4] if name == "hermite_rational" else [])):
+            try:
+                take(bad)
+            except ValueError:
+                continue
+            except Exception as exc:  # a TypeError is a wrong refusal
+                wrong[repr(bad)] = repr(exc)
+            else:
+                wrong[repr(bad)] = "accepted"
+        assert wrong == {}
+
+    @pytest.mark.parametrize("name", DEGREE_TAKERS)
+    def test_every_degree_takes_the_one_rule(self, name, monkeypatch):
+        def refused(*args):
+            raise RuntimeError("as_degree called")
+        rule = exactpoly.as_degree
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("ratinterp") and getattr(module, "as_degree", None) is rule:
+                monkeypatch.setattr(module, "as_degree", refused)
+        take, degree, _ = DEGREE_TAKERS[name]
+        with pytest.raises(RuntimeError, match="as_degree called"):
+            take(degree)
 
 
 # -- every Poly operation against the Fraction-tuple reference in conftest --------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ratinterp.deltasolver as ds
 import ratinterp.exactpoly as exactpoly
+import ratinterp.hermite as hermite
 from ratinterp import (
     CertificateError,
     InterpolationData,
@@ -64,6 +65,86 @@ EDGE_CASES = {
     # values past the int-to-str limit, at an integer and at a rational node
     "past_the_str_limit": [(1, [BIG, -BIG]), (Fraction(-2, 7), [Fraction(1, BIG)]), (3, [0])],
 }
+
+
+def as_json(pairs):
+    """The {"points": [{"x": ..., "values": ...}]} form of pairs, or pairs as the "points" entry
+    where they are not a sequence of (x, values) pairs."""
+    if isinstance(pairs, (list, tuple)) and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        return {"points": [{"x": x, "values": values} for x, values in pairs]}
+    return {"points": pairs}
+
+
+# the three doors for points: the constructor, from_pairs and from_json_dict
+DOORS = {
+    "constructor": InterpolationData,
+    "from_pairs": InterpolationData.from_pairs,
+    "from_json_dict": lambda pairs: InterpolationData.from_json_dict(as_json(pairs)),
+}
+
+# each a function, so that every door reads a fresh copy (a generator is read once)
+REFUSED_POINTS = {
+    "float node": lambda: [(0.5, [1])],
+    "float value": lambda: [(0, [1.5])],
+    "True value": lambda: [(0, [True])],
+    "decimal string value": lambda: [(0, ["1.2"])],
+    "string as a value list": lambda: [(0, "12")],
+    "dict": lambda: {0: [1]},
+    "set": lambda: {(0, (1,))},
+    "generator": lambda: ((x, [1]) for x in range(3)),
+    "no points": lambda: [],
+    "node with no values": lambda: [(0, [])],
+    "0 and '0'": lambda: [(0, [1]), ("0", [2])],
+    "0 and Fraction(0)": lambda: [(0, [1]), (Fraction(0), [2])],
+    "'0' and Fraction(0)": lambda: [("0", [1]), (Fraction(0), [2])],
+}
+
+
+class TestOneDoor:
+    """``InterpolationData.__post_init__`` reads the points, whichever door they come through."""
+
+    def test_every_door_refuses_the_same_inputs_with_value_error(self):
+        wrong = {}
+        for name, points in REFUSED_POINTS.items():
+            for door, build in DOORS.items():
+                try:
+                    build(points())
+                except ValueError:
+                    continue
+                except Exception as exc:  # an AttributeError or a TypeError is a wrong refusal
+                    wrong[name, door] = repr(exc)
+                else:
+                    wrong[name, door] = "accepted"
+        assert wrong == {}
+
+    def test_a_value_string_is_read_at_the_door(self):
+        """("12",) is the value 12 at every door, as in the CLI's JSON, not a string kept until a solver."""
+        expected = InterpolationData(((Fraction(0), (Fraction(12),)), (Fraction(1), (Fraction(-3, 2),))))
+        for build in DOORS.values():
+            data = build([(0, ("12",)), ("1", ["-3/2"])])
+            assert data == expected and minimal_delta_solutions(data) == minimal_delta_solutions(expected)
+
+    def test_equal_points_give_equal_hashable_instances(self):
+        tuples = ((Fraction(1), (Fraction(2), Fraction(0))), (Fraction(1, 2), (Fraction(3),)))
+        lists = [[1, [2, 0]], ["1/2", [3]]]
+        data, twin = InterpolationData(lists), InterpolationData(tuples)
+        assert data == twin and hash(data) == hash(twin) and {twin: 1}[data] == 1
+        assert (data.n, data.nodes, data.points) == (twin.n, twin.nodes, twin.points)
+        assert (data.n, data.nodes, data.points) == (3, (1, Fraction(1, 2)), tuples)
+        assert all(build(lists) == twin for build in DOORS.values())
+
+    def test_each_number_is_read_once_whatever_the_door(self, monkeypatch):
+        read = []
+
+        def counting(value):
+            read.append(value)
+            return exactpoly.as_fraction(value)
+
+        monkeypatch.setattr(hermite, "as_fraction", counting)
+        for build in DOORS.values():
+            read.clear()
+            build([(1, [2, 0]), ("1/2", [3])])
+            assert read == [1, 2, 0, "1/2", 3]
 
 
 class TestInterpolationData:

@@ -4,7 +4,8 @@ The library reads the minimal basis of the weak pairs off the EEA rows at the cr
 ``module_basis`` (conftest) builds one from the syzygy side, one node at a time, and shares no
 code with the trace.  On simple nodes at n = 32 to 96, and on multiple nodes at n = 32 and 64,
 the two must agree on mu1 and mu2, on UNIQUE or FAMILY, and, where mu1 < mu2, on the low pair up
-to a constant.
+to a constant.  With the shift 2d + 1 - n the low column answers the prescribed split
+deg a <= d, deg b <= n - 1 - d, which the library reads off the trace in ``hermite_rational``.
 """
 
 import math
@@ -13,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from ratinterp import InterpolationData, Poly, admissible_delta_set, check_weak, minimal_basis
+from ratinterp import InterpolationData, Poly, admissible_delta_set, check_weak, hermite_rational, minimal_basis
 
-from conftest import derivative, module_basis, planted_data
+from conftest import derivative, module_basis, planted_data, repeated_node_data
 
 
 def integer_nodes(rng, n):
@@ -154,3 +155,23 @@ def test_a_planted_fraction_is_the_low_column(num, den):
     low, high = module_basis(samples(num, den, 24))
     assert max(num.degree, den.degree) == max(low[0].degree, low[1].degree) < max(high[0].degree, high[1].degree)
     assert normalized(low) == normalized((num, den))
+
+
+SPLIT_CASES = [(make, n) for make in (integer_nodes, planted, repeated_node_data) for n in (32, 48)]
+
+
+@pytest.mark.parametrize("make, n", SPLIT_CASES, ids=[f"{make.__name__}-{n}" for make, n in SPLIT_CASES])
+def test_hermite_rational_is_the_shifted_low_column(make, n):
+    """hermite_rational(d) is None exactly when b of the low column at shift 2d + 1 - n vanishes at
+    a node, and a/b otherwise, compared by cross-multiplication (a generic gcd is slow at n = 48).
+    On the repeated-node data at n = 48 every d takes 1.6 s in the library alone, so d runs over
+    the ends, the quarter and the middle."""
+    data = make(random.Random(n), n)
+    for d in sorted({0, 1, n // 4, n // 2 - 1, n // 2, n - 2, n - 1}):
+        a, b = module_basis(data, shift=2 * d + 1 - n)[0]
+        assert a.degree <= d and b.degree <= n - 1 - d and check_weak(a, b, data)
+        rf = hermite_rational(data, d)
+        if b.nonzero_at(data.nodes):
+            assert rf is not None and rf.numer * b == rf.denom * a, d
+        else:
+            assert rf is None, d
