@@ -12,13 +12,17 @@ or a plane parametrization
 with rationals as strings "p/q" or integers and polynomial arrays in
 ascending degree.  ``--json`` switches every subcommand to a
 machine-readable mirror of the report types, each of which renders
-itself; this module parses arguments, reads input, dispatches, writes
-the JSON text (byte for byte what ``json.dumps(payload, indent=2)`` gives)
-and maps errors to exit codes.  Exit status: 0 on success, 1 when a request
-has no valid answer or stdout is closed before the answer is written (as
-``| head`` does; quietly), 2 on malformed input, conflicting mode flags, a
-problem of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle``
-on interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``),
+itself.  This module parses arguments, reads and checks the problem once
+in ``main``, dispatches it to the subcommand's handler, writes the JSON
+text (byte for byte what ``json.dumps(payload, indent=2)`` gives) and maps
+errors to exit codes.  The kind of problem a subcommand takes is named in
+its parser entry (``kind``); ``eea`` takes either, and ``oracle`` picks by
+its mode.  Exit status: 0 on success, 1 when a request has no valid answer
+or stdout is closed before the answer is written (as ``| head`` does;
+quietly), 2 on malformed input, a problem file holding both "points" and
+"r0"/"r1", a problem of the wrong kind, conflicting mode flags, a problem
+of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle`` on
+interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``),
 or a problem whose size in bits (``_input_size``, ``_polynomial``) is above
 ``MAX_INPUT_SIZE``.
 """
@@ -114,29 +118,30 @@ def _read_problem(args):
         raise ValueError("JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("problem file must be a JSON object")
+    if "points" in obj and ("r0" in obj or "r1" in obj):
+        raise ValueError('problem file must contain "points" or "r0"/"r1", not both')
     if "points" in obj:
         problem = InterpolationData.from_json_dict(obj)
+        size = _input_size(problem)
+        what = "the node numerators and denominators over the conditions and adds the bits of the largest value"
     elif "r0" in obj and "r1" in obj:
         (r0, bits0), (r1, bits1) = _polynomial(obj["r0"]), _polynomial(obj["r1"])
         problem = PlaneParametrization(r0, r1)
+        size, what = problem.n * (bits0 + bits1), "the coefficient numerators and denominators of r0 and r1"
     else:
         raise ValueError('problem file must contain "points" or "r0"/"r1"')
     _capped(problem.n)
-    if isinstance(problem, InterpolationData):
-        size = _input_size(problem)
-        what = "the node numerators and denominators over the conditions and adds the bits of the largest value"
-    else:
-        size, what = problem.n * (bits0 + bits1), "the coefficient numerators and denominators of r0 and r1"
     if size > MAX_INPUT_SIZE:
         raise ValueError(f"input size n*B = {size} exceeds the limit {MAX_INPUT_SIZE}, "
                          f"where B sums the bits of {what}")
     return problem
 
 
-def _interpolation(problem) -> InterpolationData:
-    if not isinstance(problem, InterpolationData):
-        raise ValueError("this subcommand needs an interpolation problem file")
-    return problem
+def _expect(problem, kind, who: str = "this subcommand") -> None:
+    """Refuse a problem of another kind than the one a subcommand or an ``oracle`` mode takes."""
+    if not isinstance(problem, kind):
+        article = "an interpolation" if kind is InterpolationData else "a parametrization"
+        raise ValueError(f"{who} needs {article} problem file")
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -195,17 +200,13 @@ def _emit_sample(args, name: str, value: int, rf) -> int:
                  lambda: f"{name} = {value}: {rf}")
 
 
-def _cmd_eea(args) -> int:
-    problem = _read_problem(args)
-    if isinstance(problem, InterpolationData):
-        trace = extended_euclid(*problem.newton_pair)
-    else:
-        trace = extended_euclid(problem.r0, problem.r1)
+def _cmd_eea(args, problem) -> int:
+    pair = problem.newton_pair if isinstance(problem, InterpolationData) else (problem.r0, problem.r1)
+    trace = extended_euclid(*pair)
     return _emit(args, trace.to_json, lambda: str(trace))
 
 
-def _cmd_delta(args) -> int:
-    data = _interpolation(_read_problem(args))
+def _cmd_delta(args, data) -> int:
     if args.solve is not None:
         return _emit_sample(args, "delta", args.solve,
                             deltasolver.sample_solution_of_delta(data, _capped(args.solve)))
@@ -224,8 +225,7 @@ def _cmd_delta(args) -> int:
     )
 
 
-def _cmd_kappa(args) -> int:
-    data = _interpolation(_read_problem(args))
+def _cmd_kappa(args, data) -> int:
     if args.solve is not None:
         return _emit_sample(args, "kappa", args.solve,
                             kappasolver.sample_solution_of_kappa(data, _capped(args.solve)))
@@ -233,8 +233,7 @@ def _cmd_kappa(args) -> int:
     return _emit(args, lambda: report.to_json(args.min), lambda: report.text(args.min))
 
 
-def _cmd_hermite_d(args) -> int:
-    data = _interpolation(_read_problem(args))
+def _cmd_hermite_d(args, data) -> int:
     d = args.degree
     rf = kappasolver.hermite_rational(data, d)
     return _emit(
@@ -244,28 +243,23 @@ def _cmd_hermite_d(args) -> int:
     )
 
 
-def _cmd_mu_basis(args) -> int:
-    param = _read_problem(args)
-    if not isinstance(param, PlaneParametrization):
-        raise ValueError("this subcommand needs a parametrization problem file")
+def _cmd_mu_basis(args, param) -> int:
     basis = mu_basis(param)
     return _emit(args, lambda: basis.to_json(args.projective), lambda: basis.text(args.projective))
 
 
-def _cmd_oracle(args) -> int:
-    problem = _read_problem(args)
+def _cmd_oracle(args, problem) -> int:
     if args.min_mu:
-        if not isinstance(problem, PlaneParametrization):
-            raise ValueError("--min-mu needs a parametrization problem file")
+        _expect(problem, PlaneParametrization, "--min-mu")
         value = oracle.min_mu_oracle(problem)
         return _emit(args, lambda: {"min_mu": value}, lambda: f"min mu = {value}")
-    data = _interpolation(problem)
+    _expect(problem, InterpolationData)
     if args.kappa_set:
-        _capped(data.n, KAPPA_SET_MAX_DEGREE, "the --kappa-set limit")
-        values = sorted(oracle.kappa_values_below_n(data))
+        _capped(problem.n, KAPPA_SET_MAX_DEGREE, "the --kappa-set limit")
+        values = sorted(oracle.kappa_values_below_n(problem))
         return _emit(args, lambda: {"kappa_below_n": values}, lambda: f"kappa values below n: {values}")
-    _capped(data.n, ORACLE_MAX_DEGREE, "the oracle limit")
-    value = oracle.min_degree_weak_pair(data)
+    _capped(problem.n, ORACLE_MAX_DEGREE, "the oracle limit")
+    value = oracle.min_degree_weak_pair(problem)
     return _emit(args, lambda: {"min_delta": value}, lambda: f"min delta = {value}")
 
 
@@ -280,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # name -> subparser, for ``main``'s dispatch
+    # each entry sets func, its handler, and may set kind, the class of problem it takes, which
+    # main checks before the handler runs; eea and oracle set none, as they take either
 
     p = sub.add_parser("eea", help="print the remainder/cofactor table")
     p.add_argument("problem", help="problem file, or - for stdin")
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--set", action="store_true", help="print only the admissible set")
     mode.add_argument("--solve", type=int, metavar="DELTA", help="sample a solution of this degree")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_delta)
+    p.set_defaults(func=_cmd_delta, kind=InterpolationData)
 
     p = sub.add_parser("kappa", help="minimal degree-sum solutions")
     p.add_argument("problem", help="interpolation problem file, or -")
@@ -301,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--min", action="store_true", help="print only the minimum and witnesses")
     mode.add_argument("--solve", type=int, metavar="KAPPA", help="sample a solution of this degree sum")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_kappa)
+    p.set_defaults(func=_cmd_kappa, kind=InterpolationData)
 
     p = sub.add_parser("hermite-d", help="prescribed-split rational interpolation")
     p.add_argument("problem", help="interpolation problem file, or -")
     p.add_argument("-d", "--degree", type=int, required=True, help="numerator degree bound")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_hermite_d)
+    p.set_defaults(func=_cmd_hermite_d, kind=InterpolationData)
 
     p = sub.add_parser("mu-basis", help="minimal moving lines of a parametrization")
     p.add_argument("problem", nargs="?", help="parametrization problem file, or -")
@@ -315,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", help="second coordinate as a JSON coefficient array")
     p.add_argument("--projective", action="store_true", help="also print homogenized lines")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_mu_basis)
+    p.set_defaults(func=_cmd_mu_basis, kind=PlaneParametrization)
 
     p = sub.add_parser("oracle", help="slow brute-force cross-checks (debugging)")
     p.add_argument("problem", help="problem file, or -")
@@ -347,7 +343,10 @@ def main(argv=None) -> int:
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.func(args)
+        problem = _read_problem(args)
+        if "kind" in args:
+            _expect(problem, args.kind)
+        return args.func(args, problem)
     except BrokenPipeError:
         # stdout was closed early, as by `| head`: no answer was delivered, so exit 1, quietly; as
         # Python's docs on SIGPIPE advise, stdout goes to devnull so the flush at shutdown succeeds

@@ -508,9 +508,9 @@ ONE = Poly((1,))
 X = Poly((0, 1))
 
 
-def monomial(degree: int, coeff: Scalar = 1) -> Poly:
-    """coeff * x**degree."""
-    return Poly((0,) * as_degree(degree, "monomial degree") + (as_fraction(coeff),))
+def monomial(degree: int) -> Poly:
+    """x**degree."""
+    return Poly((0,) * as_degree(degree, "monomial degree") + (1,))
 
 
 def value_ratios(top: Poly, bottom: Poly, nodes: Iterable[Fraction]) -> tuple[Fraction | None, ...]:

@@ -268,6 +268,18 @@ class TestInputHandling:
         assert main(["delta", curve_file]) == 2
         assert main(["kappa", curve_file]) == 2
 
+    @pytest.mark.parametrize("extra", [CURVE, {"r0": CURVE["r0"]}, {"r1": CURVE["r1"]}], ids=["r0 r1", "r0", "r1"])
+    @pytest.mark.parametrize("command", [["eea"], ["delta"], ["kappa", "--min"], ["hermite-d", "-d", "1"],
+                                         ["mu-basis"], ["oracle"], ["oracle", "--min-mu"]], ids=" ".join)
+    def test_a_file_holding_both_kinds_is_refused(self, tmp_path, capsys, monkeypatch, extra, command):
+        """{"points": ..., "r0": ..., "r1": ...} was read as interpolation data, r0 and r1 dropped; now
+        every subcommand refuses it, as it does "points" with only one of r0 and r1, before any arithmetic."""
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({**FOUR_POINT, **extra}))
+        monkeypatch.setattr(InterpolationData, "from_json_dict", None)  # no reading, so no arithmetic
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == ("", 'input error: problem file must contain "points" or "r0"/"r1", not both\n')
+
     def test_zero_hermite_data_eea_is_domain_error(self, tmp_path):
         zero = tmp_path / "zero.json"
         zero.write_text(json.dumps({"points": [{"x": "0", "values": ["0"]}]}))

@@ -194,9 +194,11 @@ class TestDegreeConventions:
 
     def test_monomial(self):
         assert monomial(3) == P(0, 0, 0, 1)
-        assert monomial(0, "2/3") == P("2/3")
+        assert monomial(0) == P(1)
         with pytest.raises(ValueError):
             monomial(-1)
+        with pytest.raises(TypeError):
+            monomial(2, 3)  # no coefficient option: 3 * monomial(2) builds 3x^2
 
 
 class TestFormatting:
@@ -312,7 +314,7 @@ class TestRationalGrammar:
         "bad", [True, False, 1.5, 2.0, None, [1], "0.5", "1e3", "1e3000", " 2 ", "+3", "2.5", "1/0", "", "1/-2"]
     )
     def test_rejected_everywhere(self, bad):
-        for build in (as_fraction, lambda v: Poly([1, v]), lambda v: monomial(2, v), lambda v: P(0, 1)(v)):
+        for build in (as_fraction, lambda v: Poly([1, v]), lambda v: P(0, 1)(v)):
             with pytest.raises(ValueError):
                 build(bad)
 

@@ -5,7 +5,9 @@ The library reads the minimal basis of the weak pairs off the EEA rows at the cr
 code with the trace.  On simple nodes at n = 32 to 96, and on multiple nodes at n = 32 and 64,
 the two must agree on mu1 and mu2, on UNIQUE or FAMILY, and, where mu1 < mu2, on the low pair up
 to a constant.  With the shift 2d + 1 - n the low column answers the prescribed split
-deg a <= d, deg b <= n - 1 - d, which the library reads off the trace in ``hermite_rational``.
+deg a <= d, deg b <= n - 1 - d, which the library reads off the trace in ``hermite_rational``;
+and the low columns over all shifts give the admissible degree sums below n, which the library
+reads off the trace rows in ``admissible_kappa``.
 """
 
 import math
@@ -14,7 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from ratinterp import InterpolationData, Poly, admissible_delta_set, check_weak, hermite_rational, minimal_basis
+from ratinterp import (
+    InterpolationData, Poly, admissible_delta_set, admissible_kappa, check_weak, hermite_rational, minimal_basis,
+)
 
 from conftest import derivative, module_basis, planted_data, repeated_node_data
 
@@ -175,3 +179,62 @@ def test_hermite_rational_is_the_shifted_low_column(make, n):
             assert rf is not None and rf.numer * b == rf.denom * a, d
         else:
             assert rf is None, d
+
+
+def small_values(rng, n):
+    """n distinct integer nodes with values in {-1, 0, 1}: many low rows and node factors."""
+    return InterpolationData.from_pairs([(x, [rng.randint(-1, 1)]) for x in rng.sample(range(-n, n + 1), n)])
+
+
+def small_fraction(rng):
+    """num/den with deg num in 0..3 and deg den in 1..3, small integer coefficients."""
+    return (Poly([*[rng.randint(-5, 5) for _ in range(rng.randint(0, 3))], rng.choice((-2, -1, 1, 3))]),
+            Poly([*[rng.randint(-5, 5) for _ in range(rng.randint(1, 3))], rng.choice((-1, 1, 2))]))
+
+
+def planted_small(rng, n, moved=False):
+    """Samples of a small num/den; if ``moved``, one value is moved off it, so the row of num/den takes
+    that node's factor in its denominator and its degree sum is no longer admissible."""
+    data = samples(*small_fraction(rng), n)
+    if not moved:
+        return data
+    points = list(data.points)
+    k = rng.randrange(n)
+    points[k] = (points[k][0], (points[k][1][0] + 1,))
+    return InterpolationData(tuple(points))
+
+
+def planted_small_double_nodes(rng, n):
+    """Samples of a small num/den at integer nodes, every third node double (conftest)."""
+    return planted_data(rng, n, *small_fraction(rng))
+
+
+def planted_moved(rng, n):
+    return planted_small(rng, n, moved=True)
+
+
+def kappa_set(data):
+    """The admissible degree sums below n, from ``module_basis`` alone.
+
+    kappa = da + db is admissible iff, at shift da - db, the low column (a, b) has shifted degree
+    exactly da with deg a = da (or a = 0 and da = 0), deg b = db and b nonzero at every node.  The
+    low column at a shift fixes da and db, so each shift from 1 - n to n - 1 is built once.
+    """
+    found = set()
+    for shift in range(1 - data.n, data.n):
+        a, b = module_basis(data, shift=shift)[0]
+        da = 0 if a.is_zero else a.degree
+        if not b.is_zero and da - b.degree == shift and da + b.degree < data.n and b.nonzero_at(data.nodes):
+            found.add(da + b.degree)
+    return found
+
+
+KAPPA_KINDS = (integer_nodes, small_values, repeated_node_data, rational_nodes, planted_small, planted_moved,
+               planted_small_double_nodes)
+KAPPA_CASES = [(make, n) for make in KAPPA_KINDS for n in (8, 12, 16)] + [(planted_moved, 24)]
+
+
+@pytest.mark.parametrize("make, n", KAPPA_CASES, ids=[f"{make.__name__}-{n}" for make, n in KAPPA_CASES])
+def test_the_kappa_set_matches_the_shifted_low_columns(make, n):
+    data = make(random.Random(n), n)
+    assert kappa_set(data) == {e.kappa for e in admissible_kappa(data).isolated}
