@@ -50,11 +50,25 @@ in steps of exactly deg q_i, the m_i fall out of repeated Euclidean
 division of b by the s_i from the top down, and m_0 is then fixed by a
 and the r column, so no t is needed.
 
-``degree_split`` picks the rows at the smallest critical index, where
-consecutive row degrees split n = deg r0.  Those two rows are both the
-minimal basis of the interpolation problem and the mu-basis of a plane
-parametrization.  Index 0 is critical exactly when deg r1 <= 0: rows
-(r0, 0) and (r1, 1) split n = n + 0.
+``degree_split`` picks the rows at the smallest critical index at a
+shift sigma, where consecutive shifted row degrees max(deg r_i,
+deg s_i + sigma) split n + sigma, n = deg r0: the sigma-reduced basis of
+Van Barel & Bultheel (1990) and Beckermann & Labahn (1994).  As
+deg s_i = n - deg r_{i-1}, deg r_i - deg s_i falls strictly along the
+trace, from +inf at row 0, so one index is critical where it passes
+sigma, or two where it equals sigma at a row.  Index 0 is critical
+exactly when deg r1 <= sigma: rows (r0, 0) and (r1, 1) split n + sigma.
+At sigma = 0 the two rows are both the minimal basis of the
+interpolation problem and the mu-basis of a plane parametrization.  At
+sigma = 2d + 1 - n the low row answers the prescribed split deg a <= d,
+deg b <= n - d - 1, whose pairs are those of shifted degree <= d: the
+two degrees sum to 2d + 1, so only the low row qualifies.  It is row k,
+the first with deg r_k <= d, as deg r_{k-1} >= d + 1 gives deg s_k
+<= n - d - 1.  A trace stopped at ``bound`` d + 1 keeps the split rows:
+the first remainder of degree <= d + 1 is row k - 1 or k, and the
+smallest sigma-critical index is k - 1 or k.  It is k - 1 when
+deg r_{k-1} = d + 1, where the trace ends at row k; otherwise the
+trace runs to row k + 1 and holds both candidate pairs.
 """
 
 from __future__ import annotations
@@ -237,38 +251,38 @@ def _require_complete(trace: EEATrace) -> None:
         raise ValueError("this needs every row; the trace was truncated")
 
 
-def critical_indices(trace: EEATrace) -> tuple[int, ...]:
-    """All trace indices whose row pair splits n; there are one or two.
+def critical_indices(trace: EEATrace, shift: int = 0) -> tuple[int, ...]:
+    """All trace indices whose row pair splits n + shift; there are one or two.
 
-    Index i qualifies when deg r_i >= deg s_i and deg s_{i+1} >= deg r_{i+1},
-    which by the cumulative degree identities is the straddle condition on
-    the quotient degree sums.
+    Index i qualifies when deg r_i >= deg s_i + shift and deg s_{i+1} + shift >= deg r_{i+1},
+    which by the cumulative degree identities is the straddle condition on the quotient degree
+    sums.  One pass reads each row's two degrees once, off its unit row (a row's degrees are its
+    unit row's).
     """
-    pairs = [trace.unit_pair(i) for i in range(trace.N + 2)]  # a row's degrees are its unit row's
-    out = tuple(
-        i for i in range(trace.N + 1)
-        if pairs[i][0].degree >= pairs[i][1].degree
-        and pairs[i + 1][1].degree >= pairs[i + 1][0].degree
-    )
-    _certify(1 <= len(out) <= 2, f"critical index count {len(out)}; broken remainder sequence")
-    return out
+    out, r_side = [], False  # r_side: the row before has deg r >= deg s + shift
+    for i, row in enumerate(trace.unit_rows):
+        dr, ds = row[0].degree, row[1].degree + shift
+        if r_side and ds >= dr:
+            out.append(i - 1)
+        r_side = dr >= ds
+    if not 1 <= len(out) <= 2:
+        raise CertificateError(f"critical index count {len(out)}; broken remainder sequence")
+    return tuple(out)
 
 
-def degree_split(trace: EEATrace) -> tuple[int, int, int, int]:
-    """(i, low, high, mu): the indices i and i+1 at the smallest critical index i.
+def degree_split(trace: EEATrace, shift: int = 0) -> tuple[int, int, int, int]:
+    """(i, low, high, mu): the indices i and i+1 at the smallest critical index i at this shift.
 
-    A row's degree is max(deg r, deg s) (deg t never exceeds it).  The
-    indices come ordered by row degree, row i staying low on a tie, and
-    mu is the low degree.  Both the minimal basis of the weak pairs and
-    the mu-basis of moving lines are this split.  Certificate: the two
-    degrees sum to n, else ``CertificateError``.
+    A row's degree is its shifted degree max(deg r, deg s + shift) (deg t never exceeds
+    max(deg r, deg s)); at a critical index that is deg r_i for row i and deg s_{i+1} + shift
+    for row i + 1.  The indices come ordered by row degree, row i staying low on a tie, and mu
+    is the low degree.  Certificate: the two degrees sum to n + shift, else ``CertificateError``.
     """
-    i = critical_indices(trace)[0]
-    low, high = i, i + 1
-    d_low, d_high = (int(max(r.degree, s.degree)) for r, s in map(trace.unit_pair, (low, high)))
-    if d_high < d_low:
-        low, high, d_low, d_high = high, low, d_high, d_low
-    _certify(d_low + d_high == trace.n, f"row degrees {d_low} + {d_high} do not split n = {trace.n}")
+    i = critical_indices(trace, shift)[0]
+    d_i, d_next = trace.unit_rows[i][0].degree, trace.unit_rows[i + 1][1].degree + shift
+    low, high, d_low, d_high = (i, i + 1, d_i, d_next) if d_i <= d_next else (i + 1, i, d_next, d_i)
+    if d_low + d_high != trace.n + shift:
+        raise CertificateError(f"row degrees {d_low} + {d_high} do not split n + shift = {trace.n + shift}")
     return i, low, high, d_low
 
 

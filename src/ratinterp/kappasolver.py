@@ -7,9 +7,10 @@ each realized by the reduced row fraction r_k/s_k; every value >= n is
 admissible as well, realized by the polynomial (x**(kappa - n) + 1)*f + g.
 
 The prescribed-split problem (numerator degree <= d, denominator degree
-<= n - d - 1) is decided by the single trace row whose remainder degree
-first drops to d or below: it is solvable iff that row's r and s are
-coprime, and then the reduced row fraction is the solution.
+<= n - d - 1) is decided by the low row of the degree split at shift
+2d + 1 - n (``eea.degree_split``, whose docstring has the argument): it
+is solvable iff that row's r and s are coprime, and then the reduced
+row fraction is the solution.
 
 Row fractions are built by ``hermite.interpolant``, which reads
 coprimality off the trace, never from a generic gcd.  It reads each row
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eea import Decomposition, decompose
+from .eea import Decomposition, decompose, degree_split
 from .errors import KappaNotAdmissible, NotAnInterpolant
 from .exactpoly import ONE, Poly, as_degree, monomial
 from .hermite import InterpolationData, RationalFunction, interpolant, weak_cofactor
@@ -161,10 +162,6 @@ def hermite_rational(data: InterpolationData, d: int) -> RationalFunction | None
     n = data.n
     if as_degree(d, "d") > n - 1:
         raise ValueError(f"d must lie in 0..{n - 1}, got {d}")
-    # the answer is row k, the first with deg r_k <= d.  Degrees drop strictly from row 1
-    # on, so the first remainder of degree <= d + 1 is row k - 1 or row k, and the trace,
-    # which stops one row past it, ends at row k or k + 1.  k may be the zero row N + 1:
-    # 0/1 for all-zero data, else None (its s vanishes at a node)
-    trace = data.trace(bound=d + 1)
-    k = next(k for k in range(1, trace.N + 2) if trace.unit_pair(k)[0].degree <= d)
-    return interpolant(*trace.unit_pair(k), data)
+    trace = data.trace(bound=d + 1)  # keeps the split rows at shift 2d + 1 - n (``eea`` docstring)
+    low = degree_split(trace, 2 * d + 1 - n)[1]
+    return interpolant(*trace.unit_pair(low), data)

@@ -38,7 +38,7 @@ import ratinterp.eea as ea
 from ratinterp import (
     CertificateError, EEATrace, InterpolationData, MinimalBasis, ONE, ZERO, X,
     PlaneParametrization, Poly, critical_indices, decompose, extended_euclid,
-    hermite_polynomial, minimal_delta_solutions, monomial, mu_basis, nodal_poly,
+    hermite_polynomial, hermite_rational, minimal_delta_solutions, monomial, mu_basis, nodal_poly,
 )
 
 data = InterpolationData.from_pairs([(0, [-2]), (2, [6]), (-1, [-3, 3])])
@@ -89,6 +89,9 @@ ds.minimal_basis = lambda d: MinimalBasis(basis.pair1, basis.pair2, 1, 2, 2)
 raises("family member", lambda: minimal_delta_solutions(data))
 curve = PlaneParametrization(Poly([0, 0, 6, 0, -4]), Poly([0, 4, 0, -4]))
 raises("mu_basis", lambda: mu_basis(curve))
+# n = 4: at d = 3 = n - 1 no division runs, so the padded trace is never built
+for d in range(3):
+    raises(f"hermite_rational at d = {d}", lambda: hermite_rational(data, d))
 
 
 def tampered(r0, r1, **kw):

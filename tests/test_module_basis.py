@@ -4,10 +4,12 @@ The library reads the minimal basis of the weak pairs off the EEA rows at the cr
 ``module_basis`` (conftest) builds one from the syzygy side, one node at a time, and shares no
 code with the trace.  On simple nodes at n = 32 to 96, and on multiple nodes at n = 32 and 64,
 the two must agree on mu1 and mu2, on UNIQUE or FAMILY, and, where mu1 < mu2, on the low pair up
-to a constant.  With the shift 2d + 1 - n the low column answers the prescribed split
-deg a <= d, deg b <= n - 1 - d, which the library reads off the trace in ``hermite_rational``;
-and the low columns over all shifts give the admissible degree sums below n, which the library
-reads off the trace rows in ``admissible_kappa``.
+to a constant.  At every shift the library's ``degree_split(trace, shift)`` and the columns of
+``module_basis(data, shift=shift)`` are both reduced bases at that shift, so their shifted degrees
+max(deg a, deg b + shift) must agree.  With the shift 2d + 1 - n the low column answers the
+prescribed split deg a <= d, deg b <= n - 1 - d, which ``hermite_rational`` reads off the low row
+of that split; and the low columns over all shifts give the admissible degree sums below n,
+which the library reads off the trace rows in ``admissible_kappa``.
 """
 
 import math
@@ -17,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 from ratinterp import (
-    InterpolationData, Poly, admissible_delta_set, admissible_kappa, check_weak, hermite_rational, minimal_basis,
+    InterpolationData, Poly, admissible_delta_set, admissible_kappa, check_weak, degree_split, hermite_rational,
+    minimal_basis,
 )
 
 from conftest import derivative, module_basis, planted_data, repeated_node_data
@@ -238,3 +241,22 @@ KAPPA_CASES = [(make, n) for make in KAPPA_KINDS for n in (8, 12, 16)] + [(plant
 def test_the_kappa_set_matches_the_shifted_low_columns(make, n):
     data = make(random.Random(n), n)
     assert kappa_set(data) == {e.kappa for e in admissible_kappa(data).isolated}
+
+
+SHIFT_CASES = [(make, n, seed) for make in (integer_nodes, repeated_node_data, planted_small) for n in (8, 12, 16)
+               for seed in range(2)]
+SHIFT_CASES += [(planted, 24, 0)]
+
+
+@pytest.mark.parametrize("make, n, seed", SHIFT_CASES,
+                         ids=[f"{make.__name__}-{n}-{seed}" for make, n, seed in SHIFT_CASES])
+def test_the_shifted_split_matches_the_shifted_columns(make, n, seed):
+    """At every shift from -n - 2 to n + 2 the two shifted degrees max(deg a, deg b + shift) of
+    the columns are (mu, n + shift - mu), mu from ``degree_split`` of the complete trace at that
+    shift: both are reduced bases at the shift, whose shifted degrees the module fixes."""
+    data = make(random.Random(seed), n)
+    complete = data.trace()
+    for shift in range(-n - 2, n + 3):
+        columns = sorted(max(a.degree, b.degree + shift) for a, b in module_basis(data, shift=shift))
+        mu = degree_split(complete, shift)[3]
+        assert columns == [mu, n + shift - mu], shift
