@@ -23,7 +23,7 @@ quietly), 2 on malformed input, a problem file holding both "points" and
 "r0"/"r1", a problem of the wrong kind, conflicting mode flags, a problem
 of degree above ``MAX_DEGREE`` (``ORACLE_MAX_DEGREE`` for ``oracle`` on
 interpolation data, ``KAPPA_SET_MAX_DEGREE`` for ``oracle --kappa-set``),
-or a problem whose size in bits (``_input_size``, ``_polynomial``) is above
+or a problem whose size in bits (``InterpolationData.input_size``, ``_polynomial``) is above
 ``MAX_INPUT_SIZE``.
 """
 
@@ -59,7 +59,7 @@ ORACLE_MAX_DEGREE = 72
 KAPPA_SET_MAX_DEGREE = 24
 
 
-# Largest accepted n*B (``_input_size``; ``_polynomial`` gives B of a parametrization).  Trace
+# Largest accepted n*B (``InterpolationData.input_size``; ``_polynomial`` gives B of a parametrization).  Trace
 # coefficients grow with n times the bits of the two inputs, not with n alone, and node
 # denominators multiply into lead f.  Fitted to `hermite-d -d 2` run in-process on nodes
 # k/(10^D + k), k = 1..n (README): 17 s at n = 128, D = 1 (n*B = 175,616) and 8.3 s at n = 64,
@@ -69,21 +69,6 @@ KAPPA_SET_MAX_DEGREE = 24
 # 100-digit coefficients (2.7 million, 16 s) is refused; `eea` on them, whose full trace has raw
 # rows, is many times slower than `mu-basis`, so the same cap stays.
 MAX_INPUT_SIZE = 150_000
-
-
-def _input_size(data: InterpolationData) -> int:
-    """n*B, with B the bits of each node's numerator and denominator summed over the conditions,
-    plus the bits of the largest value's numerator and denominator: O(n) ``bit_length`` calls."""
-    nodes = value = 0
-    for x, values in data.points:
-        p, q = x.as_integer_ratio()  # one call, where .numerator and .denominator are two
-        nodes += (p.bit_length() + q.bit_length()) * len(values)
-        for v in values:
-            p, q = v.as_integer_ratio()
-            bits = p.bit_length() + q.bit_length()
-            if bits > value:
-                value = bits
-    return data.n * (nodes + value)
 
 
 def _polynomial(data) -> tuple[Poly, int]:
@@ -122,7 +107,7 @@ def _read_problem(args):
         raise ValueError('problem file must contain "points" or "r0"/"r1", not both')
     if "points" in obj:
         problem = InterpolationData.from_json_dict(obj)
-        size = _input_size(problem)
+        size = problem.input_size
         what = "the node numerators and denominators over the conditions and adds the bits of the largest value"
     elif "r0" in obj and "r1" in obj:
         (r0, bits0), (r1, bits1) = _polynomial(obj["r0"]), _polynomial(obj["r1"])

@@ -19,24 +19,28 @@ refuse it.  A trace keeps every row it computes and every quotient.
 The raw rows carry scales that grow along the trace, to about 136,000
 bits at deg r0 = 96, while the integer lists stay near the subresultant
 size, about 2,400 bits there (von zur Gathen & Gerhard, ch. 6).  So the
-loop runs on *unit rows*: from row 2 on, each remainder's own integer
-list at scale 1, with its cofactors divided by that same scale c_i.
-Each row is one kernel call, ``exactpoly.euclid_step``: it divides,
-splits off the step rho and updates every cofactor column,
-(p - Q*c)/rho.  Every step takes that one path: one integer division,
-closed form on a linear step, the step of a normal remainder sequence,
-and each column on integers with one content pass; a linear step
-between unit rows, whose scale is 1/1, takes no scale product.
-``check_invariants`` checks the stored rows with the same recurrence
-(``exactpoly.euclid_update``).  A raw row is c_i times its unit row, and
-is rebuilt from it, exactly, when it is read: the printed rows, the
-basis pairs, the kappa witnesses and ``decompose`` read raw rows.
-Readers that do not depend on a row's scale (its degrees, a quotient's
-degree, the reduced fraction r_i/s_i scaled monic) read the unit rows
-through ``unit_pair`` and the unit quotients.  Every trace is built one
-way, from unit rows, unit quotients and the loop's scale steps; without
-steps every step is 1, so the rows given are raw, as in the trivial
-trace below.  A *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
+loop carries each row as one *joint row*, the row up to one constant: r as
+e times its primitive integer list, and the integer lists of s[, t] end to
+end, run on the integer lists (A, B) of (r0, r1) (s and t are over r1's
+and r0's scales).  Each row is one kernel call, ``exactpoly.euclid_step``:
+one integer division of the primitive r lists, the combination
+D*J_{i-1} - Q*J_i of the row, and one content pass over the row; it takes
+no scale and builds no polynomial.  The trace keeps those rows with each
+step's (D, Q, g), and reads every degree off the lists' lengths.  A *unit
+row* is a row at the scale where r is its own integer list at scale 1
+(rows 0 and 1 are raw): from row 2 on, r_i and s_i over c_i.  A unit row, unit quotient or step
+is built when it is first read, from the joint rows, and kept;
+``check_invariants`` checks them with the recurrence of the per-column
+kernel (``exactpoly.euclid_update``), which the loop does not run.  A raw
+row is c_i times its unit row, and is rebuilt from it, exactly, when it
+is read: the printed rows, the basis pairs, the kappa witnesses and
+``decompose`` read raw rows.  Readers that do not depend on a row's scale
+(its degrees, a quotient's degree, the reduced fraction r_i/s_i scaled
+monic) read the unit rows through ``unit_pair`` and the unit quotients,
+so an answer read off one row builds one unit row.  A trace built from
+given unit rows, unit quotients and steps (the constructor) keeps them;
+without steps every step is 1, so the rows given are raw, as in the
+trivial trace below.  A *half* trace has rows (r_i, s_i) only; its ``t(i)`` derives t_i from the
 row identity by exact division by r0, a checked certificate.  Queries
 take half traces from ``half_trace``, which maps r1 = 0, refused by
 ``extended_euclid``, to the trivial trace: rows (r0, 0), (0, 1), N = 0,
@@ -76,7 +80,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, DegreeTie, NotASyzygy, ZeroSecondInput
-from .exactpoly import NEG_INF, ONE, ZERO, Poly, euclid_step, euclid_update
+from .exactpoly import (NEG_INF, ONE, ZERO, Poly, cofactor_parts, euclid_start, euclid_step, euclid_update,
+                        primitive, scaled)
 
 Row = tuple[Poly, ...]  # (r_i, s_i, t_i); (r_i, s_i) in a half trace
 
@@ -86,25 +91,46 @@ PAD_WIDTH = 80  # the text table pads no column whose widest cell is wider
 class EEATrace:
     """Rows (r_i, s_i, t_i), or (r_i, s_i) if half, for i = 0..N+1 and quotients q_1..q_N.
 
-    Row i is kept as c_i times its *unit row*, and q_i as its unit quotient over u_i, for
-    nonzero constants c_i and u_i.  The raw readers (``rows``, ``quotients``, ``r``, ``s``,
-    ``t``, ``q``) rebuild a raw row on its first read and keep it.  The degrees and
-    ``unit_pair`` read the unit rows, for readers that do not depend on a row's scale.
+    Row i is c_i times its *unit row*, and q_i is its unit quotient over u_i, for nonzero
+    constants c_i and u_i.  A trace run by ``extended_euclid`` keeps the loop's joint rows, each
+    row up to a constant, with each step's (D, Q, g), and builds a unit row, unit
+    quotient or step on its first read; a trace built from its unit rows (the constructor) keeps
+    those.  ``degrees`` holds (deg r_i, deg s_i) for every row, read off the stored lists.  The
+    raw readers (``rows``, ``quotients``, ``r``, ``s``, ``t``, ``q``) rebuild a raw row on its
+    first read and keep it; ``unit_pair`` reads a unit row, for readers that do not depend on a
+    row's scale.
     """
 
     def __init__(self, rows: tuple[Row, ...], quotients: tuple[Poly, ...],
-                 steps: tuple[Poly, ...] | None = None) -> None:
+                 steps: tuple[Poly, ...] | None = None, loop: tuple | None = None) -> None:
         """The trace with these unit rows, unit quotients and steps; every step 1 if none are given.
 
         steps[k] is rho_{k+2} of ``extended_euclid``: c_0 = c_1 = u_1 = 1, c_i = steps[i-2]*c_{i-2}
         and u_{i+1} = steps[i-1]/u_i, so that u_i = c_i/c_{i-1}.  With every step 1, every c_i and
         u_i is 1: the rows and quotients given are the raw ones.
+
+        ``extended_euclid`` passes the start rows, None for every later row, quotient and step, and
+        ``loop``: its joint rows J_i of (A, B) = (r0/mu, r1/lambda), for the scales mu and lambda of
+        r0 and r1, with the divisions (D, Q, g) of ``exactpoly.euclid_step``, divisions[i-1] for
+        row i+1, and the scales ((num, den) of mu, of lambda).  Row i of (r0, r1) is (r, s/lambda,
+        t/mu) of J_i up to a constant, and unit row i is that over E_i: E_0 = 1/mu and E_1 =
+        1/lambda (rows 0 and 1 are raw), and from row 2 on E_i is the multiplier e of J_i's
+        primitive r list, so unit r_i is that list at scale 1.  Then the unit quotient is
+        Q_i = E_i/(D*E_{i-1})*Q and the step rho_{i+1} = g*E_{i+1}/(D*E_{i-1}), as
+        rho_{i+1}*U_{i+1} = U_{i-1} - Q_i*U_i; the zero row is g*J/(D*E_{N-1}), at step 1.
         """
-        self.unit_rows, self.unit_quotients = rows, quotients
-        self._steps = steps or (ONE,) * (len(rows) - 2)
+        self._units, self._unit_quotients = list(rows), list(quotients)
+        self._steps = list(steps or (ONE,) * (len(rows) - 2))
         self._raw: list[Row | None] = [*rows[:2], *[None] * (len(rows) - 2)]
         self._quotients: tuple[Poly, ...] | None = None
-        self._scales: list[Poly] = []
+        self._scales = [ONE, ONE]
+        if loop is None:
+            self.degrees = tuple([(row[0].degree, row[1].degree) for row in rows])
+        else:
+            self._joint, self._divisions, ((mn, md), (ln, ld)) = loop
+            self._start_divisors = ((md, mn), (ld, ln))  # E_0 = 1/mu, E_1 = 1/lambda; s takes E_1, t E_0
+            self.degrees = tuple([(len(r) - 1 if r else NEG_INF, k[0] - 1 if k[0] else NEG_INF)
+                                  for r, _, _, k in self._joint])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EEATrace):
@@ -119,45 +145,96 @@ class EEATrace:
 
     @property
     def N(self) -> int:
-        return len(self.unit_quotients)
+        return len(self._unit_quotients)
 
     @property
     def n(self) -> int:
-        return self.unit_rows[0][0].degree
+        return self.degrees[0][0]
 
     @property
     def complete(self) -> bool:
         """True iff r_{N+1} = 0, i.e. the run was not truncated."""
-        return self.unit_rows[self.N + 1][0].is_zero
+        return self.degrees[self.N + 1][0] == NEG_INF
+
+    @property
+    def unit_rows(self) -> tuple[Row, ...]:
+        return tuple([self._unit_row(i) for i in range(len(self._units))])
+
+    @property
+    def unit_quotients(self) -> tuple[Poly, ...]:
+        return tuple([self._unit_quotient(k) for k in range(len(self._unit_quotients))])
+
+    @property
+    def steps(self) -> tuple[Poly, ...]:
+        return tuple([self._step(k) for k in range(len(self._steps))])
 
     @property
     def rows(self) -> tuple[Row, ...]:
-        return tuple(self._row(i) for i in range(len(self.unit_rows)))
+        return tuple([self._row(i) for i in range(len(self._units))])
 
     @property
     def quotients(self) -> tuple[Poly, ...]:
         """Every q_i = Q_i/u_i, with u_1 = 1 and u_{i+1} = steps[i-1]/u_i: two scale quotients a row."""
         if self._quotients is None:
-            quotients, u = list(self.unit_quotients[:1]), ONE
-            for step, unit in zip(self._steps, self.unit_quotients[1:]):
+            units = self.unit_quotients
+            quotients, u = list(units[:1]), ONE
+            for step, unit in zip(self.steps, units[1:]):
                 u = step.div_rem(u)[0]
                 quotients.append(unit.div_rem(u)[0])
             self._quotients = tuple(quotients)
         return self._quotients
 
+    def _divisor(self, i: int) -> tuple[int, int]:
+        """E_i of the loop's rows as (num, den), for a nonzero r_i: the loop gives it from row 2 on."""
+        return self._start_divisors[i] if i < 2 else (self._joint[i][1], 1)
+
+    def _unit_row(self, i: int) -> Row:
+        row = self._units[i]
+        if row is None:
+            joint = self._joint[i]
+            if joint[0]:  # R over 1/E_i, which is R itself, and the cofactors over E_i
+                r, num, den = primitive(joint[0]), 1, joint[1]
+            else:  # the zero row: g/(D*E_{N-1})
+                D, _, g = self._divisions[i - 2]
+                (en, ed), r = self._divisor(i - 2), ZERO
+                num, den = g * ed, D * en
+            cofactors = zip(cofactor_parts(joint), reversed(self._start_divisors))
+            row = self._units[i] = (r, *[scaled(num * sn, den * sd, part) for part, (sn, sd) in cofactors])
+        return row
+
+    def _unit_quotient(self, k: int) -> Poly:
+        """Q_{k+1}, the unit quotient of rows k and k + 1."""
+        q = self._unit_quotients[k]
+        if q is None:
+            D, Q, _ = self._divisions[k]
+            (an, ad), (bn, bd) = self._divisor(k), self._divisor(k + 1)
+            q = self._unit_quotients[k] = scaled(bn * ad, bd * D * an, Q)
+        return q
+
+    def _step(self, k: int) -> Poly:
+        """rho_{k+2}, the step into row k + 2; 1 into the zero row."""
+        rho = self._steps[k]
+        if rho is None:
+            rho = ONE
+            if self.degrees[k + 2][0] >= 0:
+                D, _, g = self._divisions[k]
+                (an, ad), (cn, cd) = self._divisor(k), self._divisor(k + 2)
+                rho = scaled(g * cn * ad, cd * D * an, (1,))
+            self._steps[k] = rho
+        return rho
+
     def _row(self, i: int) -> Row:
         row = self._raw[i]
         if row is None:
-            if not self._scales:  # the first rebuild: c_0..c_{N+1}, one product by a small step per row
-                self._scales = [ONE, ONE, *self._steps[:2]]
-                for step in self._steps[2:]:
-                    self._scales.append(step * self._scales[-2])
-            row = self._raw[i] = _rescale(self._scales[i], self.unit_rows[i])
+            scales = self._scales
+            while len(scales) <= i:  # c_i = rho_i*c_{i-2}, one product by a small step per row
+                scales.append(self._step(len(scales) - 2) * scales[-2])
+            row = self._raw[i] = _rescale(scales[i], self._unit_row(i))
         return row
 
     def unit_pair(self, i: int) -> tuple[Poly, Poly]:
         """(r_i, s_i)/c_i: the pair up to a constant, for readers that do not depend on its scale."""
-        return self.unit_rows[i][:2]
+        return self._unit_row(i)[:2]
 
     def r(self, i: int) -> Poly:
         return self._row(i)[0]
@@ -177,7 +254,7 @@ class EEATrace:
     def full_rows(self) -> tuple[Row, ...]:
         """Every row as (r_i, s_i, t_i), t read through ``t(i)``; a complete trace only."""
         _require_complete(self)
-        return tuple((self.r(i), self.s(i), self.t(i)) for i in range(len(self.unit_rows)))
+        return tuple((self.r(i), self.s(i), self.t(i)) for i in range(len(self._units)))
 
     def q(self, i: int) -> Poly:
         """Quotient q_i, 1-indexed: r_{i-1} = q_i * r_i + r_{i+1}."""
@@ -194,18 +271,22 @@ class EEATrace:
         so deg r_{i-1} = deg q_i + deg r_i, deg q_i >= 1 for i >= 2, and deg s_{i+1} = deg q_1 +
         ... + deg q_i.
 
-        It reads what is stored and rebuilds no raw row.  The raw readers define c_{i+1} =
+        It builds every unit row, unit quotient and step (for a trace of the loop, from its joint
+        rows), checks the degrees the readers read (``degrees``) against them, and rebuilds no raw
+        row; ``euclid_update`` is the per-column kernel, which the loop does not run.  The raw readers define c_{i+1} =
         rho_{i+1}*c_{i-1} and q_i*c_i = Q_i*c_{i-1}, so the raw recurrence divided by c_{i-1} is
         rho_{i+1}*U_{i+1} = U_{i-1} - Q_i*U_i on the unit rows U and unit quotients Q, checked by
         ``euclid_update``.  With every rho a nonzero constant every c_i is nonzero, so a unit row
         has its raw row's degrees.  Without steps every rho is 1: the raw recurrence itself.
         """
-        N, rows, steps = self.N, self.unit_rows, self._steps
+        N, rows, steps = self.N, self.unit_rows, self.steps
         _certify(len(rows) == N + 2 == len(steps) + 2, "row count does not match the quotients")
         _certify(all(rho.degree == 0 for rho in steps), "a step is not a nonzero constant")
         _certify((rows[0][1:], rows[1][1:]) in (((ZERO, ONE), (ONE, ZERO)), ((ZERO,), (ONE,))),
                  "start rows are not (s, t) = (0, 1), (1, 0)")
         _certify(rows[0][0].degree >= rows[1][0].degree and not rows[N][0].is_zero, "deg r0 < deg r1, or r_N = 0")
+        _certify(self.degrees == tuple([(row[0].degree, row[1].degree) for row in rows]),
+                 "the stored degrees are not the rows' degrees")
         for i, (q, rho) in enumerate(zip(self.unit_quotients, steps), 1):
             _certify(rows[i + 1][0].degree < rows[i][0].degree, f"degree not dropping at {i}")
             _certify(rows[i + 1] == tuple(euclid_update(p, q, c, rho) for p, c in zip(rows[i - 1], rows[i])),
@@ -260,8 +341,8 @@ def critical_indices(trace: EEATrace, shift: int = 0) -> tuple[int, ...]:
     unit row's).
     """
     out, r_side = [], False  # r_side: the row before has deg r >= deg s + shift
-    for i, row in enumerate(trace.unit_rows):
-        dr, ds = row[0].degree, row[1].degree + shift
+    for i, (dr, ds) in enumerate(trace.degrees):
+        ds += shift
         if r_side and ds >= dr:
             out.append(i - 1)
         r_side = dr >= ds
@@ -279,7 +360,7 @@ def degree_split(trace: EEATrace, shift: int = 0) -> tuple[int, int, int, int]:
     is the low degree.  Certificate: the two degrees sum to n + shift, else ``CertificateError``.
     """
     i = critical_indices(trace, shift)[0]
-    d_i, d_next = trace.unit_rows[i][0].degree, trace.unit_rows[i + 1][1].degree + shift
+    d_i, d_next = trace.degrees[i][0], trace.degrees[i + 1][1] + shift
     low, high, d_low, d_high = (i, i + 1, d_i, d_next) if d_i <= d_next else (i + 1, i, d_next, d_i)
     if d_low + d_high != trace.n + shift:
         raise CertificateError(f"row degrees {d_low} + {d_high} do not split n + shift = {trace.n + shift}")
@@ -315,33 +396,33 @@ def extended_euclid(r0: Poly, r1: Poly, *, half: bool = False, bound: int | floa
     r_{N+1} = 0 if that comes first.  Keywords, not more functions, so
     that every run of the algorithm is a call of this one.
 
-    The loop runs on unit rows, one call of ``exactpoly.euclid_step`` per row.  Rows 0 and 1
-    are the raw start rows.  Dividing the unit remainders r_{i-1} and r_i gives the unit
-    quotient Q_i and a remainder rho_{i+1} times an integer list at scale 1 (rho = 1 on the
-    zero row).  That list is unit remainder i+1, and each unit cofactor follows as
-    (s_{i-1} - Q_i*s_i)/rho_{i+1}, so no gcd in the loop meets a raw scale.  Every step, linear
-    or a jump, takes one integer division and every column on integers, on one path; where a
-    linear step divides one unit remainder by another (r_2 by r_3 and on), both at scale 1/1,
-    it takes no scale product.
-    The raw scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from c_0 = c_1 = 1, and the raw
-    quotients as q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and u_{i+1} = rho_{i+1}/u_i:
-    one product or quotient of a large number by a small one per row.
-    A half trace rebuilds a raw row when it is first read.  A full trace, whose readers (the
-    ``eea`` table, ``full_rows``) read every row, is returned with its raw rows and quotients
+    The loop runs on joint rows, one call of ``exactpoly.euclid_step`` per row: each row is
+    (r, s[, t]) up to one constant, r as a multiplier times its primitive integer list and the
+    cofactors as integer lists, starting from the integer lists (A, B) of (r0, r1).  Dividing the
+    primitive r lists gives the next r, and the next row is (D*J_{i-1} - Q*J_i)/g for the content
+    g of the whole row, one content pass a row; no scale and no polynomial is built in the loop.
+    The trace keeps the rows and each (D, Q, g), and builds a unit row, unit quotient or step
+    when one is read (``EEATrace``'s ``loop``).  The raw
+    scales follow as c_{i+1} = rho_{i+1}*c_{i-1} from c_0 = c_1 = 1, and the raw quotients as
+    q_i = Q_i/u_i with u_i = c_i/c_{i-1}, u_1 = 1 and u_{i+1} = rho_{i+1}/u_i: one product or
+    quotient of a large number by a small one per row.
+    A half trace rebuilds a unit or raw row when it is first read.  A full trace, whose readers
+    (the ``eea`` table, ``full_rows``) read every row, is returned with its raw rows and quotients
     built.
     """
     if r1.is_zero:
         raise ZeroSecondInput("the second input polynomial is zero")
     if r0.is_zero or r0.degree < r1.degree:
         raise ValueError("inputs must satisfy deg r0 >= deg r1 >= 0, both nonzero")
-    rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
-    steps, quotients = [], []
-    while not rows[-1][0].is_zero and rows[-2][0].degree > bound:
-        q, rho, row = euclid_step(rows[-2], rows[-1])
-        quotients.append(q)
-        steps.append(rho)
-        rows.append(row)
-    trace = EEATrace(tuple(rows), tuple(quotients), tuple(steps))
+    start = ((r0, ZERO), (r1, ONE)) if half else ((r0, ZERO, ONE), (r1, ONE, ZERO))
+    j0, j1, *scales = euclid_start(r0, r1, len(start[0]))
+    joint, divisions = [j0, j1], []
+    while joint[-1][0] and len(joint[-2][0]) - 1 > bound:
+        D, Q, g, row = euclid_step(joint[-2], joint[-1])
+        divisions.append((D, Q, g))
+        joint.append(row)
+    empty = [None] * len(divisions)
+    trace = EEATrace((*start, *empty), empty, empty, (joint, divisions, scales))
     if not half:
         trace.rows, trace.quotients  # built here: a full trace's readers read every row
     return trace
@@ -382,8 +463,8 @@ def decompose(a: Poly, b: Poly, c: Poly, trace: EEATrace) -> Decomposition:
         residue = residue - m[i] * trace.r(i)
     m[0], rem = residue.div_rem(r0)  # equals c - sum m_i * t_i
     _certify(rem.is_zero, "r0 does not divide the r-column residue; broken trace")
-    for i in range(1, N + 1):
+    for i, q in enumerate(trace.unit_quotients, 1):
         # automatic for genuine syzygies; a violation means a broken trace
-        if m[i].degree >= trace.unit_quotients[i - 1].degree:  # q_i's degree is its unit quotient's
+        if m[i].degree >= q.degree:  # q_i's degree is its unit quotient's
             raise CertificateError(f"coordinate m_{i} too large for q_{i}; broken trace")
     return Decomposition(tuple(m))

@@ -25,11 +25,16 @@ differences and the recurrence (p - q*c)/rho of an EEA column
 (``euclid_update``) are one kernel, the two-term combination
 (a*p - e*Q*c)/d of ``_combine``, in one pass and one content pass with no
 intermediate polynomial: a sum is its case a = d = 1, Q = (1,), e = -1.
-``euclid_step`` takes one whole row of the extended Euclidean algorithm
-in one call and on one path for every quotient: it divides, splits the
-remainder into its step and its integer list, and updates every cofactor
-column through ``_combine``, with no scale product by a unit row's scale
-1/1.  Evaluation runs Horner on the integers and builds one Fraction at
+The extended Euclidean loop runs on a kernel of its own, on integers only:
+``euclid_step`` takes one *joint row*, a row (r, s[, t]) up to one constant:
+r as e times its primitive integer list, and the cofactors' integer lists
+end to end.  It divides the primitive r lists (``_division``), applies the
+matching combination D*prev - Q*cur to the cofactors (one comprehension
+over all of them for a linear quotient) and takes one content pass over
+the row.  ``scaled`` makes a polynomial of a list when a reader asks for
+it, so only the cofactors of rows that are read take a normal form; an r
+list is already one (``primitive``).
+Evaluation runs Horner on the integers and builds one Fraction at
 the end; the node test (``nonzero_at``, ``roots_among``) reads the
 integer Horner accumulator alone and builds none.  At an integer point
 (denominator q == 1) Horner takes no power of q.
@@ -63,6 +68,7 @@ import re
 from collections import namedtuple
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -550,8 +556,8 @@ def _combine(p: Poly, a: int, Q: tuple[int, ...] | list[int], e: int, c: Poly, d
     """(a*p - e*Q*c)/d for nonzero integers a and d, an integer list Q and an integer e != 0 if Q != [].
 
     The one two-term combination of the kernel: a sum p + c is (1*p - (-1)*(1)*c)/1, a
-    difference (1*p - 1*(1)*c)/1, and an EEA column (a*p - e*Q*c)/d (``euclid_update``,
-    ``euclid_step``).  With the scales of a*p and e*c reduced to pn/pd and cn/cd, g =
+    difference (1*p - 1*(1)*c)/1, and an EEA column (a*p - e*Q*c)/d (``euclid_update``; the
+    loop's own ``euclid_step`` does not use it).  With the scales of a*p and e*c reduced to pn/pd and cn/cd, g =
     gcd(pn, cn) and l = lcm(pd, cd), the numerator is (g/l)*(u*P - v*Q*C) on the integer
     lists, with cofactors u = pn/g * l/pd and v = cn/g * l/cd; g/l is reduced, as each scale
     is.  v goes into the few entries of Q; for a linear Q the whole numerator is one
@@ -589,45 +595,118 @@ def _convolve(a, b) -> list[int]:
     return out
 
 
-def euclid_step(prev: tuple[Poly, ...], cur: tuple[Poly, ...]) -> tuple[Poly, Poly, tuple[Poly, ...]]:
-    """(Q, rho, next row) for rows (r, *cofactors) with deg r_prev >= deg r_cur: one Euclidean row.
+# A row up to one constant, as the loop carries it: (R, e, C, sizes), the row being e*R for r and
+# the integer lists C end to end, of the given lengths, for the cofactors; R is primitive with a
+# positive lead, so e is the content of the r part signed as its lead (R = [] and e = 0 for r = 0).
+Joint = tuple[list[int], int, list[int], tuple[int, ...]]
 
-    Q and rho*r are the quotient and remainder of r_prev by r_cur, r the remainder's integer
-    list at scale 1 (r = 0 and rho = 1 on the zero row), and each cofactor of the next row is
-    (p - Q*c)/rho, as ``div_rem`` and ``euclid_update`` per column give it.
 
-    Every step, linear, a jump or onto a constant r_cur, takes one path.  With r_prev =
-    (an/ad)*A and r_cur = (bn/bd)*B the one integer division (``_division``) gives D*A =
-    Q'*B + R, so Q = an*bd/(ad*bn*D)*Q', rho = an/(ad*D)*content(R) and r = R/content(R),
-    read off the remainder's one content pass.  Multiplied through by ad*bn*D, each cofactor
-    is (m*p - e*Q'*c)/d on integers (``_combine``) with m = ad*bn*D, e = an*bd and
-    d = m*rho.  A unit row (row 2 on) has scale 1/1: on a linear step between two of them
-    m = D and e = 1, the quotient's normal form is one gcd of its two entries and one against
-    D, and no scale product is taken.
+def euclid_start(r0: Poly, r1: Poly, width: int) -> tuple[Joint, Joint, tuple[int, int], tuple[int, int]]:
+    """The joint start rows (A, 0, 1) and (B, 1, 0), cut to ``width`` polynomials, of the integer
+    lists A and B of r0 and r1, with the scales (num, den) of r0 and r1.
+
+    The rows of (r0, r1) are those of (A, B) up to a constant each, with s over r1's scale and t
+    over r0's, so the loop runs on (A, B) and carries no scale of the input.
     """
-    a, b = prev[0], cur[0]
-    A, B = a._ints, b._ints
+    A, B = list(r0._ints), list(r1._ints)
+    if width == 3:
+        return (A, 1, [1], (0, 1)), (B, 1, [1], (1, 0)), (r0._num, r0._den), (r1._num, r1._den)
+    return (A, 1, [], (0,)), (B, 1, [1], (1,)), (r0._num, r0._den), (r1._num, r1._den)
+
+
+def cofactor_parts(joint: Joint) -> list[list[int]]:
+    """The integer list of each cofactor of a joint row."""
+    _, _, C, sizes = joint
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(C[start:start + size])
+        start += size
+    return parts
+
+
+def euclid_step(prev: Joint, cur: Joint) -> tuple[int, list[int], int, Joint]:
+    """(D, Q, g, next) for joint rows with len(R_prev) >= len(R_cur) >= 1: D*prev - Q*cur = g*next.
+
+    The r parts are divided as the primitive lists they are stored as, D'*R_prev = Q'*R_cur + R
+    (``_division``: closed form for a linear quotient).  With h = gcd(e_prev, e_cur),
+    D = D'*e_cur/h and Q = Q'*e_prev/h make the r part of D*prev - Q*cur equal to
+    (e_prev*e_cur/h)*R, and every cofactor part is D*p - Q*c: one comprehension over all the
+    cofactors for a linear quotient (in a remainder sequence no cofactor of prev is longer than
+    its match in cur by more than one entry), ``_cross`` per part otherwise.  One content pass
+    over R and the cofactors gives R's content and g, the content of the whole row, so the next
+    row keeps R primitive and its e.  No scale is taken and no polynomial is built.  Each list is
+    stripped of zero top entries, so its degree is its length less one.
+    """
+    (A, ea, X, a_sizes), (B, eb, Y, b_sizes) = prev, cur
     if not B:
         raise ZeroDivisionError("polynomial division by the zero polynomial")
-    D, quot, rem = _division(A, B)
-    an, ad, bn, bd = a._num, a._den, b._num, b._den
-    if len(quot) == 2 and an == 1 == ad and bn == 1 == bd:
-        rn, rd, ints = _normal_form(1, D, rem)
-        q0, q1 = quot
-        g = math.gcd(q0, q1)  # q1 = lead(B)*lead(A) > 0
-        k = math.gcd(g, D)
-        Q = _make(g // k, D // k, (q0 // g, q1 // g))
+    D, Q, rem = _division(A, B)
+    while rem and not rem[-1]:
+        rem.pop()
+    h = math.gcd(ea, eb)
+    D, Q = D * (eb // h), [q * (ea // h) for q in Q]
+    if len(Q) == 2:  # each cofactor of prev padded to c + 1 entries, and each of cur followed by 0
+        q0, q1 = Q
+        if len(b_sizes) == 1:
+            X, Y = (*X, *[0] * (b_sizes[0] + 1 - a_sizes[0])), [*Y, 0]
+        else:
+            k, m = a_sizes[0], b_sizes[0]
+            X = (*X[:k], *[0] * (m + 1 - k), *X[k:], *[0] * (b_sizes[1] + 1 - a_sizes[1]))
+            Y = [*Y[:m], 0, *Y[m:], 0]
+        out = [D * x - q0 * y - q1 * z for x, y, z in zip(X, Y, (0, *Y))]
+        sizes = [c + 1 for c in b_sizes]
+        if not (out[-1] and out[b_sizes[0]]):  # a cofactor's top cancels only in rows that no EEA gives
+            _strip(out, sizes)
     else:
-        num, den = _times(an, ad, 1, D)
-        rn, rd, ints = _normal_form(num, den, rem)
-        Q = _make(*_normal_form(*_over(num, den, bn, bd), quot))
-    if ints:
-        rho, r = _make(rn, rd, (1,)), _make(1, 1, ints)
-    else:  # the zero row
-        rho, r, rn = ONE, ZERO, 1
-    m, e = ad * bn * D, an * bd
-    d = bn * rn * (ad * D // rd)  # m*rho, with rho = rn/rd and rd dividing ad*D
-    return Q, rho, (r, *[_combine(p, m, quot, e, c, d) for p, c in zip(prev[1:], cur[1:])])
+        parts = [_cross(D, p, Q, c) for p, c in zip(cofactor_parts(prev), cofactor_parts(cur))]
+        out, sizes = list(chain.from_iterable(parts)), [len(part) for part in parts]
+        _strip(out, sizes)
+    content = math.gcd(*rem)
+    if rem and rem[-1] < 0:
+        content = -content
+    e = ea * eb // h * content
+    g = math.gcd(e, *out)
+    if g > 1:
+        out, e = [x // g for x in out], e // g
+    return D, Q, g, (rem if content == 1 else [x // content for x in rem], e, out, tuple(sizes))
+
+
+def _strip(out: list[int], sizes: list[int]) -> None:
+    """Strip each list of a joint row's cofactors of its zero top entries, in place, from the last."""
+    end = len(out)
+    for k in range(len(sizes) - 1, -1, -1):
+        start, top = end - sizes[k], end
+        while top > start and not out[top - 1]:
+            top -= 1
+        if top < end:
+            del out[top:end]
+            sizes[k] = top - start
+        end = start
+
+
+def _cross(D: int, p: list[int], Q: list[int], c: list[int]) -> list[int]:
+    """D*p - Q*c on integer lists, through ``_convolve``: a cofactor part of a jump."""
+    out = _convolve([-x for x in Q], c) if c else []
+    out.extend([0] * (len(p) - len(out)))
+    out[:len(p)] = [D * x + y for x, y in zip(p, out)]
+    return out
+
+
+def primitive(ints: Sequence[int]) -> Poly:
+    """The Poly of an integer list that is primitive with a positive lead, as the loop keeps r."""
+    return _make(1, 1, tuple(ints))
+
+
+def scaled(num: int, den: int, ints: Sequence[int]) -> Poly:
+    """The Poly (num/den)*ints for integers num and den != 0; the list is read, not consumed."""
+    if not ints:
+        return ZERO
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    num *= content
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return _make(num // g, den // g, tuple(ints) if content == 1 else tuple([c // content for c in ints]))
 
 
 def gcd(p: Poly, q: Poly) -> Poly:

@@ -61,26 +61,30 @@ class InterpolationData:
     ``points[i] == (x_i, (y_i0, ..., y_i(n_i - 1)))`` where y_ij is the
     required j-th derivative value at x_i; ``n`` is the number of
     conditions, the sum of the multiplicities, and ``nodes`` the x_i in
-    data order.
+    data order.  ``input_size`` is n*B, with B the bits of each node's
+    numerator and denominator summed over the conditions plus the bits of
+    the largest value's numerator and denominator: the CLI's size cap.
     """
 
     points: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
 
     def __post_init__(self) -> None:
-        """Read the points in one pass and store them as tuples of Fractions, with ``n`` and ``nodes``.
+        """Read the points in one pass and store them as tuples of Fractions, with ``n``, ``nodes`` and ``input_size``.
 
         The points, each (x, values) point and each value list are read by
         ``exactpoly.as_sequence`` (a list or a tuple), every number by
         ``as_fraction``; anything else raises ValueError, as do no points, a
         node with no values and a repeated node, however it is spelled.
         """
-        points, seen, n = [], {}, 0
+        points, seen, n, node_bits, value_bits = [], {}, 0, 0, 0
         for pair in as_sequence(self.points, "the points"):
             x, values = as_sequence(pair, "a point (x, values)")
             x = as_fraction(x)
             values = tuple([as_fraction(v) for v in as_sequence(values, "a node's values")])
             if not values:
                 raise ValueError(f"node {x} has no prescribed values")
+            node_bits += (x.numerator.bit_length() + x.denominator.bit_length()) * len(values)
+            value_bits = max(value_bits, *[v.numerator.bit_length() + v.denominator.bit_length() for v in values])
             # a reduced fraction is its (numerator, denominator) pair, which hashes
             # without the modular inverse that Fraction.__hash__ takes
             key = (x.numerator, x.denominator)
@@ -92,7 +96,8 @@ class InterpolationData:
         if not points:
             raise ValueError("at least one interpolation node is required")
         # the instance is frozen, so the read points, n and the nodes go straight into its __dict__
-        vars(self).update(points=tuple(points), n=n, nodes=tuple(seen.values()))
+        vars(self).update(points=tuple(points), n=n, nodes=tuple(seen.values()),
+                          input_size=n * (node_bits + value_bits))
 
     @cached_property
     def newton_pair(self) -> tuple[Poly, Poly]:

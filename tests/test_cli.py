@@ -15,7 +15,7 @@ from ratinterp import (
     minimal_basis, monomial,
 )
 from ratinterp.cli import (
-    KAPPA_SET_MAX_DEGREE, MAX_DEGREE, MAX_INPUT_SIZE, ORACLE_MAX_DEGREE, _input_size, _polynomial, main,
+    KAPPA_SET_MAX_DEGREE, MAX_DEGREE, MAX_INPUT_SIZE, ORACLE_MAX_DEGREE, _polynomial, main,
 )
 
 from conftest import P
@@ -434,7 +434,7 @@ class TestInputGuards:
                 [(Fraction(k, 10**digits + k), [rng.randint(-9, 9)]) for k in range(1, n + 1)])
             path = tmp_path / f"wide{n}_{digits}.json"
             path.write_text(json.dumps(data.to_json_dict()))
-            return str(path), _input_size(data)
+            return str(path), data.input_size
 
         # n = 4 at D = 2,820 runs in about 0.2 s, just under the cap; at 2,850 digits it is just over.
         # n = 16 at D = 1,000 ran for 19-23 s and n = 16 at D = 4,000 past 120 s before the cap
@@ -455,7 +455,7 @@ class TestInputGuards:
     def test_input_size_counts_every_condition_and_the_largest_value(self):
         data = InterpolationData.from_pairs([(Fraction(5, 3), ["1/2", 7]), (-8, ["-100/9"])])
         # n = 3; the node 5/3 has 3 + 2 bits, counted twice; -8 has 4 + 1; -100/9 has 7 + 4
-        assert _input_size(data) == 3 * (2 * 5 + 5 + 11)
+        assert data.input_size == 3 * (2 * 5 + 5 + 11)
 
     def test_input_size_cap_on_parametrizations(self, tmp_path, capsys):
         """deg r0 = n, deg r1 = n - 1, coefficients of D digits with random signs, seed 1."""

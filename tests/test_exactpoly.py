@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 import sys
 from fractions import Fraction
@@ -699,88 +700,133 @@ class TestEuclidUpdate:
 
 
 def three_calls(prev, cur):
-    """One Euclidean row as div_rem, the split of the remainder and euclid_update per column:
-    euclid_step's reference."""
+    """One Euclidean row as div_rem, the split of the remainder and euclid_update per column: the
+    per-column reference of euclid_step, on rows of polynomials."""
     q, r = prev[0].div_rem(cur[0])
     rho, r = unit_split(r)
     return q, rho, (r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])])
 
 
+def joint(row):
+    """A row of polynomials as a joint row: den*row with its r part split into its content e and
+    its primitive list, and the cofactors' integer lists end to end with their lengths."""
+    den = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+    r, *cofactors = [[int(c * den) for c in p.coeffs] for p in row]
+    e = (math.gcd(*r) if r[-1] > 0 else -math.gcd(*r)) if r else 0
+    return [x // e for x in r], e, [x for part in cofactors for x in part], tuple(len(part) for part in cofactors)
+
+
+def jparts(joint_row):
+    """The integer lists of a joint row's polynomials: e*R, then each cofactor."""
+    return [[joint_row[1] * x for x in joint_row[0]], *exactpoly.cofactor_parts(joint_row)]
+
+
+def polys(joint_row):
+    return tuple(Poly(part) for part in jparts(joint_row))
+
+
+def proportional(row, other):
+    """True iff the rows of polynomials are one nonzero constant apart."""
+    k = next((p.coeffs[-1] / q.coeffs[-1] for p, q in zip(row, other) if not q.is_zero), None)
+    return k is not None and k != 0 and all(p == q * k for p, q in zip(row, other))
+
+
 @st.composite
 def step_rows(draw):
-    """Rows (r, *cofactors) of 2 or 3 columns with deg r_prev >= deg r_cur >= 0.
+    """Consecutive rows k - 1 and k, of 2 or 3 columns, of the extended Euclidean algorithm of a
+    drawn pair (r0, r1), each times its own drawn constant.
 
-    The quotient is linear about half the time; the remainder is random, zero, or two or more
-    degrees short; the remainders are unit rows at scale 1 or keep their drawn, often negative
-    and rational, scales; a cofactor may be the zero polynomial.
+    r0 = q*r1 + r with q linear about half the time and r random, zero, or two or more degrees
+    short, so the first step (k = 1, the start rows) takes each kind of quotient and remainder.
     """
     dd, top = draw(st.integers(0, 5)), draw(st.one_of(st.just(1), st.integers(0, 3)))
-    cur_r = Poly([*draw(st.lists(RATIONALS, min_size=dd, max_size=dd)), draw(NONZERO)])
+    r1 = Poly([*draw(st.lists(RATIONALS, min_size=dd, max_size=dd)), draw(NONZERO)])
     q = Poly([*draw(st.lists(RATIONALS, min_size=top, max_size=top)), draw(NONZERO)])
-    kind = draw(st.sampled_from(("random", "zero", "drop")))
-    size = {"random": dd, "zero": 0, "drop": max(dd - 1, 0)}[kind]
-    prev_r = q * cur_r + Poly(draw(st.lists(RATIONALS, min_size=size, max_size=size)))
-    if draw(st.booleans()):
-        prev_r, cur_r = unit_split(prev_r)[1], unit_split(cur_r)[1]
-    width = draw(st.sampled_from((2, 3)))
-    cofactors = st.one_of(st.just(ZERO), COEFFS.map(Poly))
-    prev = (prev_r, *[draw(cofactors) for _ in range(width - 1)])
-    cur = (cur_r, *[draw(cofactors) for _ in range(width - 1)])
-    return prev, cur
+    size = {"random": dd, "zero": 0, "drop": max(dd - 1, 0)}[draw(st.sampled_from(("random", "zero", "drop")))]
+    trace = extended_euclid(q * r1 + Poly(draw(st.lists(RATIONALS, min_size=size, max_size=size))), r1)
+    k, width = draw(st.integers(1, trace.N)), draw(st.sampled_from((2, 3)))
+    c_prev, c_cur = draw(NONZERO), draw(NONZERO)
+    return tuple(p * c_prev for p in trace.rows[k - 1][:width]), tuple(p * c_cur for p in trace.rows[k][:width])
 
 
 class TestEuclidStep:
-    """euclid_step(prev, cur) is div_rem, the split and euclid_update per column, in normal form."""
+    """euclid_step(prev, cur) on joint rows is one row of the extended Euclidean algorithm up to a
+    constant: the per-column reference (div_rem, the split and euclid_update) gives the same row,
+    and D*prev - Q*cur = g*next holds on the integer lists."""
 
     @staticmethod
     def check(prev, cur):
-        q, rho, row = euclid_step(prev, cur)
-        assert (q, rho, row) == three_calls(prev, cur)
-        assert rho * row[0] == prev[0] - q * cur[0] and rho.degree == 0
-        for p in (q, rho, *row):
-            assert_normal(p)
-        return q, rho, row
+        jp, jc = joint(prev), joint(cur)
+        D, Q, g, nxt = euclid_step(jp, jc)
+        R, e, C, sizes = nxt
+        assert g > 0 and math.gcd(e, *C) in (0, 1) and len(sizes) == len(prev) - 1
+        # R is primitive with a positive lead, or empty with e = 0
+        assert (R and math.gcd(*R) == 1 and R[-1] > 0 and e) or (not R and not e)
+        # each part stripped, and g*next = D*prev - Q*cur part by part
+        for part, p, c in zip(jparts(nxt), jparts(jp), jparts(jc)):
+            assert not part or part[-1]
+            lhs = [D * x for x in p] + [0] * max(0, len(Q) + len(c) - 1 - len(p))
+            for i, x in enumerate(int_times(Q, c) if c else []):
+                lhs[i] -= x
+            while lhs and not lhs[-1]:
+                lhs.pop()
+            assert [g * x for x in part] == lhs
+        assert len(R) < len(jc[0])
+        q, rho, row = three_calls(prev, cur)
+        assert proportional(polys(nxt)[1:], row[1:]) and (polys(nxt)[0].is_zero == row[0].is_zero)
+        if not row[0].is_zero:
+            assert proportional(polys(nxt), row)
+        return D, Q, g, nxt
 
     @settings(database=None, deadline=None, max_examples=100)
     @given(step_rows())
-    def test_random(self, rows):
+    def test_random_rows(self, rows):
         self.check(*rows)
 
     @pytest.mark.parametrize("prev, cur", [
         ((P(3, -1, 0, "2/3"), ZERO, ONE), (P("-5/7", 2, 1), ONE, ZERO)),           # start rows, rational scales
-        ((P(1, 2, 3), P(4, 5)), (P(0, 1), P("-1/2"))),                            # unit rows at scale 1
-        ((P(1, 2, "-3/4") * P(-2, 5), P(1, 1)), (P(1, 2, "-3/4"), P(3))),         # a zero remainder
-        ((P(7, 1, 1, 0, 1), P(2, 0, 1), ZERO), (P(1, 1, 0, 1), P(-1), P(5))),    # R drops two degrees
-        ((P(1, 0, 0, 0, 0, -2), P(1), P(-3)), (P(-1, 0, 3), P(2, 1), ZERO)),      # a quotient of degree 3
-        ((P(-4, 0, 9), P(1, 2)), (P("-2/3"), P(0, 1))),                            # a constant r_cur
-        ((P(3, "5/7"), P(1, 2), ZERO), (P("-2/3"), P(0, 1), ONE)),                  # and a linear step onto it
-        ((P(3, 5), P(2)), (ONE, P(1, 1))),                                         # onto the unit constant
-        # past the int-to-str limit, at drawn scales and at scale 1
-        ((P(BIG, 1, 0, -BIG), P(BIG, "1/3"), ONE), (P(Fraction(1, BIG), BIG, 1), P(-1, BIG), P(BIG))),
-        ((P(BIG, 1, 0, 7), P(1, BIG)), (P(1, -BIG, 3), P(BIG))),
+        ((P(3, -1, 0, "2/3"), ZERO), (P("-5/7", 2, 1), ONE)),                      # half start rows
+        ((P(1, 2, "-3/4") * P(-2, 5), ZERO), (P(1, 2, "-3/4"), ONE)),             # a zero remainder
+        ((P(7, 1, 1, 0, 1), ZERO, ONE), (P(1, 1, 0, 1), ONE, ZERO)),              # R drops two degrees
+        ((P(1, 0, 0, 0, 0, -2), ZERO, ONE), (P(-1, 0, 3), ONE, ZERO)),            # a quotient of degree 3
+        ((P(-4, 0, 9), ZERO), (P("-2/3"), ONE)),                                   # a constant r_cur
+        ((P(3, 5), ZERO, ONE), (ONE, ONE, ZERO)),                                  # onto the unit constant
+        ((P(3, -1, 4), ZERO, ONE), (P(1, 5, 2), ONE, ZERO)),                       # equal degrees
+        ((P(BIG, 1, 0, -BIG), ZERO, ONE), (P(Fraction(1, BIG), BIG, 1), ONE, ZERO)),  # past the int-to-str limit
     ])
     def test_explicit_cases(self, prev, cur):
         self.check(prev, cur)
 
+    def test_rows_deep_in_a_trace(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            r0 = Poly([rng.randint(-9, 9) for _ in range(9)] + [rng.choice((1, 2, 3))])
+            r1 = Poly([rng.randint(-9, 9) for _ in range(7)] + [rng.choice((-2, 1, 5))])
+            trace = extended_euclid(r0, r1)
+            for k in range(1, trace.N + 1):
+                for width in (2, 3):
+                    self.check(trace.rows[k - 1][:width], trace.rows[k][:width])
+
     @pytest.mark.parametrize("prev", [(P(3), ONE), (P(1, 2), ZERO), (P(-1, 0, 4), P(2))])
     def test_a_zero_divisor(self, prev):
         with pytest.raises(ZeroDivisionError):
-            euclid_step(prev, (ZERO, ONE))
+            euclid_step(joint(prev), joint((ZERO, ONE)))
 
     @pytest.mark.parametrize("prev, cur", [
-        ((P(3, -1, 4, 2), P(1, 5), P("2/7")), (P(5, 0, 3), P("-1/3", 2, 1), P(4, 0, "1/9"))),  # linear, unit rows
-        ((P(2, 0, 1, 0, 0, 3), P(1, 1), ZERO), (P(-1, 0, 3), P(2), P(0, 1))),                   # a quotient of degree 3
-        ((P(-4, 0, 9), P(1, 2)), (P("-2/3"), P(0, 1))),                                         # a constant r_cur
-        ((P(3, -1, 0, "2/3"), ZERO, ONE), (P("-5/7", 2, 1), ONE, ZERO)),                        # raw start rows
+        ((P(3, -1, 4, 2), P(1, 5)), (P(5, 0, 3), P("-1/3", 2, 1))),           # linear
+        ((P(3, -1, 4, 2), ZERO, ONE), (P(5, 0, 3), ONE, ZERO)),               # linear, three columns
+        ((P(2, 0, 1, 0, 0, 3), ZERO, ONE), (P(-1, 0, 3), ONE, ZERO)),         # a quotient of degree 3
+        ((P(-4, 0, 9), ZERO), (P("-2/3"), ONE)),                               # a constant r_cur
     ])
-    def test_a_step_takes_one_division_and_no_div_rem_or_euclid_update(self, monkeypatch, prev, cur):
+    def test_a_step_takes_one_integer_division_and_no_polynomial(self, monkeypatch, prev, cur):
         expected = self.check(prev, cur)
-        divisions = []
+        calls = []
         division = exactpoly._division
-        monkeypatch.setattr(exactpoly, "_division", lambda a, b: divisions.append(1) or division(a, b))
+        monkeypatch.setattr(exactpoly, "_division", lambda a, b: calls.append(1) or division(a, b))
+        for name in ("_combine", "_normal_form", "euclid_update"):
+            monkeypatch.setattr(exactpoly, name, lambda *args: pytest.fail("a polynomial kernel in a step"))
         monkeypatch.setattr(Poly, "div_rem", lambda *args: pytest.fail("div_rem in a step"))
-        monkeypatch.setattr(exactpoly, "euclid_update", lambda *args: pytest.fail("euclid_update in a step"))
-        assert euclid_step(prev, cur) == expected and divisions == [1]
+        assert euclid_step(joint(prev), joint(cur)) == expected and len(calls) == 1
 
 
 class TestOneKernel:
@@ -801,7 +847,6 @@ class TestOneKernel:
         lambda a, b: 2 + a,                   # reflected +
         lambda a, b: Fraction(3, 5) - a,      # reflected -
         lambda a, b: euclid_update(a, b, a, P("-2/7")),
-        lambda a, b: euclid_step((a, ONE), (b, ZERO)),
     ])
     def test_sums_differences_and_columns_take_combine(self, monkeypatch, operation):
         self.refuse(monkeypatch, "_combine")

@@ -25,11 +25,13 @@ from ratinterp import (
     extended_euclid,
     hermite_polynomial,
     hermite_rational,
+    minimal_basis,
     minimal_delta_solutions,
     nodal_poly,
     yy_form,
 )
 from ratinterp.eea import half_trace, split_bound
+from ratinterp.exactpoly import euclid_update
 
 from conftest import (
     DATA_ALL_ZERO,
@@ -263,8 +265,8 @@ def refuse(*args):
 
 
 def test_each_cofactor_takes_one_fused_update(monkeypatch):
-    # a normal remainder sequence: every quotient linear, each cofactor (p - q*c)/rho in one pass,
-    # and each row one euclid_step that neither divides through div_rem nor splits a remainder
+    # a normal remainder sequence: every quotient linear; the loop combines each whole row on
+    # integer lists (exactpoly.euclid_step), and its unit rows are read with no Poly arithmetic
     f, g = interpolation_pair(integer_node_data(random.Random(92), 12))
     monkeypatch.setattr(Poly, "__sub__", refuse)
     full = extended_euclid(f, g)
@@ -276,8 +278,8 @@ def test_each_cofactor_takes_one_fused_update(monkeypatch):
 
 
 def test_each_cofactor_of_an_abnormal_trace_takes_one_fused_update(monkeypatch):
-    # planted data: a jump, a quotient of degree >= 2, takes the same one integer division and
-    # fused update per cofactor as a linear step, so no row divides through div_rem
+    # planted data: a jump, a quotient of degree >= 2, takes one integer division and the same
+    # combination of the whole row as a linear step, so no row divides through div_rem
     rng = random.Random(95)
     f, g = interpolation_pair(planted_data(rng, 24, random_poly(rng, 2), P(rng.randint(1, 5), 0, 1)))
     monkeypatch.setattr(Poly, "__sub__", refuse)
@@ -321,7 +323,7 @@ def test_check_invariants_builds_no_raw_row(monkeypatch):
 
 def stored_mutations(trace, rng):
     """Traces whose unit rows, unit quotients or steps differ from this one's in one place."""
-    rows, quotients, steps = list(trace.unit_rows), list(trace.unit_quotients), list(trace._steps)
+    rows, quotients, steps = list(trace.unit_rows), list(trace.unit_quotients), list(trace.steps)
 
     def build(rows=rows, quotients=quotients, steps=steps):
         return EEATrace(tuple(rows), tuple(quotients), tuple(steps))
@@ -358,3 +360,92 @@ def test_a_broken_unit_row_quotient_or_step_is_refused():
                     mutated.check_invariants()
                 refused += 1
     assert refused > 20 * accepted and refused > 500
+
+
+# -- the joint-row loop: the same unit rows as the per-column loop, built only where read ----
+
+
+def reference_unit_trace(r0, r1, half, bound):
+    """(unit rows, unit quotients, steps) of the per-column loop: div_rem, the split of the
+    remainder into its step and its integer list, and euclid_update per cofactor column."""
+    rows = [(r0, ZERO), (r1, ONE)] if half else [(r0, ZERO, ONE), (r1, ONE, ZERO)]
+    quotients, steps = [], []
+    while not rows[-1][0].is_zero and rows[-2][0].degree > bound:
+        prev, cur = rows[-2], rows[-1]
+        q, r = prev[0].div_rem(cur[0])
+        rho, r = unit_split(r)
+        rows.append((r, *[euclid_update(p, q, c, rho) for p, c in zip(prev[1:], cur[1:])]))
+        quotients.append(q)
+        steps.append(rho)
+    return tuple(rows), tuple(quotients), tuple(steps)
+
+
+def joint_corpus():
+    """(r0, r1) of seeded integer, repeated, rational-node, planted (abnormal) and parametrization inputs."""
+    rng = random.Random(97)
+    for family in (integer_node_data, repeated_node_data, rational_node_data):
+        for n in (3, 8, 12, 17):
+            yield interpolation_pair(family(rng, n))
+    for n in (12, 20):
+        yield interpolation_pair(planted_data(rng, n, random_poly(rng, 2), P(rng.randint(1, 5), 0, 1)))
+    for _ in range(6):
+        param = random_param(rng, max_n=12)
+        if not param.r1.is_zero:
+            yield param.r0, param.r1
+
+
+def test_unit_rows_quotients_steps_and_raw_rows_equal_the_per_column_loop():
+    cases = 0
+    for r0, r1 in joint_corpus():
+        n = int(r0.degree)
+        for bound in (-math.inf, split_bound(n), n - 2):
+            for half in (False, True):
+                trace = extended_euclid(r0, r1, half=half, bound=bound)
+                rows, quotients, steps = reference_unit_trace(r0, r1, half, bound)
+                assert (trace.unit_rows, trace.unit_quotients, trace.steps) == (rows, quotients, steps)
+                assert trace.degrees == tuple((row[0].degree, row[1].degree) for row in rows)
+                assert trace.rows == EEATrace(rows, quotients, steps).rows
+                cases += 1
+    assert cases >= 100
+
+
+def unit_rows_built(monkeypatch):
+    """The indices of the unit rows built from the loop's rows, in order."""
+    built = []
+    unit_row = EEATrace._unit_row
+
+    def counting(self, i):
+        if self._units[i] is None:
+            built.append(i)
+        return unit_row(self, i)
+
+    monkeypatch.setattr(EEATrace, "_unit_row", counting)
+    return built
+
+
+def test_an_answer_builds_only_the_unit_rows_it_reads(monkeypatch):
+    data = integer_node_data(random.Random(98), 12)
+    built = unit_rows_built(monkeypatch)
+    for d in range(data.n):
+        built.clear()
+        hermite_rational(data, d)
+        assert len(built) <= 1, d
+    built.clear()
+    admissible_delta_set(data)
+    assert len(built) <= 1
+    built.clear()
+    minimal_basis(data)
+    assert len(built) <= 2
+
+
+@pytest.mark.parametrize("seed", [48, 49])
+def test_the_loop_stays_within_twice_the_hadamard_bound_at_n_48(seed):
+    # the loop's own integers, each row carried as one list up to a constant, stay near the unit rows
+    rng = random.Random(seed)
+    r0 = Poly([rng.randint(-9, 9) for _ in range(48)] + [rng.choice((1, 2, 3))])
+    r1 = Poly([rng.randint(-9, 9) for _ in range(47)] + [rng.choice((-3, -2, -1, 1, 2, 3))])
+    limit = 2 * hadamard_bits(r0, r1)
+    for half in (False, True):
+        trace = extended_euclid(r0, r1, half=half)
+        stored = max(abs(x).bit_length() for r, e, c, _ in trace._joint for x in (*r, e, *c))
+        assert trace.complete and trace.N >= 40 and stored <= limit
